@@ -204,7 +204,7 @@ class PcmBlock:
     """
 
     __slots__ = ("bits", "cell_writes", "rot_counters", "epoch",
-                 "codebook_version", "failed", "write_count", "writes_since_bump")
+                 "codebook_version", "failed", "writes_since_bump")
 
     def __init__(self, cfg: PcmConfig):
         self.bits = 0
@@ -213,7 +213,6 @@ class PcmBlock:
         self.epoch = 0
         self.codebook_version = 0
         self.failed = False
-        self.write_count = 0
         self.writes_since_bump = 0
 
     def max_wear(self) -> int:
@@ -226,6 +225,11 @@ def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> 
     Only differing cells are touched; each one wears by 1 and is counted as a
     SET (0->1) or RESET (1->0) flip. Marks the block failed once any cell
     exceeds its endurance (a cell survives exactly `cell_endurance` programs).
+
+    The endurance test looks at the whole row, not just the touched cells:
+    a block is marked failed as soon as one of its cells passes endurance
+    and is never programmed again, so no cell of a live block is above
+    endurance and only a cell touched by this program can be.
     """
     if block.failed:
         raise DeadBlockError("write to dead block")
@@ -236,9 +240,8 @@ def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> 
     ones = popcount(diff & new_bits)
     out.flips_set = ones
     out.flips_reset = popcount(diff) - ones
-    touched = bit_positions(diff, cfg.block_bits)
-    block.cell_writes[touched] += 1
-    if int(block.cell_writes[touched].max()) > cfg.cell_endurance:
+    block.cell_writes += bit_positions(diff, cfg.block_bits)
+    if int(block.cell_writes.max()) > cfg.cell_endurance:
         block.failed = True
     block.bits ^= diff
     return out

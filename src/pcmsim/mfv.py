@@ -92,6 +92,37 @@ class MfvFinder:
                     break
         return None
 
+    def observe_write(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """Feed one write's granules; same end state as `observe` on each in order.
+
+        `values` holds the granule values in write order and `counts` is
+        `np.bincount(values)` (any minlength). A value that is FV-resident
+        when the write starts gets all its occurrences in one saturating
+        counter update; only the other values go through `observe`, in order.
+
+        This is exact because, for a resident value, `observe` only bumps that
+        entry's saturating counter, which no other step of `observe` reads,
+        and leaves the FIFO and FV membership alone. Nothing retires an entry
+        while the write is observed, so a resident value stays resident to
+        the end of the write and its occurrences commute with every other
+        call. A value promoted partway through the write is not in the
+        resident set; `observe` itself credits its later occurrences.
+        """
+        index = self._fv_index
+        late = set()
+        counts_list = counts.tolist()
+        for v in np.flatnonzero(counts).tolist():
+            entry = index.get(v)
+            if entry is None:
+                late.add(v)
+            else:
+                entry.counter = min(entry.counter + counts_list[v], FV_COUNTER_MAX)
+        if late:
+            observe = self.observe
+            for v in values.tolist():
+                if v in late:
+                    observe(v)
+
     def _install(self, value: int) -> bool:
         for e in self.fv:
             if not e.used:
@@ -161,12 +192,6 @@ class Codebook:
 
     def decode_granule(self, codeword: int) -> int:
         return self.inv_perm[codeword]
-
-    def enc_table(self) -> np.ndarray:
-        return np.array(self.perm, dtype=np.uint8)
-
-    def dec_table(self) -> np.ndarray:
-        return np.array(self.inv_perm, dtype=np.uint8)
 
     def dump(self) -> str:
         """Versioned text table: one `rank value-hex codeword-hex` row per value."""

@@ -26,10 +26,13 @@ def optimal_rotation(encoded: int, stored: int, width: int,
     Hamming(rotate_right(encoded, r), stored). Ties prefer the incumbent
     counter value (no metadata flip), then the smaller r.
     """
+    mask = (1 << width) - 1
+    # rotate_right(encoded, r) is the low `width` bits of `doubled >> r`
+    doubled = encoded | (encoded << width)
     best_r = 0
     best_flips = width + 1
     for r in range(rotation_max + 1):
-        flips = popcount(rotate_right(encoded, r, width) ^ stored)
+        flips = (((doubled >> r) ^ stored) & mask).bit_count()
         if flips < best_flips or (flips == best_flips and r == incumbent):
             best_r = r
             best_flips = flips
@@ -214,38 +217,44 @@ class WireScheme(WriteScheme):
         self._check_payload(data)
         cfg = self.cfg
         values = unpack_granules(data, cfg.granule_bits)
-        vals_list = values.tolist()
+        counts = np.bincount(values)
         finder = self.finder
-        for v in vals_list:
-            finder.observe(v)
+        finder.observe_write(values, counts)
 
         version = self.current_version()
         epoch, bumped = next_epoch(block, self.wear, cfg.granule_bits)
         encoded = bytes_to_bits(pack_granules(self._enc_table(version, epoch)[values],
                                               cfg.granule_bits))
 
-        out = WriteOutcome()
         width = cfg.partition_bits
+        part_mask = self._part_mask
+        counter_bits = cfg.counter_bits
+        stored_bits = block.bits
         new_phys = 0
         new_counters = []
-        for i in range(cfg.partitions_per_block):
+        # counters packed side by side: the flips of the packed field are the
+        # sum of the flips of each counter
+        old_packed = new_packed = 0
+        for i, old_r in enumerate(block.rot_counters):
             shift = i * width
-            part = (encoded >> shift) & self._part_mask
-            stored = (block.bits >> shift) & self._part_mask
-            r, _ = optimal_rotation(part, stored, width, cfg.rotation_max,
-                                    block.rot_counters[i])
-            new_phys |= rotate_right(part, r, width) << shift
+            part = (encoded >> shift) & part_mask
+            r, _ = optimal_rotation(part, (stored_bits >> shift) & part_mask, width,
+                                    cfg.rotation_max, old_r)
+            if r:
+                part = ((part >> r) | (part << (width - r))) & part_mask
+            new_phys |= part << shift
             new_counters.append(r)
+            old_packed |= old_r << (i * counter_bits)
+            new_packed |= r << (i * counter_bits)
 
-        out.add(program_cells(block, new_phys, self._full_mask, cfg))
-        for old, new in zip(block.rot_counters, new_counters):
-            out.count_meta_change(old, new, cfg.counter_bits)
+        out = program_cells(block, new_phys, self._full_mask, cfg)
+        out.count_meta_change(old_packed, new_packed,
+                              counter_bits * cfg.partitions_per_block)
         if bumped:
             out.count_meta_change(block.epoch, epoch, cfg.epoch_tag_bits)
         block.rot_counters = new_counters
         block.epoch = epoch
         block.codebook_version = version
-        block.write_count += 1
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
 
         if self.cache is not None and not self.cache.touch(addr):
@@ -254,7 +263,7 @@ class WireScheme(WriteScheme):
         # reference bookkeeping: the previous content no longer pins its values
         for v in self._block_refs.get(addr, ()):
             finder.retire_reference(v)
-        refs = tuple(v for v in sorted(set(vals_list)) if finder.add_reference(v))
+        refs = tuple(v for v in np.flatnonzero(counts).tolist() if finder.add_reference(v))
         self._block_refs[addr] = refs
         return out
 
@@ -263,11 +272,15 @@ class WireScheme(WriteScheme):
         if self.cache is not None and not self.cache.touch(addr):
             self.read_extra_reads += 1
         width = cfg.partition_bits
+        part_mask = self._part_mask
+        bits = block.bits
         image = 0
-        for i in range(cfg.partitions_per_block):
+        for i, r in enumerate(block.rot_counters):
             shift = i * width
-            stored = (block.bits >> shift) & self._part_mask
-            image |= rotate_left(stored, block.rot_counters[i], width) << shift
+            stored = (bits >> shift) & part_mask
+            if r:
+                stored = ((stored << r) | (stored >> (width - r))) & part_mask
+            image |= stored << shift
         codes = unpack_granules(bits_to_bytes(image, cfg.block_bytes), cfg.granule_bits)
         values = self._dec_table(block.codebook_version, block.epoch)[codes]
         return pack_granules(values, cfg.granule_bits)

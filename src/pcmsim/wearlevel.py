@@ -101,7 +101,6 @@ class StartGapLeveler:
         dest.rot_counters = list(src.rot_counters)
         dest.epoch = src.epoch
         dest.codebook_version = src.codebook_version
-        dest.write_count = src.write_count
         dest.writes_since_bump = src.writes_since_bump
 
         self.gap = src_i

@@ -84,6 +84,22 @@ def test_cell_survives_exactly_endurance_programs():
         program_cells(b, 0, FULL, cfg)
 
 
+def test_program_past_endurance_fails_block_and_keeps_other_counts():
+    cfg = PcmConfig(cell_endurance=3)
+    b = PcmBlock(cfg)
+    for data in (0b100011, 0b100000, 0b100011):  # cells 0 and 1 reach endurance
+        program_cells(b, data, FULL, cfg)
+    assert not b.failed
+    program_cells(b, 0b10100010, FULL, cfg)  # fourth program of cell 0, first of 7
+    assert b.failed
+    expected = [0] * cfg.block_bits
+    expected[0], expected[1], expected[5], expected[7] = 4, 3, 1, 1
+    assert b.cell_writes.tolist() == expected
+    with pytest.raises(DeadBlockError):
+        program_cells(b, 0, FULL, cfg)
+    assert b.cell_writes.tolist() == expected
+
+
 def test_energy_is_monotone_in_flip_counts():
     base = WriteOutcome(flips_set=3, flips_reset=2, meta_flips_set=1)
     e0 = base.energy_pj(CFG)

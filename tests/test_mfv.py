@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, MfvFinder, build_codebook, load_codebook,
                     pack_granules, unpack_granules)
+from pcmsim.mfv import FV_COUNTER_MAX
 
 
 def hamming(a, b):
@@ -121,6 +125,72 @@ def test_promotion_is_monotone_under_extra_occurrences():
         for v in boosted:
             f2.observe(v)
         assert f2.is_frequent(target)
+
+
+def finder_state(f):
+    slot = {id(e): i for i, e in enumerate(f.fv)}
+    return ([(e.value, e.sat_counter) for e in f.fifo],
+            [(e.value, e.counter, e.pointer, e.used) for e in f.fv],
+            {v: slot[id(e)] for v, e in f._fv_index.items()},
+            f.generation, f.retire_misses)
+
+
+@st.composite
+def finder_runs(draw):
+    """Finder geometry, FV entries seeded near saturation, and a write sequence."""
+    g = draw(st.sampled_from([1, 2, 4, 8]))
+    params = {"fifo_entries": draw(st.integers(1, 3)),
+              "sat_max": draw(st.integers(1, 4)),
+              "replace_threshold": draw(st.integers(0, 1)),
+              "fv_entries": draw(st.integers(1, 3))}
+    # a few distinct values, so values repeat even at 8-bit granules
+    alphabet = draw(st.lists(st.integers(0, (1 << g) - 1), min_size=1, max_size=5,
+                             unique=True))
+    value = st.sampled_from(alphabet)
+    seeded = draw(st.lists(st.tuples(value, st.integers(0, 3), st.integers(0, 3)),
+                           max_size=params["fv_entries"], unique_by=lambda t: t[0]))
+    writes = draw(st.lists(st.tuples(st.integers(0, 3),
+                                     st.lists(value, min_size=1, max_size=24)),
+                           min_size=1, max_size=12))
+    return params, seeded, writes
+
+
+def replay_finder(params, seeded, writes, batched):
+    """Drive a finder the way WireScheme.write does, block references included."""
+    f = MfvFinder(**params)
+    refs = {}
+    for v, below_max, addr in seeded:
+        f._install(v)
+        f._fv_index[v].counter = FV_COUNTER_MAX - below_max
+        f.add_reference(v)
+        refs.setdefault(addr, []).append(v)
+    for addr, vals in writes:
+        if batched:
+            values = np.array(vals, dtype=np.uint8)
+            f.observe_write(values, np.bincount(values))
+        else:
+            for v in vals:
+                f.observe(v)
+        for v in refs.get(addr, ()):
+            f.retire_reference(v)
+        refs[addr] = [v for v in sorted(set(vals)) if f.add_reference(v)]
+    return f
+
+
+@settings(max_examples=400, deadline=None)
+@given(finder_runs())
+def test_observe_write_matches_per_granule_observe(run):
+    params, seeded, writes = run
+    assert (finder_state(replay_finder(params, seeded, writes, batched=True))
+            == finder_state(replay_finder(params, seeded, writes, batched=False)))
+
+
+def test_observe_write_credits_occurrences_after_midwrite_promotion():
+    f = MfvFinder(fifo_entries=2, sat_max=2)
+    values = np.array([5, 5, 5, 5], dtype=np.uint8)
+    f.observe_write(values, np.bincount(values))
+    assert f.is_frequent(5)
+    assert f._fv_index[5].counter == 2   # promoted by the second, bumped twice
 
 
 # ---------------------------------------------------------------------------

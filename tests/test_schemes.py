@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmsim import (PcmBlock, PcmConfig, Simulation, optimal_rotation,
                     pack_granules)
+from pcmsim.core import popcount, rotate_right
 from pcmsim.schemes import FnwScheme, WireScheme
 
 CFG = PcmConfig()
@@ -154,6 +157,30 @@ def test_rotation_brute_force_oracle():
         assert flips == best
         assert hamming(rot_right(enc, r, width), stored) == best
         assert 0 <= r <= rmax
+
+
+@st.composite
+def rotation_cases(draw):
+    width = draw(st.integers(4, 128))
+    rmax = draw(st.one_of(st.sampled_from([0, width - 1]), st.integers(0, width - 1)))
+    # a short repeated pattern makes distinct rotations tie
+    period = draw(st.integers(1, width))
+    pattern = draw(st.integers(0, (1 << period) - 1))
+    encoded = sum(pattern << k for k in range(0, width, period)) & ((1 << width) - 1)
+    stored = draw(st.one_of(st.integers(0, (1 << width) - 1), st.just(0)))
+    incumbent = draw(st.integers(0, width - 1))
+    return encoded, stored, width, rmax, incumbent
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotation_cases())
+def test_rotation_matches_naive_reference(case):
+    encoded, stored, width, rmax, incumbent = case
+    flips = [popcount(rotate_right(encoded, r, width) ^ stored) for r in range(rmax + 1)]
+    best = min(flips)
+    expect = (incumbent if incumbent <= rmax and flips[incumbent] == best
+              else flips.index(best))
+    assert optimal_rotation(encoded, stored, width, rmax, incumbent) == (expect, best)
 
 
 def test_rotation_monotone_in_rotation_max():
