@@ -198,25 +198,34 @@ class WriteOutcome:
 class PcmBlock:
     """One data block: physical cell states plus encoding metadata.
 
-    `cell_writes` counts programming operations per cell; `rot_counters`,
+    `cell_writes` counts programming operations per cell and `wear_bound` is
+    an upper bound on its maximum (see `program_cells`); `rot_counters`,
     `epoch` and `codebook_version` describe how the stored image was encoded
     and travel with the content when wear leveling relocates it.
     """
 
-    __slots__ = ("bits", "cell_writes", "rot_counters", "epoch",
+    __slots__ = ("bits", "cell_writes", "wear_bound", "rot_counters", "epoch",
                  "codebook_version", "failed", "writes_since_bump")
 
     def __init__(self, cfg: PcmConfig):
         self.bits = 0
         self.cell_writes = np.zeros(cfg.block_bits, dtype=np.int64)
+        self.wear_bound = 0
         self.rot_counters = [0] * cfg.partitions_per_block
         self.epoch = 0
         self.codebook_version = 0
         self.failed = False
         self.writes_since_bump = 0
 
-    def max_wear(self) -> int:
-        return int(self.cell_writes.max())
+
+def _wear(block: PcmBlock, cells, cfg: PcmConfig) -> None:
+    """Add one program to `cells` (a 0/1 mask or 1) and fail a worn-out block."""
+    block.cell_writes += cells
+    block.wear_bound += 1
+    if block.wear_bound > cfg.cell_endurance:
+        block.wear_bound = int(block.cell_writes.max())
+        if block.wear_bound > cfg.cell_endurance:
+            block.failed = True
 
 
 def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> WriteOutcome:
@@ -226,10 +235,12 @@ def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> 
     SET (0->1) or RESET (1->0) flip. Marks the block failed once any cell
     exceeds its endurance (a cell survives exactly `cell_endurance` programs).
 
-    The endurance test looks at the whole row, not just the touched cells:
-    a block is marked failed as soon as one of its cells passes endurance
-    and is never programmed again, so no cell of a live block is above
-    endurance and only a cell touched by this program can be.
+    The endurance test is lazy but exact. Invariant: `block.wear_bound` is
+    at least `block.cell_writes.max()`. It holds at 0 for a fresh block, and
+    a program adds at most 1 to any cell, so adding 1 to the bound keeps it.
+    While the bound is within endurance no cell can be above it; only when
+    the bound passes endurance is it reset to the true row maximum, and the
+    block fails if that maximum is above endurance too.
     """
     if block.failed:
         raise DeadBlockError("write to dead block")
@@ -240,9 +251,7 @@ def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> 
     ones = popcount(diff & new_bits)
     out.flips_set = ones
     out.flips_reset = popcount(diff) - ones
-    block.cell_writes += bit_positions(diff, cfg.block_bits)
-    if int(block.cell_writes.max()) > cfg.cell_endurance:
-        block.failed = True
+    _wear(block, bit_positions(diff, cfg.block_bits), cfg)
     block.bits ^= diff
     return out
 
@@ -258,9 +267,7 @@ def program_all_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOu
     out = WriteOutcome()
     out.flips_set = popcount(new_bits)
     out.flips_reset = cfg.block_bits - out.flips_set
-    block.cell_writes += 1
-    if block.max_wear() > cfg.cell_endurance:
-        block.failed = True
+    _wear(block, 1, cfg)
     block.bits = new_bits
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (ConfigError, MetadataCache, PcmBlock, PcmConfig,
-                   WriteOutcome, bits_to_bytes, bytes_to_bits, popcount,
+                   WriteOutcome, bits_to_bytes, bytes_to_bits,
                    program_all_cells, program_cells, rotate_left, rotate_right)
 from .mfv import Codebook, MfvFinder, build_codebook, pack_granules, unpack_granules
 from .wearlevel import WearConfig, next_epoch
@@ -99,6 +99,23 @@ class FnwScheme(WriteScheme):
     One flip bit per word records the choice; a word is inverted when that
     makes the total of data-cell flips plus the flip-bit flip cheaper, ties
     keeping the current flip bit. Flip-bit wear is charged as metadata.
+
+    Decision rule. For a W-bit word with c cells differing from the data and
+    flip bit f, storing the data costs c + f flips and storing the complement
+    costs (W - c) + (1 - f). Inverting is cheaper iff 2c + 2f > W + 1, and a
+    tie (2c + 2f = W + 1) inverts iff f = 1. Both fold into one compare:
+    invert iff 2c + 3f > W + 1 (for f = 0 nothing changes; for f = 1 it
+    reads 2c + 2 >= W + 1, the strict case plus the tie).
+
+    Lane layout. All words are decided at once on the block's int. A word's
+    popcount c is summed in place by SWAR steps whose masks never cross a
+    word boundary. The compare adds 2^k - W - 2 to 2c + 3f, with 2^k the
+    smallest power of two above W + 1, so bit k of the sum is the decision;
+    the sum needs k + 1 bits, so each word's lane is widened over the next
+    m - 1 words, m = ceil((k + 1) / W), and the words are decided in m passes
+    of every m-th word (m = 1 for W >= 4). Flip bits sit at each word's
+    lowest bit in lane form; a 256-entry per-byte table spreads the compact
+    `words`-bit flip int into lanes and its inverse gathers it back.
     """
 
     scheme_id = "fnw"
@@ -107,44 +124,80 @@ class FnwScheme(WriteScheme):
         super().__init__(cfg)
         if word_bits <= 0 or cfg.block_bits % word_bits != 0:
             raise ConfigError(f"fnw word width {word_bits} must divide the block")
-        self.word_bits = word_bits
-        self.words = cfg.block_bits // word_bits
-        self._word_mask = (1 << word_bits) - 1
+        self.word_bits = w = word_bits
+        self.words = n = cfg.block_bits // w
+        self._word_mask = (1 << w) - 1
         self._full_mask = (1 << cfg.block_bits) - 1
         self._flip_bits: dict[int, int] = {}
 
+        lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
+        # SWAR popcount steps: add fields [p, p+f) and [p+f, p+2f), cut at the word end
+        self._popcount_steps = []
+        f = 1
+        while f < w:
+            lo = hi = 0
+            for p in range(0, w, 2 * f):
+                lo |= ((1 << min(f, w - p)) - 1) << p
+                if p + f < w:
+                    hi |= ((1 << min(f, w - p - f)) - 1) << (p + f)
+            self._popcount_steps.append((f, lo * lanes, hi * lanes))
+            f *= 2
+        self._k = k = (w + 1).bit_length()
+        m = -(-(k + 1) // w)
+        self._passes = []
+        for j in range(m):
+            pass_lanes = sum(1 << (i * w) for i in range(j, n, m))
+            self._passes.append((pass_lanes * self._word_mask, pass_lanes,
+                                 ((1 << k) - w - 2) * pass_lanes))
+
+        # per-byte tables between compact flip bits and lane bits
+        self._spread_table = [sum(1 << (i * w) for i in range(8) if b >> i & 1)
+                              for b in range(1 << min(8, n))]
+        self._gather_table = {v: b for b, v in enumerate(self._spread_table)}
+        self._chunk_shifts = [8 * w * j for j in range((n + 7) // 8)]
+        self._chunk_mask = (1 << (8 * w)) - 1
+
     def overhead_bits_per_block(self) -> int:
         return self.words
+
+    def _spread(self, flags: int) -> int:
+        table = self._spread_table
+        lanes = 0
+        for j, shift in enumerate(self._chunk_shifts):
+            lanes |= table[(flags >> (8 * j)) & 0xFF] << shift
+        return lanes
+
+    def _gather(self, lanes: int) -> int:
+        table = self._gather_table
+        chunk = self._chunk_mask
+        flags = 0
+        for j, shift in enumerate(self._chunk_shifts):
+            flags |= table[(lanes >> shift) & chunk] << (8 * j)
+        return flags
 
     def write(self, addr, block, data):
         self._check_payload(data)
         logical = bytes_to_bits(data)
         flips = self._flip_bits.get(addr, 0)
-        new_bits = 0
-        new_flips = 0
-        for w in range(self.words):
-            shift = w * self.word_bits
-            stored = (block.bits >> shift) & self._word_mask
-            d = (logical >> shift) & self._word_mask
-            inv = d ^ self._word_mask
-            f = (flips >> w) & 1
-            cost_direct = popcount(stored ^ d) + (f != 0)
-            cost_invert = popcount(stored ^ inv) + (f != 1)
-            invert = cost_invert < cost_direct or (cost_invert == cost_direct and f == 1)
-            new_bits |= (inv if invert else d) << shift
-            new_flips |= int(invert) << w
-        out = program_cells(block, new_bits, self._full_mask, self.cfg)
+        c = block.bits ^ logical
+        for f, lo, hi in self._popcount_steps:
+            c = (c & lo) + ((c & hi) >> f)
+        flag_lanes = self._spread(flips)
+        k = self._k
+        invert = 0
+        for pass_words, pass_lanes, bias in self._passes:
+            invert |= ((((c & pass_words) << 1) + 3 * (flag_lanes & pass_lanes) + bias)
+                       >> k) & pass_lanes
+        new_flips = self._gather(invert)
+        out = program_cells(block, logical ^ invert * self._word_mask,
+                            self._full_mask, self.cfg)
         out.count_meta_change(flips, new_flips, self.words)
         self._flip_bits[addr] = new_flips
         return out
 
     def read(self, addr, block):
-        flips = self._flip_bits.get(addr, 0)
-        bits = block.bits
-        for w in range(self.words):
-            if (flips >> w) & 1:
-                bits ^= self._word_mask << (w * self.word_bits)
-        return bits_to_bytes(bits, self.cfg.block_bytes)
+        flags = self._spread(self._flip_bits.get(addr, 0))
+        return bits_to_bytes(block.bits ^ flags * self._word_mask, self.cfg.block_bytes)
 
 
 class WireScheme(WriteScheme):

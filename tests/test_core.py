@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, DeadBlockError, MetadataCache, PcmBlock,
-                    PcmConfig, PcmMemory, WriteOutcome, program_all_cells,
-                    program_cells)
+                    PcmConfig, PcmMemory, StartGapLeveler, WearConfig,
+                    WriteOutcome, program_all_cells, program_cells)
 
 CFG = PcmConfig()
 FULL = (1 << CFG.block_bits) - 1
@@ -98,6 +100,40 @@ def test_program_past_endurance_fails_block_and_keeps_other_counts():
     with pytest.raises(DeadBlockError):
         program_cells(b, 0, FULL, cfg)
     assert b.cell_writes.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5),
+       st.lists(st.tuples(st.sampled_from(["cells", "all", "step"]),
+                          st.integers(0, 2), st.integers(0, 255)),
+                min_size=1, max_size=60))
+def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops):
+    # the lazy wear_bound check against a brute-force row maximum after every
+    # differential program, full program and start-gap copy
+    cfg = PcmConfig(block_bytes=1, partitions_per_block=1, rotation_max=0,
+                    counter_bits=1, granule_bits=1, page_bytes=1,
+                    cell_endurance=endurance)
+    mem = PcmMemory(2, cfg, extra_blocks=1)
+    lev = StartGapLeveler(2, WearConfig(enabled=True))
+    for kind, i, bits in ops:
+        block = mem.blocks[i]
+        if kind == "step":
+            lev.step(mem)
+        elif block.failed:
+            before = block.cell_writes.copy()
+            with pytest.raises(DeadBlockError):
+                if kind == "cells":
+                    program_cells(block, bits, 0xFF, cfg)
+                else:
+                    program_all_cells(block, bits, cfg)
+            assert (block.cell_writes == before).all()
+        elif kind == "cells":
+            program_cells(block, bits, 0xFF, cfg)
+        else:
+            program_all_cells(block, bits, cfg)
+        for b in mem.blocks:
+            assert b.failed == (int(b.cell_writes.max()) > endurance)
+            assert b.wear_bound >= int(b.cell_writes.max())
 
 
 def test_energy_is_monotone_in_flip_counts():

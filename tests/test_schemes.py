@@ -126,6 +126,66 @@ def test_fnw_overhead_bits():
     assert sim.scheme.overhead_bits_per_block() == 512 // 16
 
 
+def _fnw_loop_reference(stored, flips, logical, word_bits, words):
+    """Per-word Flip-N-Write decision: (physical bits, flip bits) to store."""
+    word_mask = (1 << word_bits) - 1
+    new_bits = new_flips = 0
+    for w in range(words):
+        shift = w * word_bits
+        old = (stored >> shift) & word_mask
+        d = (logical >> shift) & word_mask
+        inv = d ^ word_mask
+        f = (flips >> w) & 1
+        cost_direct = popcount(old ^ d) + (f != 0)
+        cost_invert = popcount(old ^ inv) + (f != 1)
+        invert = cost_invert < cost_direct or (cost_invert == cost_direct and f == 1)
+        new_bits |= (inv if invert else d) << shift
+        new_flips |= int(invert) << w
+    return new_bits, new_flips
+
+
+@st.composite
+def fnw_cases(draw):
+    nbytes = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]))
+    bits = nbytes * 8
+    word_bits = draw(st.sampled_from([w for w in range(1, bits + 1) if bits % w == 0]))
+    stored = draw(st.integers(0, (1 << bits) - 1))
+    flips = draw(st.integers(0, (1 << (bits // word_bits)) - 1))
+    # repeated or complemented payloads make ties and full inversions likely
+    payloads = draw(st.lists(
+        st.one_of(st.binary(min_size=nbytes, max_size=nbytes),
+                  st.sampled_from([bytes(nbytes), b"\xff" * nbytes])),
+        min_size=1, max_size=3))
+    return nbytes, word_bits, stored, flips, payloads
+
+
+@settings(max_examples=400, deadline=None)
+@given(fnw_cases())
+def test_fnw_matches_per_word_reference(case):
+    nbytes, word_bits, stored, flips, payloads = case
+    cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
+                    counter_bits=1, granule_bits=1, page_bytes=nbytes)
+    scheme = FnwScheme(cfg, word_bits=word_bits)
+    block = PcmBlock(cfg)
+    block.bits = stored
+    scheme._flip_bits[0] = flips
+    for data in payloads:
+        logical = int.from_bytes(data, "little")
+        new_bits, new_flips = _fnw_loop_reference(block.bits, flips, logical,
+                                                  word_bits, scheme.words)
+        diff = block.bits ^ new_bits
+        meta_diff = flips ^ new_flips
+        out = scheme.write(0, block, data)
+        assert block.bits == new_bits
+        assert scheme._flip_bits[0] == new_flips
+        assert (out.flips_set, out.flips_reset) == (
+            popcount(diff & new_bits), popcount(diff & ~new_bits))
+        assert (out.meta_flips_set, out.meta_flips_reset) == (
+            popcount(meta_diff & new_flips), popcount(meta_diff & ~new_flips))
+        assert scheme.read(0, block) == data
+        flips = new_flips
+
+
 # ---------------------------------------------------------------------------
 # rotation search
 
