@@ -1,8 +1,10 @@
 """PCM array model: block state, cell endurance, energy accounting, metadata cache.
 
 Block contents are kept as Python integers (bit 0 = cell 0) so that XOR,
-rotation and popcount stay cheap; per-cell wear counters are numpy arrays so
-that wear updates stay vectorized.
+rotation and popcount stay cheap. Per-cell wear counters are bit-sliced into
+Python integers too (plane k holds bit k of every cell's program count), so a
+wear update is a few whole-block AND/XORs; numpy rows are built only when a
+report or a test reads the counts.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -57,13 +60,6 @@ def bits_to_bytes(bits: int, nbytes: int) -> bytes:
 
 def bytes_to_bits(data: bytes) -> int:
     return int.from_bytes(data, "little")
-
-
-def bit_positions(x: int, nbits: int) -> np.ndarray:
-    """Boolean array of length nbits with True at every set bit of x."""
-    raw = x.to_bytes((nbits + 7) // 8, "little")
-    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return arr[:nbits].view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +194,21 @@ class WriteOutcome:
 class PcmBlock:
     """One data block: physical cell states plus encoding metadata.
 
-    `cell_writes` counts programming operations per cell and `wear_bound` is
-    an upper bound on its maximum (see `program_cells`); `rot_counters`,
-    `epoch` and `codebook_version` describe how the stored image was encoded
-    and travel with the content when wear leveling relocates it.
+    Wear is bit-sliced: `wear_planes[k]` holds bit k of every cell's program
+    count (bit j of a plane = cell j), and `cell_writes` builds the per-cell
+    count row from the planes. `wear_bound` is an upper bound on the row
+    maximum (see `program_cells`); `rot_counters`, `epoch` and
+    `codebook_version` describe how the stored image was encoded and travel
+    with the content when wear leveling relocates it.
     """
 
-    __slots__ = ("bits", "cell_writes", "wear_bound", "rot_counters", "epoch",
-                 "codebook_version", "failed", "writes_since_bump")
+    __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "rot_counters",
+                 "epoch", "codebook_version", "failed", "writes_since_bump")
 
     def __init__(self, cfg: PcmConfig):
         self.bits = 0
-        self.cell_writes = np.zeros(cfg.block_bits, dtype=np.int64)
+        self.block_bytes = cfg.block_bytes
+        self.wear_planes: list[int] = []
         self.wear_bound = 0
         self.rot_counters = [0] * cfg.partitions_per_block
         self.epoch = 0
@@ -217,13 +216,60 @@ class PcmBlock:
         self.failed = False
         self.writes_since_bump = 0
 
+    @property
+    def cell_writes(self) -> np.ndarray:
+        """Per-cell program counts as an int64 row (a fresh array per call)."""
+        return _wear_rows([self])[0]
 
-def _wear(block: PcmBlock, cells, cfg: PcmConfig) -> None:
-    """Add one program to `cells` (a 0/1 mask or 1) and fail a worn-out block."""
-    block.cell_writes += cells
+
+def _wear_rows(blocks) -> np.ndarray:
+    """Int64 wear rows of equally sized blocks, one row per block."""
+    nbytes = blocks[0].block_bytes
+    depth = max(len(b.wear_planes) for b in blocks)
+    levels = zip(*[b.wear_planes + [0] * (depth - len(b.wear_planes)) for b in blocks])
+    # Horner's rule from the top plane down (rows = 2 * rows + plane bits), in
+    # the narrowest unsigned dtype that holds a `depth`-bit count
+    rows = np.zeros((len(blocks), nbytes * 8), dtype=np.min_scalar_type((1 << depth) - 1))
+    for level in reversed(list(levels)):
+        raw = b"".join(map(int.to_bytes, level, repeat(nbytes), repeat("little")))
+        rows <<= 1
+        rows |= np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                              bitorder="little").reshape(rows.shape)
+    return rows.astype(np.int64)
+
+
+def _max_wear(planes: list[int]) -> int:
+    """Exact largest cell count: from the top plane down, keep the cells
+    that have the highest bit pattern seen so far."""
+    best = 0
+    cand = -1  # every cell
+    for k in reversed(range(len(planes))):
+        hit = cand & planes[k]
+        if hit:
+            cand = hit
+            best |= 1 << k
+    return best
+
+
+def _wear(block: PcmBlock, cells: int, cfg: PcmConfig) -> None:
+    """Add one program to every cell set in `cells` and fail a worn-out block.
+
+    Ripple-carry add of the 0/1 mask to the bit-sliced counts: each plane
+    becomes `plane ^ carry` and the carry becomes `carry & plane`, stopping
+    as soon as no cell carries; a carry out of the top plane starts a new one.
+    """
+    planes = block.wear_planes
+    carry = cells
+    for k, plane in enumerate(planes):
+        planes[k] = plane ^ carry
+        carry &= plane
+        if not carry:
+            break
+    else:
+        planes.append(carry)
     block.wear_bound += 1
     if block.wear_bound > cfg.cell_endurance:
-        block.wear_bound = int(block.cell_writes.max())
+        block.wear_bound = _max_wear(planes)
         if block.wear_bound > cfg.cell_endurance:
             block.failed = True
 
@@ -251,7 +297,7 @@ def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> 
     ones = popcount(diff & new_bits)
     out.flips_set = ones
     out.flips_reset = popcount(diff) - ones
-    _wear(block, bit_positions(diff, cfg.block_bits), cfg)
+    _wear(block, diff, cfg)
     block.bits ^= diff
     return out
 
@@ -267,7 +313,7 @@ def program_all_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOu
     out = WriteOutcome()
     out.flips_set = popcount(new_bits)
     out.flips_reset = cfg.block_bits - out.flips_set
-    _wear(block, 1, cfg)
+    _wear(block, (1 << cfg.block_bits) - 1, cfg)
     block.bits = new_bits
     return out
 
@@ -311,7 +357,7 @@ class PcmMemory:
 
     def wear_matrix(self) -> np.ndarray:
         """Per-cell write counts, one row per physical block."""
-        return np.stack([b.cell_writes for b in self.blocks])
+        return _wear_rows(self.blocks)
 
 
 # ---------------------------------------------------------------------------

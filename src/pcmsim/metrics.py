@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SimulationError
+from .core import DeadBlockError, SimulationError
 from .mfv import unpack_granules
 
 
@@ -75,8 +75,9 @@ class LifetimeResult:
 def run_lifetime(sim, events, max_writes: int = 100_000_000) -> LifetimeResult:
     """Replay a trace cyclically until capacity drops below one half.
 
-    Counts write operations actually serviced; a safety cap keeps wear-free
-    traces from looping forever and is reported as `capped`.
+    Counts write operations actually serviced; reads of dead pages are
+    skipped. A safety cap keeps wear-free traces from looping forever and is
+    reported as `capped`.
     """
     if not any(ev.op == "W" for ev in events):
         raise SimulationError("trace cannot wear memory: it contains no writes")
@@ -85,9 +86,13 @@ def run_lifetime(sim, events, max_writes: int = 100_000_000) -> LifetimeResult:
     attempts = 0
     while not done:
         for ev in events:
-            sim.apply(ev)
             if ev.op != "W":
+                try:
+                    sim.read(ev.addr)
+                except DeadBlockError:
+                    pass  # a dead page has nothing to read
                 continue
+            sim.write(ev.addr, ev.payload)
             attempts += 1
             if sim.memory.live_capacity() < 0.5:
                 capped = False
@@ -163,7 +168,7 @@ def build_report(sim, coverage_rows, lifetime: LifetimeResult | None = None) -> 
     if wear.sum() == 0:
         notes.append("no wear recorded; intrav defined as 0")
     if sim.truncated:
-        notes.append("replay truncated by a write to a dead block")
+        notes.append("replay truncated by an access to a dead block")
     return RunReport(
         scheme=sim.scheme.scheme_id,
         writes=sim.writes,

@@ -208,7 +208,9 @@ class WireScheme(WriteScheme):
     then rotate each partition to best match the stored cells. Rotation
     counters live in separate metadata lines reached through an LRU cache;
     blocks record the codebook version and epoch they were encoded with so
-    older content stays decodable after the ranking evolves.
+    older content stays decodable after the ranking evolves. Encoding and
+    decoding are one `bytes.translate` each, through 256-byte tables cached
+    per (version, epoch).
     """
 
     scheme_id = "wire"
@@ -224,8 +226,8 @@ class WireScheme(WriteScheme):
         self.freeze_codebook = freeze_codebook
         self.versions: list[Codebook] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
-        self._enc_tables: dict[tuple[int, int], np.ndarray] = {}
-        self._dec_tables: dict[tuple[int, int], np.ndarray] = {}
+        self._enc_tables: dict[tuple[int, int], bytes] = {}
+        self._dec_tables: dict[tuple[int, int], bytes] = {}
         self._block_refs: dict[int, tuple[int, ...]] = {}
         self._full_mask = (1 << cfg.block_bits) - 1
         self._part_mask = (1 << cfg.partition_bits) - 1
@@ -243,25 +245,30 @@ class WireScheme(WriteScheme):
             self._built_generation = self.finder.generation
         return len(self.versions) - 1
 
-    def _enc_table(self, version: int, epoch: int) -> np.ndarray:
+    def _byte_table(self, granule_table: list[int]) -> bytes:
+        """256-byte translate table applying a granule table to every granule
+        of a byte; exact because the granule width divides 8."""
+        g = self.cfg.granule_bits
+        table = np.array(granule_table, dtype=np.uint8)
+        return pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
+
+    def _enc_table(self, version: int, epoch: int) -> bytes:
         key = (version, epoch)
         table = self._enc_tables.get(key)
         if table is None:
             g = self.cfg.granule_bits
-            base = self.versions[version].perm
-            table = np.array([rotate_left(cw, epoch, g) for cw in base], dtype=np.uint8)
-            self._enc_tables[key] = table
+            table = self._enc_tables[key] = self._byte_table(
+                [rotate_left(cw, epoch, g) for cw in self.versions[version].perm])
         return table
 
-    def _dec_table(self, version: int, epoch: int) -> np.ndarray:
+    def _dec_table(self, version: int, epoch: int) -> bytes:
         key = (version, epoch)
         table = self._dec_tables.get(key)
         if table is None:
             g = self.cfg.granule_bits
             inv = self.versions[version].inv_perm
-            table = np.array([inv[rotate_right(cw, epoch, g)] for cw in range(1 << g)],
-                             dtype=np.uint8)
-            self._dec_tables[key] = table
+            table = self._dec_tables[key] = self._byte_table(
+                [inv[rotate_right(cw, epoch, g)] for cw in range(1 << g)])
         return table
 
     # -- write/read paths ------------------------------------------------------
@@ -276,8 +283,7 @@ class WireScheme(WriteScheme):
 
         version = self.current_version()
         epoch, bumped = next_epoch(block, self.wear, cfg.granule_bits)
-        encoded = bytes_to_bits(pack_granules(self._enc_table(version, epoch)[values],
-                                              cfg.granule_bits))
+        encoded = bytes_to_bits(data.translate(self._enc_table(version, epoch)))
 
         width = cfg.partition_bits
         part_mask = self._part_mask
@@ -334,9 +340,8 @@ class WireScheme(WriteScheme):
             if r:
                 stored = ((stored << r) | (stored >> (width - r))) & part_mask
             image |= stored << shift
-        codes = unpack_granules(bits_to_bytes(image, cfg.block_bytes), cfg.granule_bits)
-        values = self._dec_table(block.codebook_version, block.epoch)[codes]
-        return pack_granules(values, cfg.granule_bits)
+        return bits_to_bytes(image, cfg.block_bytes).translate(
+            self._dec_table(block.codebook_version, block.epoch))
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,

@@ -20,7 +20,8 @@ class Simulation:
 
     In lifetime mode, writes aimed at blocks that already failed are dropped
     (the page is dead and stays dead) instead of raising, so replay can
-    continue until capacity crosses the failure threshold.
+    continue until capacity crosses the failure threshold. Reads of failed
+    blocks always raise; `run_lifetime` skips them.
     """
 
     def __init__(self, scheme_id: str, num_blocks: int, cfg: PcmConfig | None = None,
@@ -72,8 +73,16 @@ class Simulation:
         return out
 
     def read(self, addr: int) -> bytes:
+        """Return the last data written to addr; a failed block raises.
+
+        A start-gap step into a failed block still remaps the address, so the
+        mapped block may hold no copy of the content; it must not be read.
+        """
+        block = self.memory.blocks[self._physical(addr)]
+        if block.failed:
+            raise DeadBlockError("read of dead block")
         self.reads += 1
-        return self.scheme.read(addr, self.memory.blocks[self._physical(addr)])
+        return self.scheme.read(addr, block)
 
     def apply(self, event: TraceEvent):
         if event.op == "W":
@@ -81,7 +90,7 @@ class Simulation:
         return self.read(event.addr)
 
     def replay(self, events) -> None:
-        """Run a whole trace; a dead-block write truncates a non-lifetime run."""
+        """Run a whole trace; a dead-block access truncates a non-lifetime run."""
         try:
             for ev in events:
                 self.apply(ev)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,76 @@ def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops
         for b in mem.blocks:
             assert b.failed == (int(b.cell_writes.max()) > endurance)
             assert b.wear_bound >= int(b.cell_writes.max())
+
+
+def _wear_reference_run(nbytes, endurance, ops):
+    """Replay ops on bit-sliced blocks and on plain int64 rows side by side."""
+    cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
+                    counter_bits=1, granule_bits=1, page_bytes=nbytes,
+                    cell_endurance=endurance)
+    nbits = cfg.block_bits
+    mem = PcmMemory(2, cfg, extra_blocks=1)
+    lev = StartGapLeveler(2, WearConfig(enabled=True))
+    rows = np.zeros((3, nbits), dtype=np.int64)
+    bits = [0, 0, 0]
+    failed = [False, False, False]
+
+    def ref_program(i, new_bits, mask=None):
+        # mask None: an unconditional program of every cell
+        diff = (bits[i] ^ new_bits) & mask if mask is not None else -1
+        rows[i] += [(diff >> j) & 1 for j in range(nbits)]
+        bits[i] ^= (bits[i] ^ new_bits) & diff
+        failed[i] = int(rows[i].max()) > endurance
+
+    full = (1 << nbits) - 1
+    for kind, i, data, mask, repeat in ops:
+        for r in range(repeat):
+            new_bits = (data if r % 2 == 0 else ~data) & full  # alternate to wear
+            if kind == "step":
+                dest, src = lev.gap, (lev.gap - 1) % 3
+                if not failed[dest]:
+                    ref_program(dest, bits[src])
+                lev.step(mem)
+            elif failed[i]:
+                with pytest.raises(DeadBlockError):
+                    if kind == "cells":
+                        program_cells(mem.blocks[i], new_bits, mask, cfg)
+                    else:
+                        program_all_cells(mem.blocks[i], new_bits, cfg)
+            elif kind == "cells":
+                program_cells(mem.blocks[i], new_bits, mask, cfg)
+                ref_program(i, new_bits, mask)
+            else:
+                program_all_cells(mem.blocks[i], new_bits, cfg)
+                ref_program(i, new_bits)
+            assert (mem.wear_matrix() == rows).all()
+            for b, row, f, stored in zip(mem.blocks, rows, failed, bits):
+                assert (b.cell_writes == row).all()
+                assert b.failed == f
+                assert b.bits == stored
+                assert b.wear_bound >= int(row.max())
+    return mem
+
+
+OPS = st.lists(st.tuples(st.sampled_from(["cells", "all", "step"]), st.integers(0, 2),
+                         st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+                         st.integers(1, 12)),
+               min_size=1, max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.one_of(st.integers(1, 5), st.just(10**6)), OPS)
+def test_wear_planes_match_int64_reference_rows(nbytes, endurance, ops):
+    _wear_reference_run(nbytes, endurance, ops)
+
+
+def test_wear_planes_carry_into_a_fifth_plane():
+    ops = [("all", 0, 0, 0, 12), ("cells", 0, 5, 7, 12), ("all", 0, 1, 0, 9)]
+    mem = _wear_reference_run(2, 10**6, ops)
+    # after the all-ones image, cell 1 toggles on all 12 masked programs and
+    # cells 0 and 2 on 11; the other cells see only the 12 + 9 full programs
+    assert mem.blocks[0].cell_writes.tolist() == [32, 33, 32] + [21] * 13
+    assert len(mem.blocks[0].wear_planes) == 6
 
 
 def test_energy_is_monotone_in_flip_counts():

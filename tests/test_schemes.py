@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (PcmBlock, PcmConfig, Simulation, optimal_rotation,
-                    pack_granules)
-from pcmsim.core import popcount, rotate_right
+from pcmsim import (PcmBlock, PcmConfig, Simulation, WearConfig, build_codebook,
+                    optimal_rotation, pack_granules, unpack_granules)
+from pcmsim.core import popcount, rotate_left, rotate_right
 from pcmsim.schemes import FnwScheme, WireScheme
 
 CFG = PcmConfig()
@@ -318,6 +319,44 @@ def test_wire_degenerates_to_diffwrite():
         out_d = diff.write(addr, payload)
         assert (out_w.flips_set, out_w.flips_reset) == (out_d.flips_set, out_d.flips_reset)
         assert out_w.meta_flips == 0
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_wire_translate_tables_equal_per_granule_path(g, data):
+    n = 1 << g
+    ranked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=16))
+    payloads = data.draw(st.lists(st.binary(min_size=64, max_size=64),
+                                  min_size=1, max_size=4))
+    scheme = WireScheme(PcmConfig(granule_bits=g), freeze_codebook=True)
+    scheme.versions.append(build_codebook(ranked, g, 1))
+    book = scheme.versions[1]
+    for epoch in range(g):
+        enc = np.array([rotate_left(cw, epoch, g) for cw in book.perm], dtype=np.uint8)
+        dec = np.array([book.inv_perm[rotate_right(cw, epoch, g)] for cw in range(n)],
+                       dtype=np.uint8)
+        for payload in payloads:
+            image = pack_granules(enc[unpack_granules(payload, g)], g)
+            assert payload.translate(scheme._enc_table(1, epoch)) == image
+            decoded = image.translate(scheme._dec_table(1, epoch))
+            assert decoded == pack_granules(dec[unpack_granules(image, g)], g) == payload
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+@settings(max_examples=10, deadline=None)
+@given(writes=st.lists(st.tuples(st.integers(0, 3), st.binary(min_size=64, max_size=64)),
+                       min_size=1, max_size=30))
+def test_wire_random_payloads_read_back_exactly(g, writes):
+    # epoch bumps every other write and a live codebook exercise many tables
+    sim = Simulation("wire", 4, PcmConfig(granule_bits=g),
+                     WearConfig(enabled=True, epoch_writes=2, remap_period=7))
+    stored = {}
+    for addr, payload in writes:
+        sim.write(addr, payload)
+        stored[addr] = payload
+        for a, p in stored.items():
+            assert sim.read(a) == p
 
 
 def test_wire_read_of_untouched_block_is_zeros():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from pcmsim import (MfvFinder, PcmConfig, Simulation, SimulationError,
-                    WearConfig, preset_spec, generate)
+from pcmsim import (DeadBlockError, MfvFinder, PcmConfig, Simulation,
+                    SimulationError, TraceEvent, WearConfig, preset_spec,
+                    generate, run_lifetime)
 
 
 def test_data_flip_counts_conserve_cell_wear():
@@ -27,6 +28,30 @@ def test_lifetime_mode_drops_writes_to_dead_blocks():
     assert sim.dropped_writes == 1
     assert sim.writes == 3
     assert sim.memory.live_capacity() == 0.5
+
+
+def test_read_after_start_gap_move_into_failed_block_raises():
+    # the gap step skips the copy into the failed spare block but still
+    # remaps logical block 3 onto it, so the block holds none of its content
+    sim = Simulation("diffwrite", 4, PcmConfig(page_bytes=64),
+                     WearConfig(enabled=True, remap_period=1))
+    sim.memory.blocks[4].failed = True
+    sim.write(3, b"\xaa" * 64)
+    assert sim.leveler.map(3) == 4
+    with pytest.raises(DeadBlockError):
+        sim.read(3)
+    assert sim.reads == 0
+
+
+def test_lifetime_replay_skips_reads_of_dead_blocks():
+    # block 0 dies on its third write; half the pages stay live, so replay
+    # runs to the cap and every later read of block 0 is skipped
+    cfg = PcmConfig(cell_endurance=2, page_bytes=64)
+    sim = Simulation("plain", 2, cfg, lifetime_mode=True)
+    events = [TraceEvent("W", 0, bytes(64)), TraceEvent("R", 0)]
+    result = run_lifetime(sim, events, max_writes=10)
+    assert result.capped
+    assert (sim.writes, sim.dropped_writes, sim.reads) == (3, 7, 2)
 
 
 def test_out_of_range_address_rejected():
