@@ -3,8 +3,8 @@
 from .core import (ConfigError, DeadBlockError, MetadataCache, PcmBlock,
                    PcmConfig, PcmMemory, SimulationError, WriteOutcome,
                    program_all_cells, program_cells)
-from .mfv import (Codebook, MfvFinder, build_codebook, load_codebook,
-                  pack_granules, unpack_granules)
+from .mfv import (Codebook, MfvFinder, build_codebook, pack_granules,
+                  unpack_granules)
 from .metrics import (LifetimeResult, RunReport, build_report, intrav,
                       mfv_coverage, run_lifetime, top_k_coverage)
 from .schemes import (SCHEME_IDS, DiffScheme, FnwScheme, PlainScheme,
@@ -12,7 +12,6 @@ from .schemes import (SCHEME_IDS, DiffScheme, FnwScheme, PlainScheme,
 from .sim import Simulation
 from .trace import (GenSpec, PRESETS, TraceEvent, TraceFormatError, emit_trace,
                     generate, parse_trace, parse_trace_file, preset_spec)
-from .wearlevel import (StartGapLeveler, WearConfig, epoch_transform,
-                        epoch_untransform, next_epoch)
+from .wearlevel import StartGapLeveler, WearConfig, next_epoch
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ Subcommands:
     analyze  print the granule-value frequency table of a trace
 
 Config files are JSON with the section/key names used throughout the library
-(`pcm.*`, `wear.*`, `fnw.word_bits`, `wire.rotation_max`, `gen.*`). Flags
+(`pcm.*`, `wear.*`, `fnw.word_bits`, `wire.freeze_codebook`, `gen.*`). Flags
 override config values. Identical config and seed reproduce identical output
 bytes.
 """
@@ -71,8 +71,7 @@ class ExperimentConfig:
             "wear": dataclasses.asdict(self.wear),
             "schemes": list(self.schemes),
             "fnw": {"word_bits": self.fnw_word_bits},
-            "wire": {"rotation_max": self.pcm.rotation_max,
-                     "freeze_codebook": self.wire_freeze_codebook},
+            "wire": {"freeze_codebook": self.wire_freeze_codebook},
             "out": self.out_dir,
             "lifetime": self.lifetime,
             "max_writes": self.max_writes,
@@ -90,11 +89,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         cfg = cls()
-        pcm_kw = dict(d.get("pcm", {}))
         wire_kw = dict(d.get("wire", {}))
         if "rotation_max" in wire_kw:
-            pcm_kw["rotation_max"] = wire_kw["rotation_max"]
-        cfg.pcm = PcmConfig(**pcm_kw)
+            raise ConfigError("wire.rotation_max is not a config key; "
+                              "set pcm.rotation_max instead")
+        cfg.pcm = PcmConfig(**dict(d.get("pcm", {})))
         cfg.wear = WearConfig(**d.get("wear", {}))
         cfg.memory_blocks = d.get("memory_blocks", DEFAULT_MEMORY_BLOCKS)
         cfg.schemes = list(d.get("schemes", cfg.schemes))
@@ -155,7 +154,8 @@ def trace_digest(events) -> str:
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Replay one trace under every configured scheme and write the reports."""
     cfg.validate()
-    events = load_events(cfg)
+    # frozen events in a tuple: every scheme replays the identical stream
+    events = tuple(load_events(cfg))
     digest = trace_digest(events)
     coverage = mfv_coverage((ev.payload for ev in events if ev.op == "W"),
                             cfg.pcm.granule_bits)
@@ -163,8 +163,6 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     reports = []
     for scheme_id in cfg.schemes:
         sim = build_simulation(cfg, scheme_id, lifetime_mode=cfg.lifetime)
-        # fairness: every scheme must see the identical stream
-        assert trace_digest(events) == digest, "trace mutated between schemes"
         if cfg.lifetime:
             lifetime = run_lifetime(sim, events, cfg.max_writes)
             reports.append(build_report(sim, coverage, lifetime))

@@ -123,16 +123,8 @@ class PcmConfig:
         return self.block_bits // self.partitions_per_block
 
     @property
-    def granules_per_block(self) -> int:
-        return self.block_bits // self.granule_bits
-
-    @property
     def blocks_per_page(self) -> int:
         return self.page_bytes // self.block_bytes
-
-    @property
-    def epoch_tag_bits(self) -> int:
-        return max(1, (self.granule_bits - 1).bit_length())
 
     @property
     def metadata_line_bytes(self) -> int:
@@ -155,7 +147,6 @@ class WriteOutcome:
     flips_reset: int = 0
     meta_flips_set: int = 0
     meta_flips_reset: int = 0
-    meta_extra_reads: int = 0
 
     @property
     def flips(self) -> int:
@@ -176,12 +167,14 @@ class WriteOutcome:
         self.flips_reset += other.flips_reset
         self.meta_flips_set += other.meta_flips_set
         self.meta_flips_reset += other.meta_flips_reset
-        self.meta_extra_reads += other.meta_extra_reads
         return self
 
-    def count_meta_change(self, old: int, new: int, width: int) -> None:
-        """Charge the bit flips of a metadata field changing from old to new."""
-        diff = (old ^ new) & ((1 << width) - 1)
+    def count_meta_change(self, old: int, new: int) -> None:
+        """Charge the bit flips of a metadata field changing from old to new.
+
+        Both values must lie within the field; nothing is masked.
+        """
+        diff = old ^ new
         if diff:
             ones = popcount(diff & new)
             self.meta_flips_set += ones
@@ -274,8 +267,8 @@ def _wear(block: PcmBlock, cells: int, cfg: PcmConfig) -> None:
             block.failed = True
 
 
-def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> WriteOutcome:
-    """Differential program: update masked cells whose stored bit differs.
+def program_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOutcome:
+    """Differential program: update the cells whose stored bit differs.
 
     Only differing cells are touched; each one wears by 1 and is counted as a
     SET (0->1) or RESET (1->0) flip. Marks the block failed once any cell
@@ -291,7 +284,7 @@ def program_cells(block: PcmBlock, new_bits: int, mask: int, cfg: PcmConfig) -> 
     if block.failed:
         raise DeadBlockError("write to dead block")
     out = WriteOutcome()
-    diff = (block.bits ^ new_bits) & mask
+    diff = block.bits ^ new_bits
     if diff == 0:
         return out
     ones = popcount(diff & new_bits)
@@ -323,15 +316,13 @@ class PcmMemory:
 
     Pages group logical block addresses. A page dies permanently when a write
     routed to one of its blocks hits (or produces) a failed block; there is no
-    remap salvage. `capacity_ratio` additionally scans the current mapping so
-    hand-built states report correctly.
+    remap salvage.
     """
 
     def __init__(self, num_blocks: int, cfg: PcmConfig, extra_blocks: int = 0):
         if num_blocks <= 0:
             raise ConfigError("memory needs at least one block")
         self.cfg = cfg
-        self.num_blocks = num_blocks
         self.blocks = [PcmBlock(cfg) for _ in range(num_blocks + extra_blocks)]
         self.total_pages = math.ceil(num_blocks / cfg.blocks_per_page)
         self.dead_pages: set[int] = set()
@@ -343,17 +334,8 @@ class PcmMemory:
         self.dead_pages.add(self.page_of(logical_addr))
 
     def live_capacity(self) -> float:
-        """Fast capacity from the permanent dead-page bookkeeping."""
+        """Fraction of pages not yet killed."""
         return (self.total_pages - len(self.dead_pages)) / self.total_pages
-
-    def capacity_ratio(self, mapping=None) -> float:
-        """Fraction of live pages; a page is dead iff any of its blocks failed."""
-        dead = set(self.dead_pages)
-        for la in range(self.num_blocks):
-            pa = mapping(la) if mapping is not None else la
-            if self.blocks[pa].failed:
-                dead.add(self.page_of(la))
-        return (self.total_pages - len(dead)) / self.total_pages
 
     def wear_matrix(self) -> np.ndarray:
         """Per-cell write counts, one row per physical block."""

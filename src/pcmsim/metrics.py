@@ -40,14 +40,11 @@ def mfv_coverage(payloads, granule_bits: int) -> list[tuple[int, int, float, flo
     Returns (value, count, fraction, cumulative_fraction) rows; empty input
     yields an empty table.
     """
-    counts = np.zeros(1 << granule_bits, dtype=np.int64)
-    total = 0
-    for p in payloads:
-        vals = unpack_granules(p, granule_bits)
-        counts += np.bincount(vals, minlength=counts.size)
-        total += vals.size
+    vals = unpack_granules(b"".join(payloads), granule_bits)
+    total = vals.size
     if total == 0:
         return []
+    counts = np.bincount(vals, minlength=1 << granule_bits)
     order = sorted(range(counts.size), key=lambda v: (-counts[v], v))
     rows = []
     cum = 0

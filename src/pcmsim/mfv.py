@@ -92,11 +92,12 @@ class MfvFinder:
                     break
         return None
 
-    def observe_write(self, values: np.ndarray, counts: np.ndarray) -> None:
+    def observe_write(self, values: np.ndarray, counts: np.ndarray) -> list[int]:
         """Feed one write's granules; same end state as `observe` on each in order.
 
         `values` holds the granule values in write order and `counts` is
-        `np.bincount(values)` (any minlength). A value that is FV-resident
+        `np.bincount(values)` (any minlength). Returns the distinct values of
+        the write in ascending order. A value that is FV-resident
         when the write starts gets all its occurrences in one saturating
         counter update; only the other values go through `observe`, in order.
 
@@ -111,7 +112,8 @@ class MfvFinder:
         index = self._fv_index
         late = set()
         counts_list = counts.tolist()
-        for v in np.flatnonzero(counts).tolist():
+        present = np.flatnonzero(counts).tolist()
+        for v in present:
             entry = index.get(v)
             if entry is None:
                 late.add(v)
@@ -122,6 +124,7 @@ class MfvFinder:
             for v in values.tolist():
                 if v in late:
                     observe(v)
+        return present
 
     def _install(self, value: int) -> bool:
         for e in self.fv:
@@ -203,33 +206,6 @@ class Codebook:
             if v not in ranked:
                 lines.append(f"- {v:x} {self.perm[v]:x}")
         return "\n".join(lines) + "\n"
-
-
-def load_codebook(text: str) -> Codebook:
-    """Inverse of Codebook.dump; validates the bijection."""
-    lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "codebook":
-        raise ConfigError("bad codebook header")
-    g = int(head[1].split("=", 1)[1])
-    version = int(head[2].split("=", 1)[1])
-    n = 1 << g
-    perm = [-1] * n
-    ranked: list[tuple[int, int]] = []
-    for ln in lines[1:]:
-        rank_s, val_s, cw_s = ln.split()
-        v, cw = int(val_s, 16), int(cw_s, 16)
-        perm[v] = cw
-        if rank_s != "-":
-            ranked.append((int(rank_s), v))
-    if sorted(perm) != list(range(n)):
-        raise ConfigError("codebook table is not a bijection")
-    ranked.sort()
-    inv = [0] * n
-    for v, cw in enumerate(perm):
-        inv[cw] = v
-    return Codebook(g, tuple(perm), tuple(inv),
-                    tuple(v for _, v in ranked), version)
 
 
 def build_codebook(ranked_mfvs, granule_bits: int, version: int = 0) -> Codebook:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (ConfigError, MetadataCache, PcmBlock, PcmConfig,
-                   WriteOutcome, bits_to_bytes, bytes_to_bits,
-                   program_all_cells, program_cells, rotate_left, rotate_right)
+from .core import (ConfigError, PcmBlock, PcmConfig, WriteOutcome,
+                   bits_to_bytes, bytes_to_bits, program_all_cells,
+                   program_cells, rotate_left, rotate_right)
 from .mfv import Codebook, MfvFinder, build_codebook, pack_granules, unpack_granules
 from .wearlevel import WearConfig, next_epoch
 
@@ -46,7 +46,6 @@ class WriteScheme:
 
     def __init__(self, cfg: PcmConfig):
         self.cfg = cfg
-        self.read_extra_reads = 0  # metadata-line misses on the read path
 
     def write(self, addr: int, block: PcmBlock, data: bytes) -> WriteOutcome:
         raise NotImplementedError
@@ -81,13 +80,9 @@ class DiffScheme(WriteScheme):
 
     scheme_id = "diffwrite"
 
-    def __init__(self, cfg: PcmConfig):
-        super().__init__(cfg)
-        self._full_mask = (1 << cfg.block_bits) - 1
-
     def write(self, addr, block, data):
         self._check_payload(data)
-        return program_cells(block, bytes_to_bits(data), self._full_mask, self.cfg)
+        return program_cells(block, bytes_to_bits(data), self.cfg)
 
     def read(self, addr, block):
         return bits_to_bytes(block.bits, self.cfg.block_bytes)
@@ -113,9 +108,10 @@ class FnwScheme(WriteScheme):
     smallest power of two above W + 1, so bit k of the sum is the decision;
     the sum needs k + 1 bits, so each word's lane is widened over the next
     m - 1 words, m = ceil((k + 1) / W), and the words are decided in m passes
-    of every m-th word (m = 1 for W >= 4). Flip bits sit at each word's
-    lowest bit in lane form; a 256-entry per-byte table spreads the compact
-    `words`-bit flip int into lanes and its inverse gathers it back.
+    of every m-th word (m = 1 for W >= 4). `_flip_bits` keeps each block's
+    flip bits in this lane form: word i's flip bit is bit i * W, the lowest
+    cell of the word, so the decision reads them as they are and its result
+    is stored as it is.
     """
 
     scheme_id = "fnw"
@@ -127,8 +123,7 @@ class FnwScheme(WriteScheme):
         self.word_bits = w = word_bits
         self.words = n = cfg.block_bits // w
         self._word_mask = (1 << w) - 1
-        self._full_mask = (1 << cfg.block_bits) - 1
-        self._flip_bits: dict[int, int] = {}
+        self._flip_bits: dict[int, int] = {}  # lane form, by logical address
 
         lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
         # SWAR popcount steps: add fields [p, p+f) and [p+f, p+2f), cut at the word end
@@ -150,30 +145,8 @@ class FnwScheme(WriteScheme):
             self._passes.append((pass_lanes * self._word_mask, pass_lanes,
                                  ((1 << k) - w - 2) * pass_lanes))
 
-        # per-byte tables between compact flip bits and lane bits
-        self._spread_table = [sum(1 << (i * w) for i in range(8) if b >> i & 1)
-                              for b in range(1 << min(8, n))]
-        self._gather_table = {v: b for b, v in enumerate(self._spread_table)}
-        self._chunk_shifts = [8 * w * j for j in range((n + 7) // 8)]
-        self._chunk_mask = (1 << (8 * w)) - 1
-
     def overhead_bits_per_block(self) -> int:
         return self.words
-
-    def _spread(self, flags: int) -> int:
-        table = self._spread_table
-        lanes = 0
-        for j, shift in enumerate(self._chunk_shifts):
-            lanes |= table[(flags >> (8 * j)) & 0xFF] << shift
-        return lanes
-
-    def _gather(self, lanes: int) -> int:
-        table = self._gather_table
-        chunk = self._chunk_mask
-        flags = 0
-        for j, shift in enumerate(self._chunk_shifts):
-            flags |= table[(lanes >> shift) & chunk] << (8 * j)
-        return flags
 
     def write(self, addr, block, data):
         self._check_payload(data)
@@ -182,22 +155,19 @@ class FnwScheme(WriteScheme):
         c = block.bits ^ logical
         for f, lo, hi in self._popcount_steps:
             c = (c & lo) + ((c & hi) >> f)
-        flag_lanes = self._spread(flips)
         k = self._k
         invert = 0
         for pass_words, pass_lanes, bias in self._passes:
-            invert |= ((((c & pass_words) << 1) + 3 * (flag_lanes & pass_lanes) + bias)
+            invert |= ((((c & pass_words) << 1) + 3 * (flips & pass_lanes) + bias)
                        >> k) & pass_lanes
-        new_flips = self._gather(invert)
-        out = program_cells(block, logical ^ invert * self._word_mask,
-                            self._full_mask, self.cfg)
-        out.count_meta_change(flips, new_flips, self.words)
-        self._flip_bits[addr] = new_flips
+        out = program_cells(block, logical ^ invert * self._word_mask, self.cfg)
+        out.count_meta_change(flips, invert)
+        self._flip_bits[addr] = invert
         return out
 
     def read(self, addr, block):
-        flags = self._spread(self._flip_bits.get(addr, 0))
-        return bits_to_bytes(block.bits ^ flags * self._word_mask, self.cfg.block_bytes)
+        flips = self._flip_bits.get(addr, 0)
+        return bits_to_bytes(block.bits ^ flips * self._word_mask, self.cfg.block_bytes)
 
 
 class WireScheme(WriteScheme):
@@ -206,9 +176,10 @@ class WireScheme(WriteScheme):
     Writes feed granules to the frequent-value finder, encode them through
     the current codebook version (bit-rotated by the block's wear epoch),
     then rotate each partition to best match the stored cells. Rotation
-    counters live in separate metadata lines reached through an LRU cache;
-    blocks record the codebook version and epoch they were encoded with so
-    older content stays decodable after the ranking evolves. Encoding and
+    counters live in separate metadata lines, which the simulation reaches
+    through its metadata cache; blocks record the codebook version and epoch
+    they were encoded with so older content stays decodable after the
+    ranking evolves. Encoding and
     decoding are one `bytes.translate` each, through 256-byte tables cached
     per (version, epoch).
     """
@@ -216,12 +187,10 @@ class WireScheme(WriteScheme):
     scheme_id = "wire"
 
     def __init__(self, cfg: PcmConfig, finder: MfvFinder | None = None,
-                 metadata_cache: MetadataCache | None = None,
                  wear: WearConfig | None = None,
                  freeze_codebook: bool = False):
         super().__init__(cfg)
         self.finder = finder if finder is not None else MfvFinder()
-        self.cache = metadata_cache
         self.wear = wear
         self.freeze_codebook = freeze_codebook
         self.versions: list[Codebook] = [build_codebook([], cfg.granule_bits)]
@@ -229,7 +198,6 @@ class WireScheme(WriteScheme):
         self._enc_tables: dict[tuple[int, int], bytes] = {}
         self._dec_tables: dict[tuple[int, int], bytes] = {}
         self._block_refs: dict[int, tuple[int, ...]] = {}
-        self._full_mask = (1 << cfg.block_bits) - 1
         self._part_mask = (1 << cfg.partition_bits) - 1
 
     def overhead_bits_per_block(self) -> int:
@@ -277,9 +245,8 @@ class WireScheme(WriteScheme):
         self._check_payload(data)
         cfg = self.cfg
         values = unpack_granules(data, cfg.granule_bits)
-        counts = np.bincount(values)
         finder = self.finder
-        finder.observe_write(values, counts)
+        present = finder.observe_write(values, np.bincount(values))
 
         version = self.current_version()
         epoch, bumped = next_epoch(block, self.wear, cfg.granule_bits)
@@ -306,30 +273,23 @@ class WireScheme(WriteScheme):
             old_packed |= old_r << (i * counter_bits)
             new_packed |= r << (i * counter_bits)
 
-        out = program_cells(block, new_phys, self._full_mask, cfg)
-        out.count_meta_change(old_packed, new_packed,
-                              counter_bits * cfg.partitions_per_block)
-        if bumped:
-            out.count_meta_change(block.epoch, epoch, cfg.epoch_tag_bits)
+        out = program_cells(block, new_phys, cfg)
+        out.count_meta_change(old_packed, new_packed)
+        out.count_meta_change(block.epoch, epoch)
         block.rot_counters = new_counters
         block.epoch = epoch
         block.codebook_version = version
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
 
-        if self.cache is not None and not self.cache.touch(addr):
-            out.meta_extra_reads += 1
-
         # reference bookkeeping: the previous content no longer pins its values
         for v in self._block_refs.get(addr, ()):
             finder.retire_reference(v)
-        refs = tuple(v for v in np.flatnonzero(counts).tolist() if finder.add_reference(v))
+        refs = tuple(v for v in present if finder.add_reference(v))
         self._block_refs[addr] = refs
         return out
 
     def read(self, addr, block):
         cfg = self.cfg
-        if self.cache is not None and not self.cache.touch(addr):
-            self.read_extra_reads += 1
         width = cfg.partition_bits
         part_mask = self._part_mask
         bits = block.bits
@@ -346,7 +306,6 @@ class WireScheme(WriteScheme):
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
                 finder: MfvFinder | None = None,
-                metadata_cache: MetadataCache | None = None,
                 wear: WearConfig | None = None,
                 freeze_codebook: bool = False) -> WriteScheme:
     if scheme_id == "plain":
@@ -356,5 +315,5 @@ def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
     if scheme_id == "fnw":
         return FnwScheme(cfg, fnw_word_bits)
     if scheme_id == "wire":
-        return WireScheme(cfg, finder, metadata_cache, wear, freeze_codebook)
+        return WireScheme(cfg, finder, wear, freeze_codebook)
     raise ConfigError(f"unknown scheme '{scheme_id}' (choose from {', '.join(SCHEME_IDS)})")

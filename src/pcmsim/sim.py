@@ -39,8 +39,7 @@ class Simulation:
         self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
         self.scheme: WriteScheme = make_scheme(
             scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, finder=finder,
-            metadata_cache=self.metadata_cache, wear=self.wear,
-            freeze_codebook=freeze_codebook)
+            wear=self.wear, freeze_codebook=freeze_codebook)
 
         self.totals = WriteOutcome()
         self.writes = 0
@@ -62,6 +61,8 @@ class Simulation:
                 return None
             raise DeadBlockError("write to dead block")
         out = self.scheme.write(addr, block, payload)
+        if self.metadata_cache is not None:
+            self.metadata_cache.touch(addr)
         if block.failed:
             self.memory.kill_page(addr)
         self.writes += 1
@@ -82,6 +83,8 @@ class Simulation:
         if block.failed:
             raise DeadBlockError("read of dead block")
         self.reads += 1
+        if self.metadata_cache is not None:
+            self.metadata_cache.touch(addr)
         return self.scheme.read(addr, block)
 
     def apply(self, event: TraceEvent):
@@ -97,11 +100,9 @@ class Simulation:
         except DeadBlockError:
             self.truncated = True
 
-    def capacity_ratio(self) -> float:
-        return self.memory.capacity_ratio(self.leveler.map if self.leveler else None)
-
     def energy_pj(self) -> float:
         return self.totals.energy_pj(self.cfg)
 
     def meta_extra_reads(self) -> int:
-        return self.totals.meta_extra_reads + self.scheme.read_extra_reads
+        """Metadata lines fetched from the array: the metadata cache's misses."""
+        return self.metadata_cache.misses if self.metadata_cache is not None else 0

@@ -1,18 +1,17 @@
 """Wear leveling: codeword-bit epoch rotation plus start-gap block remapping.
 
-Epoch rotation shifts every codeword's bit positions by the block's epoch tag
-so the single difference bit between consecutively ranked codewords migrates
-across cell positions over time. Start-gap remapping slides block contents
-through one spare block so logical addresses periodically change physical
-homes.
+Epoch rotation (applied by `wire`'s encode tables) shifts every codeword's bit
+positions by the block's epoch tag so the single difference bit between
+consecutively ranked codewords migrates across cell positions over time.
+Start-gap remapping slides block contents through one spare block so logical
+addresses periodically change physical homes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (ConfigError, PcmBlock, PcmMemory, WriteOutcome,
-                   program_all_cells, rotate_left, rotate_right)
+from .core import ConfigError, PcmBlock, PcmMemory, WriteOutcome, program_all_cells
 
 
 @dataclass
@@ -24,15 +23,6 @@ class WearConfig:
     def __post_init__(self):
         if self.epoch_writes <= 0 or self.remap_period <= 0:
             raise ConfigError("wear-leveling periods must be positive")
-
-
-def epoch_transform(codeword: int, epoch: int, granule_bits: int) -> int:
-    """Rotate a codeword's bit positions left by the epoch; epoch 0 is identity."""
-    return rotate_left(codeword, epoch, granule_bits)
-
-
-def epoch_untransform(codeword: int, epoch: int, granule_bits: int) -> int:
-    return rotate_right(codeword, epoch, granule_bits)
 
 
 def next_epoch(block: PcmBlock, wear: WearConfig | None, granule_bits: int) -> tuple[int, bool]:
@@ -94,10 +84,9 @@ class StartGapLeveler:
         if not dest.failed:
             out = program_all_cells(dest, src.bits, memory.cfg)
         # metadata moves with the content
-        cfg = memory.cfg
         for old, new in zip(dest.rot_counters, src.rot_counters):
-            out.count_meta_change(old, new, cfg.counter_bits)
-        out.count_meta_change(dest.epoch, src.epoch, cfg.epoch_tag_bits)
+            out.count_meta_change(old, new)
+        out.count_meta_change(dest.epoch, src.epoch)
         dest.rot_counters = list(src.rot_counters)
         dest.epoch = src.epoch
         dest.codebook_version = src.codebook_version

@@ -68,7 +68,9 @@ def test_criterion_1_round_trip_fidelity():
     fnw = FnwScheme(cfg, 16)
     for _ in range(n):
         block = _random_block_state(rng, cfg)
-        fnw._flip_bits[0] = rng.getrandbits(fnw.words)
+        flags = rng.getrandbits(fnw.words)
+        fnw._flip_bits[0] = sum(((flags >> i) & 1) << (i * fnw.word_bits)
+                                for i in range(fnw.words))
         payload = rng.randbytes(64)
         fnw.write(0, block, payload)
         if fnw.read(0, block) != payload:

@@ -124,3 +124,13 @@ def test_main_cli_rejects_bad_trace(tmp_path, capsys):
     rc = main(["run", "--trace", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_cli_rejects_wire_rotation_max(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"wire": {"rotation_max": 4}}))
+    rc = main(["run", "--config", str(config), "--preset", "balanced",
+               "--events", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "pcm.rotation_max" in err

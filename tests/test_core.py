@@ -10,13 +10,12 @@ from pcmsim import (ConfigError, DeadBlockError, MetadataCache, PcmBlock,
                     WriteOutcome, program_all_cells, program_cells)
 
 CFG = PcmConfig()
-FULL = (1 << CFG.block_bits) - 1
 
 
 def test_program_identical_data_flips_nothing():
     b = PcmBlock(CFG)
     b.bits = 0b1001
-    out = program_cells(b, 0b1001, FULL, CFG)
+    out = program_cells(b, 0b1001, CFG)
     assert out.flips == 0
     assert b.bits == 0b1001
 
@@ -24,7 +23,7 @@ def test_program_identical_data_flips_nothing():
 def test_program_single_bit_reset():
     b = PcmBlock(CFG)
     b.bits = 0b1001
-    out = program_cells(b, 0b1000, FULL, CFG)
+    out = program_cells(b, 0b1000, CFG)
     assert out.flips_set == 0
     assert out.flips_reset == 1
     assert b.bits == 0b1000
@@ -32,24 +31,17 @@ def test_program_single_bit_reset():
 
 def test_program_complement_counts_sets():
     b = PcmBlock(CFG)
-    out = program_cells(b, 0b1111, FULL, CFG)
+    out = program_cells(b, 0b1111, CFG)
     assert out.flips_set == 4
     assert out.flips_reset == 0
-
-
-def test_mask_limits_programming():
-    b = PcmBlock(CFG)
-    out = program_cells(b, 0b1111, 0b0011, CFG)
-    assert out.flips_set == 2
-    assert b.bits == 0b0011
 
 
 def test_program_is_idempotent_for_equal_data():
     rng = random.Random(7)
     b = PcmBlock(CFG)
     data = rng.getrandbits(CFG.block_bits)
-    program_cells(b, data, FULL, CFG)
-    assert program_cells(b, data, FULL, CFG).flips == 0
+    program_cells(b, data, CFG)
+    assert program_cells(b, data, CFG).flips == 0
 
 
 def test_wear_conservation():
@@ -58,7 +50,7 @@ def test_wear_conservation():
     b = PcmBlock(CFG)
     total = 0
     for _ in range(50):
-        out = program_cells(b, rng.getrandbits(CFG.block_bits), FULL, CFG)
+        out = program_cells(b, rng.getrandbits(CFG.block_bits), CFG)
         total += out.flips
     assert int(b.cell_writes.sum()) == total
 
@@ -79,27 +71,27 @@ def test_cell_survives_exactly_endurance_programs():
     cfg = PcmConfig(cell_endurance=3)
     b = PcmBlock(cfg)
     for i in range(3):
-        program_cells(b, (i + 1) % 2, FULL, cfg)  # toggle bit 0
+        program_cells(b, (i + 1) % 2, cfg)  # toggle bit 0
     assert not b.failed
-    program_cells(b, 0, FULL, cfg)  # fourth program of cell 0
+    program_cells(b, 0, cfg)  # fourth program of cell 0
     assert b.failed
     with pytest.raises(DeadBlockError):
-        program_cells(b, 0, FULL, cfg)
+        program_cells(b, 0, cfg)
 
 
 def test_program_past_endurance_fails_block_and_keeps_other_counts():
     cfg = PcmConfig(cell_endurance=3)
     b = PcmBlock(cfg)
     for data in (0b100011, 0b100000, 0b100011):  # cells 0 and 1 reach endurance
-        program_cells(b, data, FULL, cfg)
+        program_cells(b, data, cfg)
     assert not b.failed
-    program_cells(b, 0b10100010, FULL, cfg)  # fourth program of cell 0, first of 7
+    program_cells(b, 0b10100010, cfg)  # fourth program of cell 0, first of 7
     assert b.failed
     expected = [0] * cfg.block_bits
     expected[0], expected[1], expected[5], expected[7] = 4, 3, 1, 1
     assert b.cell_writes.tolist() == expected
     with pytest.raises(DeadBlockError):
-        program_cells(b, 0, FULL, cfg)
+        program_cells(b, 0, cfg)
     assert b.cell_writes.tolist() == expected
 
 
@@ -124,12 +116,12 @@ def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops
             before = block.cell_writes.copy()
             with pytest.raises(DeadBlockError):
                 if kind == "cells":
-                    program_cells(block, bits, 0xFF, cfg)
+                    program_cells(block, bits, cfg)
                 else:
                     program_all_cells(block, bits, cfg)
             assert (block.cell_writes == before).all()
         elif kind == "cells":
-            program_cells(block, bits, 0xFF, cfg)
+            program_cells(block, bits, cfg)
         else:
             program_all_cells(block, bits, cfg)
         for b in mem.blocks:
@@ -149,34 +141,33 @@ def _wear_reference_run(nbytes, endurance, ops):
     bits = [0, 0, 0]
     failed = [False, False, False]
 
-    def ref_program(i, new_bits, mask=None):
-        # mask None: an unconditional program of every cell
-        diff = (bits[i] ^ new_bits) & mask if mask is not None else -1
+    def ref_program(i, new_bits, every_cell=False):
+        diff = -1 if every_cell else bits[i] ^ new_bits
         rows[i] += [(diff >> j) & 1 for j in range(nbits)]
-        bits[i] ^= (bits[i] ^ new_bits) & diff
+        bits[i] = new_bits
         failed[i] = int(rows[i].max()) > endurance
 
     full = (1 << nbits) - 1
-    for kind, i, data, mask, repeat in ops:
+    for kind, i, data, repeat in ops:
         for r in range(repeat):
             new_bits = (data if r % 2 == 0 else ~data) & full  # alternate to wear
             if kind == "step":
                 dest, src = lev.gap, (lev.gap - 1) % 3
                 if not failed[dest]:
-                    ref_program(dest, bits[src])
+                    ref_program(dest, bits[src], every_cell=True)
                 lev.step(mem)
             elif failed[i]:
                 with pytest.raises(DeadBlockError):
                     if kind == "cells":
-                        program_cells(mem.blocks[i], new_bits, mask, cfg)
+                        program_cells(mem.blocks[i], new_bits, cfg)
                     else:
                         program_all_cells(mem.blocks[i], new_bits, cfg)
             elif kind == "cells":
-                program_cells(mem.blocks[i], new_bits, mask, cfg)
-                ref_program(i, new_bits, mask)
+                program_cells(mem.blocks[i], new_bits, cfg)
+                ref_program(i, new_bits)
             else:
                 program_all_cells(mem.blocks[i], new_bits, cfg)
-                ref_program(i, new_bits)
+                ref_program(i, new_bits, every_cell=True)
             assert (mem.wear_matrix() == rows).all()
             for b, row, f, stored in zip(mem.blocks, rows, failed, bits):
                 assert (b.cell_writes == row).all()
@@ -187,8 +178,7 @@ def _wear_reference_run(nbytes, endurance, ops):
 
 
 OPS = st.lists(st.tuples(st.sampled_from(["cells", "all", "step"]), st.integers(0, 2),
-                         st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
-                         st.integers(1, 12)),
+                         st.integers(0, 2**64 - 1), st.integers(1, 12)),
                min_size=1, max_size=25)
 
 
@@ -199,11 +189,12 @@ def test_wear_planes_match_int64_reference_rows(nbytes, endurance, ops):
 
 
 def test_wear_planes_carry_into_a_fifth_plane():
-    ops = [("all", 0, 0, 0, 12), ("cells", 0, 5, 7, 12), ("all", 0, 1, 0, 9)]
+    ops = [("all", 0, 0, 12), ("cells", 0, 5, 12), ("all", 0, 1, 9)]
     mem = _wear_reference_run(2, 10**6, ops)
-    # after the all-ones image, cell 1 toggles on all 12 masked programs and
-    # cells 0 and 2 on 11; the other cells see only the 12 + 9 full programs
-    assert mem.blocks[0].cell_writes.tolist() == [32, 33, 32] + [21] * 13
+    # the first differential program of 5 over the all-ones image leaves
+    # cells 0 and 2 alone and toggles the other 14; the next 11 alternate
+    # between 5 and its complement and toggle all 16 cells
+    assert mem.blocks[0].cell_writes.tolist() == [32, 33, 32] + [33] * 13
     assert len(mem.blocks[0].wear_planes) == 6
 
 
@@ -245,17 +236,19 @@ def _memory(num_blocks, page_blocks=2):
 
 def test_capacity_full_and_empty():
     mem = _memory(8)
-    assert mem.capacity_ratio() == 1.0
-    for b in mem.blocks:
-        b.failed = True
-    assert mem.capacity_ratio() == 0.0
+    assert mem.live_capacity() == 1.0
+    for addr in range(8):
+        mem.kill_page(addr)
+    assert mem.live_capacity() == 0.0
 
 
 def test_capacity_one_of_four_pages_dead():
     # direct count oracle: 8 blocks, 2 per page -> 4 pages
     mem = _memory(8)
-    mem.blocks[5].failed = True
-    assert mem.capacity_ratio() == 0.75
+    mem.kill_page(5)
+    assert mem.live_capacity() == 0.75
+    mem.kill_page(4)  # same page
+    assert mem.live_capacity() == 0.75
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,24 @@ def test_uniform_payloads_spread_evenly():
         assert abs(count - total * p) <= 3 * sigma
 
 
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_coverage_matches_per_granule_count(g):
+    rng = random.Random(g)
+    payloads = [bytes(rng.choice([0, 0, 0x17, rng.randrange(256)]) for _ in range(8))
+                for _ in range(40)]
+    counts = [0] * (1 << g)
+    for p in payloads:
+        for byte in p:
+            for k in range(0, 8, g):
+                counts[(byte >> k) & ((1 << g) - 1)] += 1
+    total = sum(counts)
+    order = sorted(range(1 << g), key=lambda v: (-counts[v], v))
+    cums = np.cumsum([counts[v] for v in order])
+    expect = [(v, counts[v], counts[v] / total, cum / total)
+              for v, cum in zip(order, cums)]
+    assert mfv_coverage(iter(payloads), g) == expect
+
+
 def test_generator_ground_truth_eighty_percent_zeros():
     spec = GenSpec(events=400, read_fraction=0.0, values={0x0: 0.8}, seed=21)
     events = generate(spec, num_blocks=8)

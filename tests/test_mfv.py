@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (ConfigError, MfvFinder, build_codebook, load_codebook,
-                    pack_granules, unpack_granules)
+from pcmsim import (ConfigError, MfvFinder, build_codebook, pack_granules,
+                    unpack_granules)
 from pcmsim.mfv import FV_COUNTER_MAX
 
 
@@ -252,12 +252,6 @@ def test_leftovers_assigned_in_ascending_order():
     leftover_values = [0, 1, 3, 4, 6, 7]
     leftover_codewords = [2, 3, 4, 5, 6, 7]
     assert [cb.encode_granule(v) for v in leftover_values] == leftover_codewords
-
-
-def test_dump_load_round_trip():
-    cb = build_codebook([0, 15, 3], 4, version=7)
-    back = load_codebook(cb.dump())
-    assert back == cb
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (PcmBlock, PcmConfig, Simulation, WearConfig, build_codebook,
-                    optimal_rotation, pack_granules, unpack_granules)
+from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
+                    build_codebook, optimal_rotation, pack_granules,
+                    unpack_granules)
 from pcmsim.core import popcount, rotate_left, rotate_right
 from pcmsim.schemes import FnwScheme, WireScheme
 
@@ -128,7 +129,10 @@ def test_fnw_overhead_bits():
 
 
 def _fnw_loop_reference(stored, flips, logical, word_bits, words):
-    """Per-word Flip-N-Write decision: (physical bits, flip bits) to store."""
+    """Per-word Flip-N-Write decision: (physical bits, flip bits) to store.
+
+    Flip bits are in lane form: word w's flip bit is bit w * word_bits.
+    """
     word_mask = (1 << word_bits) - 1
     new_bits = new_flips = 0
     for w in range(words):
@@ -136,12 +140,12 @@ def _fnw_loop_reference(stored, flips, logical, word_bits, words):
         old = (stored >> shift) & word_mask
         d = (logical >> shift) & word_mask
         inv = d ^ word_mask
-        f = (flips >> w) & 1
+        f = (flips >> shift) & 1
         cost_direct = popcount(old ^ d) + (f != 0)
         cost_invert = popcount(old ^ inv) + (f != 1)
         invert = cost_invert < cost_direct or (cost_invert == cost_direct and f == 1)
         new_bits |= (inv if invert else d) << shift
-        new_flips |= int(invert) << w
+        new_flips |= int(invert) << shift
     return new_bits, new_flips
 
 
@@ -151,7 +155,9 @@ def fnw_cases(draw):
     bits = nbytes * 8
     word_bits = draw(st.sampled_from([w for w in range(1, bits + 1) if bits % w == 0]))
     stored = draw(st.integers(0, (1 << bits) - 1))
-    flips = draw(st.integers(0, (1 << (bits // word_bits)) - 1))
+    words = bits // word_bits
+    compact = draw(st.integers(0, (1 << words) - 1))
+    flips = sum(((compact >> w) & 1) << (w * word_bits) for w in range(words))
     # repeated or complemented payloads make ties and full inversions likely
     payloads = draw(st.lists(
         st.one_of(st.binary(min_size=nbytes, max_size=nbytes),
@@ -403,12 +409,40 @@ def test_wire_metadata_cache_counts_extra_reads():
     payload = bytes(64)
     for addr in range(8):
         sim.write(addr, payload)
-    assert sim.totals.meta_extra_reads == 8   # cold misses
+    assert sim.meta_extra_reads() == 8   # cold misses
     sim.read(7)
     sim.read(6)
-    assert sim.scheme.read_extra_reads == 0   # both still resident
+    assert sim.meta_extra_reads() == 8   # both still resident
     sim.read(0)
-    assert sim.scheme.read_extra_reads == 1
+    assert sim.meta_extra_reads() == 9
+    # writes and reads round-robin over three addresses thrash the two lines:
+    # every access misses
+    for i in range(30):
+        addr = 1 + i % 3
+        if i % 2:
+            sim.read(addr)
+        else:
+            sim.write(addr, payload)
+    assert sim.meta_extra_reads() == 39
+    assert sim.meta_extra_reads() == sim.metadata_cache.misses
+    assert sim.metadata_cache.hits == 2
+
+    for scheme_id in ("plain", "diffwrite", "fnw"):
+        other = Simulation(scheme_id, 8, cfg)
+        for i in range(30):
+            other.write(i % 3, payload)
+            other.read(i % 3)
+        assert other.meta_extra_reads() == 0
+
+
+def test_dead_block_accesses_touch_no_metadata_line():
+    sim = Simulation("wire", 4, PcmConfig(page_bytes=64), lifetime_mode=True)
+    sim.memory.blocks[2].failed = True
+    assert sim.write(2, bytes(64)) is None   # dropped
+    with pytest.raises(DeadBlockError):
+        sim.read(2)
+    cache = sim.metadata_cache
+    assert (cache.hits, cache.misses, sim.meta_extra_reads()) == (0, 0, 0)
 
 
 def test_wire_overhead_is_48_bits_with_defaults():

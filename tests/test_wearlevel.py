@@ -1,30 +1,33 @@
 import random
 
 from pcmsim import (PcmConfig, PcmMemory, Simulation, StartGapLeveler,
-                    WearConfig, epoch_transform, epoch_untransform,
-                    pack_granules)
+                    WearConfig, pack_granules)
+from pcmsim.core import rotate_left, rotate_right
+
+# An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
+# tables); decoding rotates them back right.
 
 
 def test_epoch_zero_is_identity():
     for cw in range(16):
-        assert epoch_transform(cw, 0, 4) == cw
+        assert rotate_left(cw, 0, 4) == cw
 
 
 def test_epoch_moves_the_difference_bit():
-    assert epoch_transform(0b0001, 1, 4) == 0b0010
-    assert epoch_transform(0b0001, 3, 4) == 0b1000
+    assert rotate_left(0b0001, 1, 4) == 0b0010
+    assert rotate_left(0b0001, 3, 4) == 0b1000
 
 
 def test_full_cycle_is_identity():
     for g in (1, 2, 4, 8):
         for cw in range(1 << g):
-            assert epoch_transform(cw, g, g) == cw
+            assert rotate_left(cw, g, g) == cw
 
 
 def test_transform_untransform_compose_to_identity():
     for epoch in range(4):
         for cw in range(16):
-            assert epoch_untransform(epoch_transform(cw, epoch, 4), epoch, 4) == cw
+            assert rotate_right(rotate_left(cw, epoch, 4), epoch, 4) == cw
 
 
 def test_epoch_bump_cadence():
