@@ -88,6 +88,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        _check_keys(d, _CONFIG_KEYS)
         cfg = cls()
         wire_kw = dict(d.get("wire", {}))
         if "rotation_max" in wire_kw:
@@ -106,19 +107,53 @@ class ExperimentConfig:
         cfg.max_writes = d.get("max_writes", cfg.max_writes)
         if "gen" in d:
             g = dict(d["gen"])
-            g["values"] = {int(k, 16): v for k, v in g.get("values", {}).items()}
+            try:
+                g["values"] = {int(k, 16): v for k, v in g.get("values", {}).items()}
+            except ValueError:
+                raise ConfigError("gen.values keys must be hex granule values") from None
             cfg.gen = GenSpec(**g)
         return cfg
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        return cls.from_dict(d)
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+# each config key's type (an annotation, or its section's), and each annotation's JSON form
+_CONFIG_KEYS = {"memory_blocks": "int", "schemes": "list", "trace": "str | None",
+                "seed": "int | None", "out": "str", "lifetime": "bool", "max_writes": "int",
+                "pcm": PcmConfig.__annotations__, "wear": WearConfig.__annotations__,
+                "gen": GenSpec.__annotations__, "fnw": {"word_bits": "int"},
+                "wire": {"freeze_codebook": "bool", "rotation_max": "int"}}
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
+               "dict": ((dict,), "a JSON object"), "list": ((list,), "a JSON list of names")}
+
+
+def _check_keys(kw, types, where: str = "") -> None:
+    """Raise ConfigError unless each key of `kw` is in `types` with a value of its type."""
+    if not isinstance(kw, dict):
+        raise ConfigError(f"config section '{where[:-1]}' must be a JSON object" if where
+                          else "config must be a JSON object")
+    for key, value in kw.items():
+        hint = types.get(key)
+        if hint is None:
+            raise ConfigError(f"unknown config key '{where}{key}'")
+        if isinstance(hint, dict):
+            _check_keys(value, hint, f"{where}{key}.")
+            continue
+        want, name = _JSON_TYPES[hint.split(" | ")[0].split("[")[0]]
+        if type(value) not in want and not (value is None and hint.endswith("| None")):
+            raise ConfigError(f"config key '{where}{key}' must be {name}, not {value!r}")
 
 
 def build_simulation(cfg: ExperimentConfig, scheme_id: str, *,
@@ -222,7 +257,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.trace is not None:
         cfg.trace_path = args.trace
         cfg.gen = None
-    if getattr(args, "preset", None) is not None:
+    if args.preset is not None:
         cfg.gen = preset_spec(args.preset, events=args.events,
                               seed=args.seed if args.seed is not None else 0)
         cfg.trace_path = None
@@ -230,7 +265,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.seed = args.seed
     if getattr(args, "schemes", None):
         cfg.schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg.out_dir = args.out
     if getattr(args, "lifetime", False):
         cfg.lifetime = True
@@ -252,16 +287,15 @@ def main(argv=None) -> int:
         description="Trace-driven PCM write simulator with pluggable encodings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_preset=True):
+    def common(p):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--trace", type=str, default=None, help="input trace file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="generator seed")
         p.add_argument("--events", type=int, default=10_000,
                        help="event count for generated traces")
-        if with_preset:
-            p.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                           help="built-in read/write mix")
+        p.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                       help="built-in read/write mix")
 
     p_run = sub.add_parser("run", help="replay a trace under the configured schemes")
     common(p_run)

@@ -11,7 +11,6 @@ from .core import (DeadBlockError, MetadataCache, PcmConfig, PcmMemory,
                    SimulationError, WriteOutcome)
 from .mfv import MfvFinder
 from .schemes import WriteScheme, make_scheme
-from .trace import TraceEvent
 from .wearlevel import StartGapLeveler, WearConfig
 
 
@@ -87,16 +86,14 @@ class Simulation:
             self.metadata_cache.touch(addr)
         return self.scheme.read(addr, block)
 
-    def apply(self, event: TraceEvent):
-        if event.op == "W":
-            return self.write(event.addr, event.payload)
-        return self.read(event.addr)
-
     def replay(self, events) -> None:
         """Run a whole trace; a dead-block access truncates a non-lifetime run."""
         try:
-            for ev in events:
-                self.apply(ev)
+            for op, addr, payload in events:
+                if op == "W":
+                    self.write(addr, payload)
+                else:
+                    self.read(addr)
         except DeadBlockError:
             self.truncated = True
 

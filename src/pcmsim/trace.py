@@ -15,7 +15,7 @@ value space).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class TraceFormatError(ValueError):
     """Malformed trace input; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     op: str                  # "R" or "W"
     addr: int
     payload: bytes | None = None
@@ -45,22 +44,19 @@ def parse_trace(stream: Iterable[str], block_bytes: int = 64) -> list[TraceEvent
         op = parts[0].upper()
         try:
             if op == "R" and len(parts) == 2:
-                events.append(TraceEvent("R", int(parts[1], 16)))
-                continue
-            if op == "W" and len(parts) == 3:
-                addr = int(parts[1], 16)
-                payload = bytes.fromhex(parts[2])
-                if len(payload) != block_bytes:
-                    raise TraceFormatError(
-                        f"line {lineno}: payload is {len(payload)} bytes, "
-                        f"expected {block_bytes}")
-                events.append(TraceEvent("W", addr, payload))
-                continue
-        except TraceFormatError:
-            raise
+                ev = TraceEvent("R", int(parts[1], 16))
+            elif op == "W" and len(parts) == 3:
+                ev = TraceEvent("W", int(parts[1], 16), bytes.fromhex(parts[2]))
+            else:
+                ev = None
         except ValueError:
-            pass
-        raise TraceFormatError(f"line {lineno}: malformed trace line {line!r}")
+            ev = None
+        if ev is None:
+            raise TraceFormatError(f"line {lineno}: malformed trace line {line!r}")
+        if ev.payload is not None and len(ev.payload) != block_bytes:
+            raise TraceFormatError(
+                f"line {lineno}: payload is {len(ev.payload)} bytes, expected {block_bytes}")
+        events.append(ev)
     return events
 
 
@@ -104,17 +100,16 @@ class GenSpec:
             raise ConfigError("read_fraction must lie in [0, 1]")
         if self.address_model not in ("uniform", "zipf"):
             raise ConfigError(f"unknown address model {self.address_model!r}")
-        if self.address_model == "zipf" and self.address_zipf_s <= 0:
-            raise ConfigError("zipf exponent must be positive")
-        if self.value_zipf_s is not None and self.value_zipf_s <= 0:
+        if (self.address_model == "zipf" and self.address_zipf_s <= 0
+                or self.value_zipf_s is not None and self.value_zipf_s <= 0):
             raise ConfigError("zipf exponent must be positive")
         n = 1 << granule_bits
         total = 0.0
         for v, p in self.values.items():
             if not 0 <= v < n:
                 raise ConfigError(f"granule value {v:#x} exceeds {granule_bits} bits")
-            if p < 0:
-                raise ConfigError("value probabilities must be non-negative")
+            if not isinstance(p, (int, float)) or p < 0:
+                raise ConfigError("value probabilities must be non-negative numbers")
             total += p
         if total > 1.0 + 1e-9:
             raise ConfigError("value probabilities must sum to at most 1")
@@ -129,12 +124,10 @@ def value_probabilities(spec: GenSpec, granule_bits: int) -> np.ndarray:
         p = 1.0 / np.arange(1, n + 1, dtype=float) ** spec.value_zipf_s
         return p / p.sum()
     p = np.zeros(n)
-    for v, prob in spec.values.items():
-        p[v] = prob
+    p[list(spec.values)] = list(spec.values.values())
     tail = [v for v in range(n) if v not in spec.values]
-    rest = 1.0 - p.sum()
     if tail:
-        p[tail] = rest / len(tail)
+        p[tail] = (1.0 - p.sum()) / len(tail)
     return p / p.sum()
 
 
@@ -147,6 +140,29 @@ def _sample_addresses(rng: np.random.Generator, spec: GenSpec,
     return rng.choice(num_blocks, size=n, p=p / p.sum())
 
 
+def _sample_values(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
+    """`rng.choice(len(p), size=shape, p=p).astype(np.uint8)`, for `len(p) <= 256`.
+
+    Draws the same `u = rng.random(shape)` and returns the same `#{cdf <= u}`
+    (`cdf = p.cumsum(); cdf /= cdf[-1]`) from 2^16 buckets `b = floor(u * 2^16)`,
+    held as uint16. Scaling by 2^16 is exact, so `u` lies in `[b, b + 1) / 2^16`:
+    where no cdf value lies inside the bucket, its count is the table's; else
+    `u`, recovered exactly as `(u * 2^16) / 2^16`, goes to `searchsorted`.
+    """
+    nb = 1 << 16
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    low = cdf.searchsorted(np.arange(nb) / nb, side="right")
+    inexact = low != cdf.searchsorted(np.arange(1, nb + 1) / nb, side="left")
+    u = rng.random(shape)
+    u *= nb
+    b = u.astype(np.uint16)
+    out = low.astype(np.uint8)[b]
+    idx = np.flatnonzero(inexact[b])
+    out.flat[idx] = cdf.searchsorted(u.flat[idx] / nb, side="right")
+    return out
+
+
 def generate(spec: GenSpec, *, num_blocks: int, block_bytes: int = 64,
              granule_bits: int = 4) -> list[TraceEvent]:
     """Deterministically generate a trace from the spec."""
@@ -157,18 +173,11 @@ def generate(spec: GenSpec, *, num_blocks: int, block_bytes: int = 64,
     n_writes = int((~reads).sum())
     gpb = block_bytes * 8 // granule_bits
     pv = value_probabilities(spec, granule_bits)
-    granules = rng.choice(1 << granule_bits, size=(n_writes, gpb), p=pv).astype(np.uint8)
-
-    events = []
-    w = 0
-    for i in range(spec.events):
-        addr = int(addrs[i])
-        if reads[i]:
-            events.append(TraceEvent("R", addr))
-        else:
-            events.append(TraceEvent("W", addr, pack_granules(granules[w], granule_bits)))
-            w += 1
-    return events
+    # each row packs to whole bytes, so one pack of the matrix holds every payload
+    packed = pack_granules(_sample_values(rng, pv, (n_writes, gpb)).ravel(), granule_bits)
+    payloads = (packed[i:i + block_bytes] for i in range(0, len(packed), block_bytes))
+    return [TraceEvent("R", a) if r else TraceEvent("W", a, next(payloads))
+            for a, r in zip(addrs.tolist(), reads.tolist())]
 
 
 # The three read/write mixes, plus a granule-value distribution whose top five

@@ -134,3 +134,53 @@ def test_main_cli_rejects_wire_rotation_max(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "pcm.rotation_max" in err
+
+
+BAD_CONFIGS = [
+    ('{"pcm": {"bogus": 1}}', "pcm.bogus"),
+    ('{"gen": {"nope": 1}}', "gen.nope"),
+    ('{"memory_blocks": "x"}', "memory_blocks"),
+    ('{"wear": {"epoch_writes": "a"}}', "wear.epoch_writes"),
+    ('{"memory_blocks": true}', "memory_blocks"),
+    ('{"pcm": []}', "config section 'pcm' must be a JSON object"),
+    ('{"gen": {"values": {"zz": 0.5}}}', "gen.values"),
+    ('[1, 2]', "must be a JSON object"),
+    ('{"memory_blocks": 16,', "not valid JSON"),
+]
+
+
+@pytest.mark.parametrize("text,named", BAD_CONFIGS)
+def test_main_cli_bad_config_exits_2_with_message(tmp_path, capsys, text, named):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,named", BAD_CONFIGS[:-1])
+def test_from_dict_raises_config_error_naming_key(text, named):
+    with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
+        ExperimentConfig.from_dict(json.loads(text))
+
+
+def test_non_numeric_value_probability_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"memory_blocks": 16,
+                                  "gen": {"events": 10, "values": {"0": "x"}}}))
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "value probabilities" in capsys.readouterr().err
+
+
+def test_scheme_string_is_rejected_not_split_into_letters(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schemes": "wire"}))
+    rc = main(["run", "--config", str(config), "--preset", "balanced",
+               "--events", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "schemes" in err and "JSON list of names" in err
+    assert "'w'" not in err

@@ -1,10 +1,15 @@
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, GenSpec, TraceEvent, TraceFormatError,
                     emit_trace, generate, parse_trace, preset_spec)
 from pcmsim.metrics import mfv_coverage, top_k_coverage
+from pcmsim.mfv import pack_granules
+from pcmsim.trace import _sample_addresses, _sample_values, value_probabilities
 
 
 def test_parse_write_of_zeros():
@@ -104,3 +109,99 @@ def test_generated_traces_parse_cleanly():
     emit_trace(events, buf)
     parsed = parse_trace(io.StringIO(buf.getvalue()), block_bytes=64)
     assert len(parsed) == 200
+
+
+def test_malformed_lines_rejected():
+    for line in ("R", "R 1 00", "W 1", "W zz " + "00" * 64, "W 1 " + "zz" * 64,
+                 "W 1 " + "00" * 64 + " 00"):
+        with pytest.raises(TraceFormatError, match="line 1: malformed"):
+            parse_trace([line])
+
+
+def test_trace_event_is_immutable():
+    ev = TraceEvent("W", 3, bytes(64))
+    with pytest.raises(AttributeError):
+        ev.addr = 4
+    with pytest.raises(AttributeError):
+        ev.payload = None
+    assert TraceEvent("R", 3).payload is None
+
+
+@st.composite
+def value_distributions(draw):
+    """A probability vector over n values, with zero runs where choice skips."""
+    n = draw(st.sampled_from([2, 4, 16, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    # small integer weights put cdf values on bucket edges, random ones inside buckets
+    p = rng.integers(0, 4, n).astype(float) if draw(st.booleans()) else rng.random(n)
+    zeros = draw(st.sampled_from(["none", "leading", "trailing", "all_but_one"]))
+    k = draw(st.integers(0, n - 1))
+    if zeros == "leading":
+        p[:k] = 0
+    elif zeros == "trailing":
+        p[k + 1:] = 0
+    elif zeros == "all_but_one":
+        p[:] = 0
+    p[k] = max(p[k], 1.0)
+    return p / p.sum()
+
+
+SHAPES = st.one_of(st.tuples(st.just(0), st.integers(0, 8)),
+                   st.tuples(st.integers(0, 1024)),
+                   st.tuples(st.integers(1, 32), st.integers(1, 32)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_distributions(), SHAPES, st.integers(0, 2**32))
+def test_sample_values_equals_choice_and_leaves_same_state(p, shape, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = ref_rng.choice(p.size, size=shape, p=p).astype(np.uint8)
+    got = _sample_values(rng, p, shape)
+    assert got.dtype == np.uint8 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert rng.random() == ref_rng.random()
+
+
+def test_sample_values_falls_back_inside_edge_buckets():
+    # enough draws that many land in buckets holding a cdf value
+    p = value_probabilities(preset_spec("balanced"), 8)
+    shape = (400, 512)
+    expected = np.random.default_rng(3).choice(256, size=shape, p=p).astype(np.uint8)
+    assert np.array_equal(_sample_values(np.random.default_rng(3), p, shape), expected)
+
+
+def reference_generate(spec, num_blocks, block_bytes, granule_bits):
+    """The per-event generator loop that `generate` replaced."""
+    spec.validate(granule_bits)
+    rng = np.random.default_rng(spec.seed)
+    reads = rng.random(spec.events) < spec.read_fraction
+    addrs = _sample_addresses(rng, spec, num_blocks, spec.events)
+    n_writes = int((~reads).sum())
+    gpb = block_bytes * 8 // granule_bits
+    pv = value_probabilities(spec, granule_bits)
+    granules = rng.choice(1 << granule_bits, size=(n_writes, gpb), p=pv).astype(np.uint8)
+    events = []
+    w = 0
+    for i in range(spec.events):
+        addr = int(addrs[i])
+        if reads[i]:
+            events.append(TraceEvent("R", addr))
+        else:
+            events.append(TraceEvent("W", addr, pack_granules(granules[w], granule_bits)))
+            w += 1
+    return events
+
+
+@pytest.mark.parametrize("granule_bits", [1, 2, 4, 8])
+@pytest.mark.parametrize("block_bytes", [1, 8, 64])
+def test_generate_equals_per_event_reference(granule_bits, block_bytes):
+    values = {} if granule_bits == 1 else {0: 0.5, 1: 0.25}
+    for read_fraction in (0, 0.5, 1):
+        for model in ("uniform", "zipf"):
+            spec = GenSpec(events=300, read_fraction=read_fraction, address_model=model,
+                           values=values, seed=granule_bits * 100 + block_bytes)
+            got = generate(spec, num_blocks=24, block_bytes=block_bytes,
+                           granule_bits=granule_bits)
+            want = reference_generate(spec, 24, block_bytes, granule_bits)
+            assert got == want
+            assert all(type(ev.addr) is int for ev in got)
