@@ -228,6 +228,7 @@ def cmd_gen(cfg: ExperimentConfig, path: str) -> int:
     """Generate a synthetic trace file."""
     if cfg.gen is None:
         raise ConfigError("gen subcommand needs a generator spec (config or --preset)")
+    cfg.validate()
     events = load_events(cfg)
     with open(path, "w", encoding="ascii") as fh:
         emit_trace(events, fh)

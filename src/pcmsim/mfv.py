@@ -52,6 +52,7 @@ class MfvFinder:
         self._fv_index: dict[int, FvEntry] = {}
         self.generation = 0
         self.retire_misses = 0  # diagnostics: retire of an untracked value
+        self._shared = 0  # bit v: value v's entry has two or more references
 
     # -- observation ---------------------------------------------------------
 
@@ -92,14 +93,15 @@ class MfvFinder:
                     break
         return None
 
-    def observe_write(self, values: np.ndarray, counts: np.ndarray) -> list[int]:
+    def observe_write(self, counts: np.ndarray, granules) -> int:
         """Feed one write's granules; same end state as `observe` on each in order.
 
-        `values` holds the granule values in write order and `counts` is
-        `np.bincount(values)` (any minlength). Returns the distinct values of
-        the write in ascending order. A value that is FV-resident
-        when the write starts gets all its occurrences in one saturating
-        counter update; only the other values go through `observe`, in order.
+        `counts` is the write's `np.bincount` (any minlength); `granules()`
+        gives its granule values in write order and is called only if some
+        value is not FV-resident. Returns the write's values resident at its
+        end, bit v for value v. A value that is FV-resident when the write
+        starts gets all its occurrences in one saturating counter update; only
+        the other values go through `observe`, in order.
 
         This is exact because, for a resident value, `observe` only bumps that
         entry's saturating counter, which no other step of `observe` reads,
@@ -110,21 +112,23 @@ class MfvFinder:
         resident set; `observe` itself credits its later occurrences.
         """
         index = self._fv_index
-        late = set()
+        late, resident = set(), 0
         counts_list = counts.tolist()
-        present = np.flatnonzero(counts).tolist()
-        for v in present:
+        for v in counts.nonzero()[0].tolist():
             entry = index.get(v)
             if entry is None:
                 late.add(v)
             else:
-                entry.counter = min(entry.counter + counts_list[v], FV_COUNTER_MAX)
+                c = entry.counter + counts_list[v]
+                entry.counter = c if c < FV_COUNTER_MAX else FV_COUNTER_MAX
+                resident |= 1 << v
         if late:
             observe = self.observe
-            for v in values.tolist():
+            for v in granules().tolist():
                 if v in late:
                     observe(v)
-        return present
+            resident |= sum(1 << v for v in late if v in index)
+        return resident
 
     def _install(self, value: int) -> bool:
         for e in self.fv:
@@ -146,6 +150,8 @@ class MfvFinder:
         if entry is None:
             return False
         entry.pointer += 1
+        if entry.pointer == 2:
+            self._shared |= 1 << value
         return True
 
     def retire_reference(self, value: int) -> None:
@@ -154,11 +160,34 @@ class MfvFinder:
         if entry is None or entry.pointer <= 0:
             self.retire_misses += 1
             return
+        if entry.pointer == 2:
+            self._shared &= ~(1 << value)
         entry.pointer -= 1
         if entry.pointer == 0:
             entry.used = False
             del self._fv_index[value]
             self.generation += 1
+
+    def rereference(self, old: int, new: int) -> int:
+        """Move a block's references from value mask `old` to `new`; returns
+        the mask it now holds. Same end state and result as `retire_reference`
+        on each value of `old`, then `add_reference` on each of `new`: every
+        call touches only its own entry, so a value in both whose entry has
+        two or more references (`_shared`) is a no-op pair, and a kept value
+        with one reference is still freed by its retire before its add misses.
+        """
+        held = old & new & self._shared
+        retire, add = old ^ held, new ^ held
+        while retire:
+            low = retire & -retire
+            self.retire_reference(low.bit_length() - 1)
+            retire ^= low
+        while add:
+            low = add & -add
+            if self.add_reference(low.bit_length() - 1):
+                held |= low
+            add ^= low
+        return held
 
     # -- queries ---------------------------------------------------------------
 
@@ -245,35 +274,24 @@ def build_codebook(ranked_mfvs, granule_bits: int, version: int = 0) -> Codebook
 def unpack_granules(data: bytes, granule_bits: int) -> np.ndarray:
     """Split payload bytes into granule values, low-order granules first."""
     b = np.frombuffer(data, dtype=np.uint8)
-    g = granule_bits
-    if g == 8:
+    if granule_bits not in (1, 2, 4, 8):
+        raise ConfigError(f"unsupported granule width {granule_bits}")
+    if granule_bits == 8:
         return b.copy()
-    if g == 4:
-        out = np.empty(2 * len(b), dtype=np.uint8)
-        out[0::2] = b & 0xF
-        out[1::2] = b >> 4
-        return out
-    if g == 2:
-        out = np.empty(4 * len(b), dtype=np.uint8)
-        for i in range(4):
-            out[i::4] = (b >> (2 * i)) & 0x3
-        return out
-    if g == 1:
-        return np.unpackbits(b, bitorder="little")
-    raise ConfigError(f"unsupported granule width {g}")
+    k = 8 // granule_bits
+    out = np.empty(k * len(b), dtype=np.uint8)
+    for i in range(k):
+        out[i::k] = (b >> (i * granule_bits)) & ((1 << granule_bits) - 1)
+    return out
 
 
 def pack_granules(values: np.ndarray, granule_bits: int) -> bytes:
     """Inverse of unpack_granules."""
     v = np.asarray(values, dtype=np.uint8)
-    g = granule_bits
-    if g == 8:
-        return v.tobytes()
-    if g == 4:
-        return (v[0::2] | (v[1::2] << 4)).astype(np.uint8).tobytes()
-    if g == 2:
-        b = v[0::4] | (v[1::4] << 2) | (v[2::4] << 4) | (v[3::4] << 6)
-        return b.astype(np.uint8).tobytes()
-    if g == 1:
-        return np.packbits(v, bitorder="little").tobytes()
-    raise ConfigError(f"unsupported granule width {g}")
+    if granule_bits not in (1, 2, 4, 8):
+        raise ConfigError(f"unsupported granule width {granule_bits}")
+    k = 8 // granule_bits
+    b = v[0::k].copy()
+    for i in range(1, k):
+        b |= v[i::k] << (i * granule_bits)
+    return b.tobytes()

@@ -7,6 +7,8 @@ exactly the last logical data written.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (ConfigError, PcmBlock, PcmConfig, WriteOutcome,
@@ -16,6 +18,7 @@ from .mfv import Codebook, MfvFinder, build_codebook, pack_granules, unpack_gran
 from .wearlevel import WearConfig, next_epoch
 
 SCHEME_IDS = ("plain", "diffwrite", "fnw", "wire")
+_PERIOD_PROBES: dict = {}  # optimal_rotation's period probes by width, then rotation_max
 
 
 def optimal_rotation(encoded: int, stored: int, width: int,
@@ -24,19 +27,37 @@ def optimal_rotation(encoded: int, stored: int, width: int,
 
     Returns (rotation, flips) for the r in [0, rotation_max] minimizing
     Hamming(rotate_right(encoded, r), stored). Ties prefer the incumbent
-    counter value (no metadata flip), then the smaller r.
+    counter value (no metadata flip), then the smaller r. If `encoded` has
+    period p, r and r mod p flip the same cells: only r < p is searched.
     """
+    try:  # two int keys hash faster than one tuple
+        shift, low, periods = _PERIOD_PROBES[width][rotation_max]
+    except KeyError:  # only divisors of width up to rotation_max can shorten the search
+        low = (1 << width) - 1
+        periods = [(p, low >> p) for p in range(1, rotation_max + 1) if width % p == 0]
+        shift = math.lcm(*(p for p, _ in periods)) % width  # each of them divides it
+        low >>= shift
+        _PERIOD_PROBES.setdefault(width, {})[rotation_max] = shift, low, periods
+    span, tie = rotation_max + 1, incumbent
+    if encoded >> shift == encoded & low:  # most words fail this one compare
+        for p, low in periods:  # p | width: period p iff encoded >> p is its low bits
+            if encoded >> p == encoded & low:
+                tie = incumbent % p if 0 <= incumbent <= rotation_max else -1
+                if p == 1:
+                    return (incumbent if tie == 0 else 0), (encoded ^ stored).bit_count()
+                span = p  # the incumbent keeps its tie preference as incumbent mod p
+                break
     mask = (1 << width) - 1
     # rotate_right(encoded, r) is the low `width` bits of `doubled >> r`
     doubled = encoded | (encoded << width)
     best_r = 0
     best_flips = width + 1
-    for r in range(rotation_max + 1):
+    for r in range(span):
         flips = (((doubled >> r) ^ stored) & mask).bit_count()
-        if flips < best_flips or (flips == best_flips and r == incumbent):
+        if flips < best_flips or (flips == best_flips and r == tie):
             best_r = r
             best_flips = flips
-    return best_r, best_flips
+    return (incumbent if best_r == tie else best_r), best_flips
 
 
 class WriteScheme:
@@ -197,7 +218,10 @@ class WireScheme(WriteScheme):
         self._built_generation = self.finder.generation
         self._enc_tables: dict[tuple[int, int], bytes] = {}
         self._dec_tables: dict[tuple[int, int], bytes] = {}
-        self._block_refs: dict[int, tuple[int, ...]] = {}
+        self._block_refs: dict[int, int] = {}  # value bitmask by logical address
+        g = cfg.granule_bits  # split payloads per granule position; g8 needs no split
+        self._split_tables = [bytes((b >> k) & ((1 << g) - 1) for b in range(256))
+                              for k in range(0, 8, g)] if g < 8 else []
         self._part_mask = (1 << cfg.partition_bits) - 1
 
     def overhead_bits_per_block(self) -> int:
@@ -244,9 +268,9 @@ class WireScheme(WriteScheme):
     def write(self, addr, block, data):
         self._check_payload(data)
         cfg = self.cfg
-        values = unpack_granules(data, cfg.granule_bits)
-        finder = self.finder
-        present = finder.observe_write(values, np.bincount(values))
+        granules = b"".join(map(data.translate, self._split_tables)) or data
+        resident = self.finder.observe_write(np.bincount(np.frombuffer(granules, np.uint8)),
+                                             lambda: unpack_granules(data, cfg.granule_bits))
 
         version = self.current_version()
         epoch, bumped = next_epoch(block, self.wear, cfg.granule_bits)
@@ -281,11 +305,8 @@ class WireScheme(WriteScheme):
         block.codebook_version = version
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
 
-        # reference bookkeeping: the previous content no longer pins its values
-        for v in self._block_refs.get(addr, ()):
-            finder.retire_reference(v)
-        refs = tuple(v for v in present if finder.add_reference(v))
-        self._block_refs[addr] = refs
+        # the previous content no longer pins its values
+        self._block_refs[addr] = self.finder.rereference(self._block_refs.get(addr, 0), resident)
         return out
 
     def read(self, addr, block):

@@ -184,3 +184,16 @@ def test_scheme_string_is_rejected_not_split_into_letters(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "schemes" in err and "JSON list of names" in err
     assert "'w'" not in err
+
+
+@pytest.mark.parametrize("blocks", [0, -3])
+def test_gen_with_no_memory_blocks_exits_2(tmp_path, capsys, blocks):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"memory_blocks": blocks}))
+    trace_path = tmp_path / "t.trace"
+    rc = main(["gen", str(trace_path), "--config", str(config), "--preset", "balanced",
+               "--events", "100"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: memory_blocks must be positive")
+    assert "Traceback" not in err and not trace_path.exists()

@@ -167,7 +167,7 @@ def replay_finder(params, seeded, writes, batched):
     for addr, vals in writes:
         if batched:
             values = np.array(vals, dtype=np.uint8)
-            f.observe_write(values, np.bincount(values))
+            f.observe_write(np.bincount(values), lambda: values)
         else:
             for v in vals:
                 f.observe(v)
@@ -188,9 +188,103 @@ def test_observe_write_matches_per_granule_observe(run):
 def test_observe_write_credits_occurrences_after_midwrite_promotion():
     f = MfvFinder(fifo_entries=2, sat_max=2)
     values = np.array([5, 5, 5, 5], dtype=np.uint8)
-    f.observe_write(values, np.bincount(values))
+    f.observe_write(np.bincount(values), lambda: values)
     assert f.is_frequent(5)
     assert f._fv_index[5].counter == 2   # promoted by the second, bumped twice
+
+
+def test_observe_write_unpacks_only_when_a_value_is_not_resident():
+    f = MfvFinder(fifo_entries=2, sat_max=2)
+    unpacked = []
+
+    def write(*vals):
+        values = np.array(vals, dtype=np.uint8)
+        return f.observe_write(np.bincount(values),
+                               lambda: unpacked.append(vals) or values)
+
+    assert write(5, 5, 3) == 1 << 5   # 5 promoted mid-write, 3 left in the FIFO
+    assert write(5, 5) == 1 << 5
+    assert unpacked == [(5, 5, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(finder_runs())
+def test_observe_write_returns_the_values_resident_at_its_end(run):
+    params, seeded, writes = run
+    f = MfvFinder(**params)
+    for v, _, _ in seeded:
+        f._install(v)
+    for _, vals in writes:
+        values = np.array(vals, dtype=np.uint8)
+        resident = f.observe_write(np.bincount(values), lambda: values)
+        assert resident == sum(1 << v for v in set(vals) if f.is_frequent(v))
+
+
+def retire_then_add(f, old, new):
+    """Reference bookkeeping as a rewrite used to do it: retire every value of
+    the old mask, then add every value of the new one."""
+    for v in range(old.bit_length()):
+        if old >> v & 1:
+            f.retire_reference(v)
+    return sum(1 << v for v in range(new.bit_length()) if new >> v & 1 and f.add_reference(v))
+
+
+def replay_rereference(fv_entries, installs, holders, steps):
+    """Drive `rereference` and `retire_then_add` side by side on equal finders;
+    returns how often each case of the old loop occurred."""
+    fast, slow = MfvFinder(fv_entries=fv_entries), MfvFinder(fv_entries=fv_entries)
+    for f in (fast, slow):
+        for v in installs:
+            f._install(v)
+    held = [fast.rereference(0, m) for m in holders]
+    assert held == [retire_then_add(slow, 0, m) for m in holders]
+    seen = dict.fromkeys(["eviction", "kept single holder", "untracked add",
+                          "retire miss"], 0)
+    for holder, new, stale, promote in steps:
+        i = holder % len(holders)
+        for f in (fast, slow):
+            for v in promote:
+                if not f.is_frequent(v):
+                    f._install(v)
+        old = held[i] if stale is None else stale
+        generation, misses = slow.generation, slow.retire_misses
+        pointers = {v: e.pointer for v, e in slow._fv_index.items()}
+        seen["kept single holder"] += sum(pointers.get(v) == 1 for v in range(6)
+                                          if (old & new) >> v & 1)
+        seen["untracked add"] += sum(v not in pointers for v in range(6) if new >> v & 1)
+        held[i] = fast.rereference(old, new)
+        assert held[i] == retire_then_add(slow, old, new)
+        assert finder_state(fast) == finder_state(slow)
+        assert fast._shared == sum(1 << v for v, e in fast._fv_index.items()
+                                   if e.pointer >= 2)
+        seen["eviction"] += slow.generation - generation
+        seen["retire miss"] += slow.retire_misses - misses
+    return seen
+
+
+mask6 = st.integers(0, 63)  # values 0-5
+
+
+@settings(max_examples=400, deadline=None)
+@given(fv_entries=st.integers(1, 4),
+       installs=st.lists(st.integers(0, 5), max_size=4, unique=True),
+       holders=st.lists(mask6, min_size=1, max_size=4),
+       steps=st.lists(st.tuples(st.integers(0, 3), mask6, st.none() | mask6,
+                                st.lists(st.integers(0, 5), max_size=2)),
+                      min_size=1, max_size=12))
+def test_rereference_equals_retire_then_add(fv_entries, installs, holders, steps):
+    replay_rereference(fv_entries, installs[:fv_entries], holders, steps)
+
+
+def test_rereference_example_covers_every_case():
+    # values 0 and 1 tracked; two holders share 0, holder 1 alone holds 1
+    seen = replay_rereference(2, [0, 1], [0b01, 0b11], [
+        (0, 0b101, None, []),  # keep 0 (shared), add 2 while untracked
+        (1, 0b11, None, []),   # keep 0 and the single-holder 1: 1 is freed, not re-added
+        (0, 0b01, 0b10, []),   # stale mask: retire of the untracked 1 misses
+        (1, 0b100, None, [2]),  # 2 promoted, then held
+    ])
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +363,10 @@ def test_pack_unpack_round_trip(g):
 def test_granule_order_is_low_nibble_first():
     values = unpack_granules(bytes([0xA3, 0x01]), 4)
     assert values.tolist() == [0x3, 0xA, 0x1, 0x0]
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+def test_unpack_matches_per_granule_shift(g):
+    data = bytes(range(256))
+    expect = [(b >> (i * g)) & ((1 << g) - 1) for b in data for i in range(8 // g)]
+    assert unpack_granules(data, g).tolist() == expect

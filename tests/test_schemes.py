@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
@@ -196,6 +196,15 @@ def test_fnw_matches_per_word_reference(case):
 # ---------------------------------------------------------------------------
 # rotation search
 
+def example_cases(cases):
+    """Pin each of `cases` as an explicit Hypothesis example."""
+    def pin(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return pin
+
+
 def test_optimal_rotation_prefers_incumbent_then_smaller():
     # two rotations tie at distance 0 is impossible; build a tie at distance 1
     # stored 0000 vs encoded 0001: every rotation gives distance 1
@@ -230,17 +239,28 @@ def test_rotation_brute_force_oracle():
 def rotation_cases(draw):
     width = draw(st.integers(4, 128))
     rmax = draw(st.one_of(st.sampled_from([0, width - 1]), st.integers(0, width - 1)))
-    # a short repeated pattern makes distinct rotations tie
-    period = draw(st.integers(1, width))
+    # a short repeated pattern makes distinct rotations tie; a period that
+    # divides the width makes the word periodic under rotation
+    divisors = [p for p in range(1, width + 1) if width % p == 0]
+    period = draw(st.one_of(st.integers(1, width), st.sampled_from(divisors)))
     pattern = draw(st.integers(0, (1 << period) - 1))
     encoded = sum(pattern << k for k in range(0, width, period)) & ((1 << width) - 1)
     stored = draw(st.one_of(st.integers(0, (1 << width) - 1), st.just(0)))
-    incumbent = draw(st.integers(0, width - 1))
+    incumbent = draw(st.integers(0, width + 2))
     return encoded, stored, width, rmax, incumbent
 
 
-@settings(max_examples=400, deadline=None)
+# lifetime-style 64-bit partitions: all-zero (period 1) and 0x1111... (period 4)
+LIFETIME_ROTATION_CASES = [
+    (encoded, stored, 64, 8, incumbent)
+    for encoded in (0, 0x1111111111111111)
+    for stored in (0, (1 << 64) - 1, 0x8888888888888888, 0x0123456789ABCDEF)
+    for incumbent in (0, 5, 9)]
+
+
+@settings(max_examples=600, deadline=None)
 @given(rotation_cases())
+@example_cases(LIFETIME_ROTATION_CASES)
 def test_rotation_matches_naive_reference(case):
     encoded, stored, width, rmax, incumbent = case
     flips = [popcount(rotate_right(encoded, r, width) ^ stored) for r in range(rmax + 1)]
