@@ -190,24 +190,34 @@ class PcmBlock:
     Wear is bit-sliced: `wear_planes[k]` holds bit k of every cell's program
     count (bit j of a plane = cell j), and `cell_writes` builds the per-cell
     count row from the planes. `wear_bound` is an upper bound on the row
-    maximum (see `program_cells`); `rot_counters`, `epoch` and
-    `codebook_version` describe how the stored image was encoded and travel
-    with the content when wear leveling relocates it.
+    maximum (see `program_cells`). `meta` holds the metadata cells as one
+    int in a layout the scheme owns, charged as metadata flips when it
+    changes; `codebook_version`, `writes_since_bump` and `refs` (`wire`'s
+    referenced-value mask) are uncharged tags. All of them describe the
+    stored image and move with it when wear leveling relocates it.
     """
 
-    __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "rot_counters",
-                 "epoch", "codebook_version", "failed", "writes_since_bump")
+    __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "meta",
+                 "codebook_version", "writes_since_bump", "refs", "failed")
 
     def __init__(self, cfg: PcmConfig):
         self.bits = 0
         self.block_bytes = cfg.block_bytes
         self.wear_planes: list[int] = []
         self.wear_bound = 0
-        self.rot_counters = [0] * cfg.partitions_per_block
-        self.epoch = 0
+        self.meta = 0
         self.codebook_version = 0
-        self.failed = False
         self.writes_since_bump = 0
+        self.refs = 0
+        self.failed = False
+
+    def take_meta(self, src: "PcmBlock", out: WriteOutcome) -> None:
+        """Copy src's metadata word, charging its flips to `out`, and its tags."""
+        out.count_meta_change(self.meta, src.meta)
+        self.meta = src.meta
+        self.codebook_version = src.codebook_version
+        self.writes_since_bump = src.writes_since_bump
+        self.refs = src.refs
 
     @property
     def cell_writes(self) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Pluggable write-encoding schemes sharing one write/read interface.
+"""Pluggable write-encoding schemes: encoders behind one write path.
 
-Each scheme decides, per logical write, which physical cells to program and
-what metadata changes to charge. All schemes guarantee that a read returns
-exactly the last logical data written.
+A scheme is an encoder. `encode(block, data)` returns the physical bits to
+store and the block's new metadata word (`PcmBlock.meta`, in a layout the
+scheme owns), and `read(block)` decodes the stored image. `WriteScheme.write`
+is the one write path: it programs the bits, charges the metadata word's
+flips and stores it. All schemes guarantee that a read returns exactly the
+last logical data written.
 """
 
 from __future__ import annotations
@@ -61,39 +64,43 @@ def optimal_rotation(encoded: int, stored: int, width: int,
 
 
 class WriteScheme:
-    """Base write scheme; subclasses encode data and program blocks."""
+    """Base write scheme; subclasses implement `encode` and `read`."""
 
     scheme_id = "base"
+    programs_all = False  # program every cell on a write, not only changed ones
 
     def __init__(self, cfg: PcmConfig):
         self.cfg = cfg
 
-    def write(self, addr: int, block: PcmBlock, data: bytes) -> WriteOutcome:
-        raise NotImplementedError
-
-    def read(self, addr: int, block: PcmBlock) -> bytes:
-        raise NotImplementedError
-
-    def overhead_bits_per_block(self) -> int:
-        return 0
-
-    def _check_payload(self, data: bytes) -> None:
+    def write(self, block: PcmBlock, data: bytes) -> WriteOutcome:
+        """Encode, program the data cells, then charge and store the metadata word."""
         if len(data) != self.cfg.block_bytes:
             raise ConfigError(
                 f"payload must be {self.cfg.block_bytes} bytes, got {len(data)}")
+        bits, meta = self.encode(block, data)
+        program = program_all_cells if self.programs_all else program_cells
+        out = program(block, bits, self.cfg)
+        if meta != block.meta:
+            out.count_meta_change(block.meta, meta)
+            block.meta = meta
+        return out
+
+    def encode(self, block: PcmBlock, data: bytes) -> tuple[int, int]:
+        """(physical bits, metadata word) to store; may set the block's uncharged tags."""
+        return int.from_bytes(data, "little"), 0  # the identity encoder
+
+    def read(self, block: PcmBlock) -> bytes:
+        return bits_to_bytes(block.bits, self.cfg.block_bytes)
+
+    def overhead_bits_per_block(self) -> int:
+        return 0
 
 
 class PlainScheme(WriteScheme):
     """Conventional PCM write: every cell is programmed on every write."""
 
     scheme_id = "plain"
-
-    def write(self, addr, block, data):
-        self._check_payload(data)
-        return program_all_cells(block, bytes_to_bits(data), self.cfg)
-
-    def read(self, addr, block):
-        return bits_to_bytes(block.bits, self.cfg.block_bytes)
+    programs_all = True
 
 
 class DiffScheme(WriteScheme):
@@ -101,20 +108,13 @@ class DiffScheme(WriteScheme):
 
     scheme_id = "diffwrite"
 
-    def write(self, addr, block, data):
-        self._check_payload(data)
-        return program_cells(block, bytes_to_bits(data), self.cfg)
-
-    def read(self, addr, block):
-        return bits_to_bytes(block.bits, self.cfg.block_bytes)
-
 
 class FnwScheme(WriteScheme):
     """Flip-word encoding: per word, store the data or its complement.
 
     One flip bit per word records the choice; a word is inverted when that
     makes the total of data-cell flips plus the flip-bit flip cheaper, ties
-    keeping the current flip bit. Flip-bit wear is charged as metadata.
+    keeping the current flip bit. Flip-bit flips are charged as metadata.
 
     Decision rule. For a W-bit word with c cells differing from the data and
     flip bit f, storing the data costs c + f flips and storing the complement
@@ -129,10 +129,10 @@ class FnwScheme(WriteScheme):
     smallest power of two above W + 1, so bit k of the sum is the decision;
     the sum needs k + 1 bits, so each word's lane is widened over the next
     m - 1 words, m = ceil((k + 1) / W), and the words are decided in m passes
-    of every m-th word (m = 1 for W >= 4). `_flip_bits` keeps each block's
-    flip bits in this lane form: word i's flip bit is bit i * W, the lowest
-    cell of the word, so the decision reads them as they are and its result
-    is stored as it is.
+    of every m-th word (m = 1 for W >= 4). The block's metadata word holds
+    its flip bits in this lane form: word i's flip bit is bit i * W, the
+    lowest cell of the word, so the decision reads them as they are and its
+    result is stored as it is.
     """
 
     scheme_id = "fnw"
@@ -144,7 +144,6 @@ class FnwScheme(WriteScheme):
         self.word_bits = w = word_bits
         self.words = n = cfg.block_bits // w
         self._word_mask = (1 << w) - 1
-        self._flip_bits: dict[int, int] = {}  # lane form, by logical address
 
         lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
         # SWAR popcount steps: add fields [p, p+f) and [p+f, p+2f), cut at the word end
@@ -169,10 +168,9 @@ class FnwScheme(WriteScheme):
     def overhead_bits_per_block(self) -> int:
         return self.words
 
-    def write(self, addr, block, data):
-        self._check_payload(data)
+    def encode(self, block, data):
         logical = bytes_to_bits(data)
-        flips = self._flip_bits.get(addr, 0)
+        flips = block.meta
         c = block.bits ^ logical
         for f, lo, hi in self._popcount_steps:
             c = (c & lo) + ((c & hi) >> f)
@@ -181,14 +179,10 @@ class FnwScheme(WriteScheme):
         for pass_words, pass_lanes, bias in self._passes:
             invert |= ((((c & pass_words) << 1) + 3 * (flips & pass_lanes) + bias)
                        >> k) & pass_lanes
-        out = program_cells(block, logical ^ invert * self._word_mask, self.cfg)
-        out.count_meta_change(flips, invert)
-        self._flip_bits[addr] = invert
-        return out
+        return logical ^ invert * self._word_mask, invert
 
-    def read(self, addr, block):
-        flips = self._flip_bits.get(addr, 0)
-        return bits_to_bytes(block.bits ^ flips * self._word_mask, self.cfg.block_bytes)
+    def read(self, block):
+        return bits_to_bytes(block.bits ^ block.meta * self._word_mask, self.cfg.block_bytes)
 
 
 class WireScheme(WriteScheme):
@@ -196,13 +190,14 @@ class WireScheme(WriteScheme):
 
     Writes feed granules to the frequent-value finder, encode them through
     the current codebook version (bit-rotated by the block's wear epoch),
-    then rotate each partition to best match the stored cells. Rotation
-    counters live in separate metadata lines, which the simulation reaches
-    through its metadata cache; blocks record the codebook version and epoch
-    they were encoded with so older content stays decodable after the
-    ranking evolves. Encoding and
-    decoding are one `bytes.translate` each, through 256-byte tables cached
-    per (version, epoch).
+    then rotate each partition to best match the stored cells. The block's
+    metadata word holds partition i's rotation counter at bit
+    i * counter_bits and the epoch above the counters, so its flips are the
+    counters' and the epoch's; the simulation reaches it through its
+    metadata cache. Blocks also record the codebook version they were
+    encoded with so older content stays decodable after the ranking
+    evolves. Encoding and decoding are one `bytes.translate` each, through
+    256-byte tables cached per (version, epoch).
     """
 
     scheme_id = "wire"
@@ -218,11 +213,15 @@ class WireScheme(WriteScheme):
         self._built_generation = self.finder.generation
         self._enc_tables: dict[tuple[int, int], bytes] = {}
         self._dec_tables: dict[tuple[int, int], bytes] = {}
-        self._block_refs: dict[int, int] = {}  # value bitmask by logical address
         g = cfg.granule_bits  # split payloads per granule position; g8 needs no split
         self._split_tables = [bytes((b >> k) & ((1 << g) - 1) for b in range(256))
                               for k in range(0, 8, g)] if g < 8 else []
         self._part_mask = (1 << cfg.partition_bits) - 1
+        self._counter_mask = (1 << cfg.counter_bits) - 1
+        self._epoch_shift = cfg.counter_bits * cfg.partitions_per_block
+        # (partition shift in the data bits, counter shift in the metadata word)
+        self._fields = [(i * cfg.partition_bits, i * cfg.counter_bits)
+                        for i in range(cfg.partitions_per_block)]
 
     def overhead_bits_per_block(self) -> int:
         return self.cfg.counter_bits * self.cfg.partitions_per_block
@@ -265,64 +264,54 @@ class WireScheme(WriteScheme):
 
     # -- write/read paths ------------------------------------------------------
 
-    def write(self, addr, block, data):
-        self._check_payload(data)
+    def encode(self, block, data):
         cfg = self.cfg
         granules = b"".join(map(data.translate, self._split_tables)) or data
         resident = self.finder.observe_write(np.bincount(np.frombuffer(granules, np.uint8)),
                                              lambda: unpack_granules(data, cfg.granule_bits))
 
         version = self.current_version()
-        epoch, bumped = next_epoch(block, self.wear, cfg.granule_bits)
+        meta = block.meta
+        epoch, bumped = next_epoch(meta >> self._epoch_shift, block.writes_since_bump,
+                                   self.wear, cfg.granule_bits)
         encoded = bytes_to_bits(data.translate(self._enc_table(version, epoch)))
 
         width = cfg.partition_bits
         part_mask = self._part_mask
-        counter_bits = cfg.counter_bits
+        counter_mask = self._counter_mask
         stored_bits = block.bits
-        new_phys = 0
-        new_counters = []
-        # counters packed side by side: the flips of the packed field are the
-        # sum of the flips of each counter
-        old_packed = new_packed = 0
-        for i, old_r in enumerate(block.rot_counters):
-            shift = i * width
+        phys = 0
+        new_meta = epoch << self._epoch_shift
+        for shift, counter_shift in self._fields:
             part = (encoded >> shift) & part_mask
             r, _ = optimal_rotation(part, (stored_bits >> shift) & part_mask, width,
-                                    cfg.rotation_max, old_r)
+                                    cfg.rotation_max, (meta >> counter_shift) & counter_mask)
             if r:
                 part = ((part >> r) | (part << (width - r))) & part_mask
-            new_phys |= part << shift
-            new_counters.append(r)
-            old_packed |= old_r << (i * counter_bits)
-            new_packed |= r << (i * counter_bits)
+            phys |= part << shift
+            new_meta |= r << counter_shift
 
-        out = program_cells(block, new_phys, cfg)
-        out.count_meta_change(old_packed, new_packed)
-        out.count_meta_change(block.epoch, epoch)
-        block.rot_counters = new_counters
-        block.epoch = epoch
         block.codebook_version = version
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
-
         # the previous content no longer pins its values
-        self._block_refs[addr] = self.finder.rereference(self._block_refs.get(addr, 0), resident)
-        return out
+        block.refs = self.finder.rereference(block.refs, resident)
+        return phys, new_meta
 
-    def read(self, addr, block):
+    def read(self, block):
         cfg = self.cfg
         width = cfg.partition_bits
         part_mask = self._part_mask
-        bits = block.bits
+        counter_mask = self._counter_mask
+        bits, meta = block.bits, block.meta
         image = 0
-        for i, r in enumerate(block.rot_counters):
-            shift = i * width
+        for shift, counter_shift in self._fields:
             stored = (bits >> shift) & part_mask
+            r = (meta >> counter_shift) & counter_mask
             if r:
                 stored = ((stored << r) | (stored >> (width - r))) & part_mask
             image |= stored << shift
         return bits_to_bytes(image, cfg.block_bytes).translate(
-            self._dec_table(block.codebook_version, block.epoch))
+            self._dec_table(block.codebook_version, meta >> self._epoch_shift))
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,

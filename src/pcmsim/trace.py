@@ -51,7 +51,7 @@ def parse_trace(stream: Iterable[str], block_bytes: int = 64) -> list[TraceEvent
                 ev = None
         except ValueError:
             ev = None
-        if ev is None:
+        if ev is None or not 0 <= ev.addr < 1 << 64:  # addresses are 64-bit
             raise TraceFormatError(f"line {lineno}: malformed trace line {line!r}")
         if ev.payload is not None and len(ev.payload) != block_bytes:
             raise TraceFormatError(

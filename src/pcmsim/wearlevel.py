@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConfigError, PcmBlock, PcmMemory, WriteOutcome, program_all_cells
+from .core import ConfigError, PcmMemory, WriteOutcome, program_all_cells
 
 
 @dataclass
@@ -25,17 +25,18 @@ class WearConfig:
             raise ConfigError("wear-leveling periods must be positive")
 
 
-def next_epoch(block: PcmBlock, wear: WearConfig | None, granule_bits: int) -> tuple[int, bool]:
-    """Epoch to encode the next write with; bumps once enough writes accrued.
+def next_epoch(epoch: int, writes_since_bump: int, wear: WearConfig | None,
+               granule_bits: int) -> tuple[int, bool]:
+    """Epoch to encode a block's next write with; bumps once enough writes accrued.
 
     The bump is deferred: nothing is rewritten eagerly, the new epoch simply
     applies to the next freshly encoded image.
     """
     if wear is None or not wear.enabled:
-        return block.epoch, False
-    if block.writes_since_bump >= wear.epoch_writes:
-        return (block.epoch + 1) % granule_bits, True
-    return block.epoch, False
+        return epoch, False
+    if writes_since_bump >= wear.epoch_writes:
+        return (epoch + 1) % granule_bits, True
+    return epoch, False
 
 
 class StartGapLeveler:
@@ -52,7 +53,6 @@ class StartGapLeveler:
         self.start = 0
         self.gap = num_blocks  # physical index of the spare block
         self.writes = 0
-        self.remap_moves = 0
 
     def map(self, logical: int) -> int:
         x = (logical + self.start) % self.n
@@ -83,19 +83,11 @@ class StartGapLeveler:
         out = WriteOutcome()
         if not dest.failed:
             out = program_all_cells(dest, src.bits, memory.cfg)
-        # metadata moves with the content
-        for old, new in zip(dest.rot_counters, src.rot_counters):
-            out.count_meta_change(old, new)
-        out.count_meta_change(dest.epoch, src.epoch)
-        dest.rot_counters = list(src.rot_counters)
-        dest.epoch = src.epoch
-        dest.codebook_version = src.codebook_version
-        dest.writes_since_bump = src.writes_since_bump
+        dest.take_meta(src, out)  # metadata moves with the content
 
         self.gap = src_i
         if wrapped:
             self.start = (self.start + 1) % self.n
-        self.remap_moves += 1
         if dest.failed:
             memory.kill_page(self.inverse(dest_i))
         return out

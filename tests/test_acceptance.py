@@ -42,9 +42,10 @@ def rot_right(x, r, w):
 def _random_block_state(rng, cfg, scheme=None, n_versions=1):
     block = PcmBlock(cfg)
     block.bits = rng.getrandbits(cfg.block_bits)
-    block.rot_counters = [rng.randint(0, cfg.rotation_max)
-                          for _ in range(cfg.partitions_per_block)]
-    block.epoch = rng.randrange(cfg.granule_bits)
+    # `wire`'s metadata word: rotation counters counter_bits apart, epoch above
+    counters = [rng.randint(0, cfg.rotation_max) for _ in range(cfg.partitions_per_block)]
+    block.meta = sum(r << (i * cfg.counter_bits) for i, r in enumerate(counters))
+    block.meta |= rng.randrange(cfg.granule_bits) << (cfg.counter_bits * len(counters))
     block.codebook_version = rng.randrange(n_versions)
     return block
 
@@ -69,11 +70,11 @@ def test_criterion_1_round_trip_fidelity():
     for _ in range(n):
         block = _random_block_state(rng, cfg)
         flags = rng.getrandbits(fnw.words)
-        fnw._flip_bits[0] = sum(((flags >> i) & 1) << (i * fnw.word_bits)
-                                for i in range(fnw.words))
+        block.meta = sum(((flags >> i) & 1) << (i * fnw.word_bits)
+                         for i in range(fnw.words))
         payload = rng.randbytes(64)
-        fnw.write(0, block, payload)
-        if fnw.read(0, block) != payload:
+        fnw.write(block, payload)
+        if fnw.read(block) != payload:
             ok = False
             break
 
@@ -88,8 +89,8 @@ def test_criterion_1_round_trip_fidelity():
         scheme = wires[rng.randrange(8)]
         block = _random_block_state(rng, cfg, n_versions=2)
         payload = rng.randbytes(64)
-        scheme.write(0, block, payload)
-        if scheme.read(0, block) != payload:
+        scheme.write(block, payload)
+        if scheme.read(block) != payload:
             ok = False
             break
 
@@ -132,8 +133,8 @@ def test_criterion_3_fnw_exhaustive_bound():
                 scheme = FnwScheme(cfg, word_bits=4)
                 block = PcmBlock(cfg)
                 block.bits = phys
-                scheme._flip_bits[0] = flip
-                out = scheme.write(0, block, bytes([data]))
+                block.meta = flip
+                out = scheme.write(block, bytes([data]))
                 total = out.flips + out.meta_flips
                 best = min(hamming(phys, data) + (flip != 0),
                            hamming(phys, data ^ 0xF) + (flip != 1))
@@ -155,10 +156,11 @@ def test_criterion_4_rotation_conformance():
     scheme = WireScheme(cfg, freeze_codebook=True)
     block = PcmBlock(cfg)
     block.bits = 0b1000
-    out = scheme.write(0, block, pack_granules([0b0010] + [0] * 7, 4))
-    ok = ok and out.flips == 0 and block.rot_counters[0] == 2
+    out = scheme.write(block, pack_granules([0b0010] + [0] * 7, 4))
+    r = block.meta & ((1 << cfg.counter_bits) - 1)  # partition 0's counter
+    ok = ok and out.flips == 0 and r == 2
     check(4, "stored 1000 reaches encoded 0010 with a 2-bit rotation, 0 flips",
-          ok, f"r={block.rot_counters[0]}, data flips={out.flips}")
+          ok, f"r={r}, data flips={out.flips}")
 
 
 # ---------------------------------------------------------------------------

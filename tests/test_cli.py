@@ -126,6 +126,14 @@ def test_main_cli_rejects_bad_trace(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_cli_rejects_address_outside_64_bits(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_text(f"R 0\nW -1 {'00' * 64}\n")
+    rc = main(["run", "--trace", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_main_cli_rejects_wire_rotation_max(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"wire": {"rotation_max": 4}}))

@@ -84,11 +84,11 @@ def test_fnw_examples(phys, flip, data, expect_data, expect_meta):
     scheme = FnwScheme(cfg, word_bits=4)
     block = PcmBlock(cfg)
     block.bits = phys            # low word; high word stays zero
-    scheme._flip_bits[0] = flip
-    out = scheme.write(0, block, bytes([data]))
+    block.meta = flip
+    out = scheme.write(block, bytes([data]))
     assert out.flips == expect_data
     assert out.meta_flips == expect_meta
-    assert scheme.read(0, block) == bytes([data])
+    assert scheme.read(block) == bytes([data])
 
 
 def test_fnw_exhaustive_true_minimum_and_bound():
@@ -101,14 +101,14 @@ def test_fnw_exhaustive_true_minimum_and_bound():
                 scheme = FnwScheme(cfg, word_bits=4)
                 block = PcmBlock(cfg)
                 block.bits = phys
-                scheme._flip_bits[0] = flip << 0
-                out = scheme.write(0, block, bytes([data]))
+                block.meta = flip << 0
+                out = scheme.write(block, bytes([data]))
                 cost_direct = hamming(phys, data) + (flip != 0)
                 cost_invert = hamming(phys, data ^ 0xF) + (flip != 1)
                 total = out.flips + out.meta_flips
                 assert total == min(cost_direct, cost_invert)
                 assert total <= 3
-                assert scheme.read(0, block) == bytes([data])
+                assert scheme.read(block) == bytes([data])
 
 
 def test_fnw_data_flips_never_exceed_diffwrite_on_shared_trace():
@@ -175,21 +175,21 @@ def test_fnw_matches_per_word_reference(case):
     scheme = FnwScheme(cfg, word_bits=word_bits)
     block = PcmBlock(cfg)
     block.bits = stored
-    scheme._flip_bits[0] = flips
+    block.meta = flips
     for data in payloads:
         logical = int.from_bytes(data, "little")
         new_bits, new_flips = _fnw_loop_reference(block.bits, flips, logical,
                                                   word_bits, scheme.words)
         diff = block.bits ^ new_bits
         meta_diff = flips ^ new_flips
-        out = scheme.write(0, block, data)
+        out = scheme.write(block, data)
         assert block.bits == new_bits
-        assert scheme._flip_bits[0] == new_flips
+        assert block.meta == new_flips
         assert (out.flips_set, out.flips_reset) == (
             popcount(diff & new_bits), popcount(diff & ~new_bits))
         assert (out.meta_flips_set, out.meta_flips_reset) == (
             popcount(meta_diff & new_flips), popcount(meta_diff & ~new_flips))
-        assert scheme.read(0, block) == data
+        assert scheme.read(block) == data
         flips = new_flips
 
 
@@ -295,10 +295,10 @@ def test_wire_rotation_conformance_small_partition():
     block = PcmBlock(cfg)
     block.bits = 0b1000
     payload = pack_granules([0b0010] + [0] * 7, 4)
-    out = scheme.write(0, block, payload)
+    out = scheme.write(block, payload)
     assert out.flips == 0
-    assert block.rot_counters[0] == 2
-    assert scheme.read(0, block) == payload
+    assert block.meta & ((1 << cfg.counter_bits) - 1) == 2  # partition 0's counter
+    assert scheme.read(block) == payload
 
 
 def test_wire_identity_write_costs_nothing():
@@ -329,7 +329,7 @@ def test_wire_per_partition_flips_match_brute_force():
             s = (block.bits >> (i * width)) & mask
             expect += min(hamming(rot_right(e, k, width), s)
                           for k in range(cfg.rotation_max + 1))
-        out = scheme.write(0, block, payload)
+        out = scheme.write(block, payload)
         assert out.flips == expect
 
 

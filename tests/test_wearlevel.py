@@ -1,11 +1,23 @@
 import random
 
+import pytest
+
 from pcmsim import (PcmConfig, PcmMemory, Simulation, StartGapLeveler,
                     WearConfig, pack_granules)
-from pcmsim.core import rotate_left, rotate_right
+from pcmsim.core import popcount, rotate_left, rotate_right
 
 # An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
 # tables); decoding rotates them back right.
+
+
+def wire_fields(meta, cfg=PcmConfig()):
+    """`wire`'s metadata word split into its rotation counters, then the epoch."""
+    cb, n = cfg.counter_bits, cfg.partitions_per_block
+    return [(meta >> (i * cb)) & ((1 << cb) - 1) for i in range(n)] + [meta >> (cb * n)]
+
+
+def epoch(block):
+    return wire_fields(block.meta)[-1]
 
 
 def test_epoch_zero_is_identity():
@@ -36,11 +48,11 @@ def test_epoch_bump_cadence():
     payload = bytes(64)
     block = sim.memory.blocks[sim.leveler.map(0)]
     sim.write(0, payload)
-    assert block.epoch == 0
+    assert epoch(block) == 0
     sim.write(0, payload)
-    assert block.epoch == 0
+    assert epoch(block) == 0
     sim.write(0, payload)   # third write runs at the bumped epoch
-    assert block.epoch == 1
+    assert epoch(block) == 1
 
 
 def test_epoch_wraps_after_granule_bits_bumps():
@@ -50,7 +62,7 @@ def test_epoch_wraps_after_granule_bits_bumps():
     seen = []
     for _ in range(5):
         sim.write(0, payload)
-        seen.append(sim.memory.blocks[sim.leveler.map(0)].epoch)
+        seen.append(epoch(sim.memory.blocks[sim.leveler.map(0)]))
     assert seen == [0, 1, 2, 3, 0]
 
 
@@ -58,7 +70,7 @@ def test_disabled_wear_keeps_epoch_zero():
     sim = Simulation("wire", 1)
     for _ in range(600):
         sim.write(0, bytes(64))
-    assert sim.memory.blocks[0].epoch == 0
+    assert epoch(sim.memory.blocks[0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +124,7 @@ def test_remap_copy_wears_the_destination():
 def test_read_after_write_survives_bumps_and_remaps():
     rng = random.Random(47)
     wear = WearConfig(enabled=True, epoch_writes=3, remap_period=7)
-    for scheme_id in ("wire", "fnw", "diffwrite"):
+    for scheme_id in ("wire", "fnw", "diffwrite", "plain"):
         sim = Simulation(scheme_id, 5, wear=wear)
         stored = {}
         for _ in range(300):
@@ -126,6 +138,49 @@ def test_read_after_write_survives_bumps_and_remaps():
                 assert sim.read(check) == stored[check]
         for addr, payload in stored.items():
             assert sim.read(addr) == payload
+
+
+@pytest.mark.parametrize("scheme_id", ["plain", "diffwrite", "wire"])
+def test_start_gap_copy_charges_the_metadata_word(scheme_id):
+    # a gap step after every second write; the copy charges the flips between
+    # the two blocks' metadata words: `wire`'s counters and epoch, summed
+    # field by field, and nothing for the schemes that keep no metadata
+    rng = random.Random(59)
+    sim = Simulation(scheme_id, 2, PcmConfig(page_bytes=64),
+                     WearConfig(enabled=True, epoch_writes=1, remap_period=2))
+    charged = 0
+    for i in range(60):
+        gap = sim.leveler.gap
+        old_dest = sim.memory.blocks[gap].meta
+        before = sim.totals.meta_flips
+        vals = [rng.choice([0, 0, 0xF, rng.randrange(16)]) for _ in range(128)]
+        out = sim.write(i % 2, pack_granules(vals, 4))
+        step_charge = sim.totals.meta_flips - before - out.meta_flips
+        if i % 2 == 0:  # no step after an odd number of writes
+            assert step_charge == 0
+            continue
+        dest = sim.memory.blocks[gap]
+        assert dest.meta == sim.memory.blocks[sim.leveler.gap].meta  # moved with the content
+        assert step_charge == sum(popcount(a ^ b) for a, b in
+                                  zip(wire_fields(old_dest), wire_fields(dest.meta)))
+        charged += step_charge
+    assert (charged > 0) == (scheme_id == "wire")
+
+
+def test_start_gap_copy_moves_fnw_flip_bits_uncharged():
+    # the one documented exception: FNW flip bits move with the content but
+    # the copy charges none of their flips
+    sim = Simulation("fnw", 2, PcmConfig(page_bytes=64),
+                     WearConfig(enabled=True, remap_period=2))
+    ones = b"\xff" * 64
+    sim.write(0, bytes(64))
+    out = sim.write(1, ones)  # stored as inverted zeros; the gap step copies it
+    lanes = sum(1 << (i * 16) for i in range(32))
+    assert out.meta_flips == 32
+    assert sim.memory.blocks[1].meta == sim.memory.blocks[2].meta == lanes
+    assert sim.leveler.map(1) == 2
+    assert sim.totals.meta_flips == 32
+    assert sim.read(1) == ones
 
 
 def test_epoch_rotation_spreads_hot_bit_wear():
