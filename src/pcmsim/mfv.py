@@ -47,7 +47,11 @@ class MfvFinder:
         self.fifo_entries = fifo_entries
         self.sat_max = sat_max
         self.replace_threshold = replace_threshold
-        self.fifo: list[FifoEntry] = []
+        # FIFO entry k: _fifo_values[k], counter max(0, _fifo_expiry[k] - _misses)
+        self._fifo_values: list[int] = []
+        self._fifo_expiry: list[int] = []
+        self._fifo_slot: dict[int, int] = {}  # value -> k
+        self._misses = 0
         self.fv: list[FvEntry] = [FvEntry() for _ in range(fv_entries)]
         self._fv_index: dict[int, FvEntry] = {}
         self.generation = 0
@@ -56,13 +60,19 @@ class MfvFinder:
 
     # -- observation ---------------------------------------------------------
 
+    @property
+    def fifo(self) -> list[FifoEntry]:
+        """The FIFO filter in order, with each entry's current saturation counter."""
+        return [FifoEntry(v, max(0, e - self._misses))
+                for v, e in zip(self._fifo_values, self._fifo_expiry)]
+
     def observe(self, value: int) -> int | None:
         """Feed one granule value; returns the value if promoted into the FV table.
 
         FV-resident values just bump their access counter. A FIFO hit bumps
         the saturation counter and promotes at saturation if a Gap line is
-        free; a miss decrements every counter and replaces the first entry
-        below the threshold (or drops the value if none qualifies).
+        free; a miss decrements every counter, by counting one more miss, and
+        replaces the first entry below the threshold (or drops the value).
         """
         entry = self._fv_index.get(value)
         if entry is not None:
@@ -70,36 +80,38 @@ class MfvFinder:
                 entry.counter += 1
             return None
 
-        for i, f in enumerate(self.fifo):
-            if f.value == value:
-                if f.sat_counter < self.sat_max:
-                    f.sat_counter += 1
-                if f.sat_counter >= self.sat_max and self._install(value):
-                    del self.fifo[i]
-                    return value
-                return None
+        misses, expiry = self._misses, self._fifo_expiry
+        k = self._fifo_slot.get(value)
+        if k is not None:
+            sat = expiry[k] - misses
+            if sat < self.sat_max:
+                sat = max(sat, 0) + 1
+                expiry[k] = misses + sat
+            if sat >= self.sat_max and self._install(value):
+                del self._fifo_values[k], expiry[k]
+                self._fifo_slot = {v: i for i, v in enumerate(self._fifo_values)}
+                return value
+            return None
 
-        # miss: decay every candidate, then try to place the newcomer
-        for f in self.fifo:
-            if f.sat_counter > 0:
-                f.sat_counter -= 1
-        if len(self.fifo) < self.fifo_entries:
-            self.fifo.append(FifoEntry(value))
-        else:
-            for f in self.fifo:
-                if f.sat_counter < self.replace_threshold:
-                    f.value = value
-                    f.sat_counter = 1
+        self._misses = misses = misses + 1
+        values, slot = self._fifo_values, self._fifo_slot
+        if len(values) < self.fifo_entries:
+            slot[value] = len(values)
+            values.append(value)
+            expiry.append(misses + 1)
+        elif self.replace_threshold:  # counter max(0, e - misses) < threshold
+            limit = misses + self.replace_threshold
+            for k, e in enumerate(expiry):
+                if e < limit:
+                    del slot[values[k]]
+                    slot[value], values[k], expiry[k] = k, value, misses + 1
                     break
         return None
 
-    def observe_write(self, counts: np.ndarray, granules) -> int:
-        """Feed one write's granules; same end state as `observe` on each in order.
-
-        `counts` is the write's `np.bincount` (any minlength); `granules()`
-        gives its granule values in write order and is called only if some
-        value is not FV-resident. Returns the write's values resident at its
-        end, bit v for value v. A value that is FV-resident when the write
+    def observe_write(self, granules: bytes) -> int:
+        """Feed one write's granules, a byte each in write order; same end state
+        as `observe` on each in order. Returns the write's values resident at
+        its end, bit v for value v. A value that is FV-resident when the write
         starts gets all its occurrences in one saturating counter update; only
         the other values go through `observe`, in order.
 
@@ -111,23 +123,20 @@ class MfvFinder:
         call. A value promoted partway through the write is not in the
         resident set; `observe` itself credits its later occurrences.
         """
-        index = self._fv_index
-        late, resident = set(), 0
-        counts_list = counts.tolist()
-        for v in counts.nonzero()[0].tolist():
-            entry = index.get(v)
-            if entry is None:
-                late.add(v)
-            else:
-                c = entry.counter + counts_list[v]
+        index, count = self._fv_index, granules.count
+        resident = 0
+        for v, entry in index.items():
+            n = count(v)
+            if n:
+                c = entry.counter + n
                 entry.counter = c if c < FV_COUNTER_MAX else FV_COUNTER_MAX
                 resident |= 1 << v
+        late = granules.translate(None, bytes(index))
         if late:
             observe = self.observe
-            for v in granules().tolist():
-                if v in late:
-                    observe(v)
-            resident |= sum(1 << v for v in late if v in index)
+            for v in late:
+                if observe(v) is not None:  # promoted, so resident to the end
+                    resident |= 1 << v
         return resident
 
     def _install(self, value: int) -> bool:

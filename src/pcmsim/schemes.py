@@ -10,6 +10,7 @@ last logical data written.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,46 +22,93 @@ from .mfv import Codebook, MfvFinder, build_codebook, pack_granules, unpack_gran
 from .wearlevel import WearConfig, next_epoch
 
 SCHEME_IDS = ("plain", "diffwrite", "fnw", "wire")
-_PERIOD_PROBES: dict = {}  # optimal_rotation's period probes by width, then rotation_max
 
 
-def optimal_rotation(encoded: int, stored: int, width: int,
-                     rotation_max: int, incumbent: int) -> tuple[int, int]:
-    """Exhaustively pick the rotation minimizing flips against the stored bits.
+def _popcount_steps(width: int, lanes: int) -> list[tuple[int, int, int]]:
+    """SWAR popcount of the `width`-bit lanes at the set bits of `lanes`: each
+    step c = (c & lo) + ((c & hi) >> f) adds fields [p, p+f) and [p+f, p+2f)
+    cut at the lane end, so the last leaves each lane's count in its low bits."""
+    steps = []
+    f = 1
+    while f < width:
+        lo = hi = 0
+        for p in range(0, width, 2 * f):
+            lo |= ((1 << min(f, width - p)) - 1) << p
+            if p + f < width:
+                hi |= ((1 << min(f, width - p - f)) - 1) << (p + f)
+        steps.append((f, lo * lanes, hi * lanes))
+        f *= 2
+    return steps
 
-    Returns (rotation, flips) for the r in [0, rotation_max] minimizing
-    Hamming(rotate_right(encoded, r), stored). Ties prefer the incumbent
-    counter value (no metadata flip), then the smaller r. If `encoded` has
-    period p, r and r mod p flip the same cells: only r < p is searched.
+
+@functools.lru_cache(maxsize=64)
+def _rotation_plan(width: int, rotation_max: int, partitions: int, counter_bits: int):
+    """Masks of `optimal_rotation` for one block geometry."""
+    lanes = sum(1 << (i * width) for i in range(partitions))
+    # lane-wise rotate_right(x, r) = ((x >> r) & low) | ((x << (width - r)) & high)
+    rotations = [(r, lanes * ((1 << (width - r)) - 1), width - r,
+                  lanes * (((1 << r) - 1) << (width - r))) for r in range(rotation_max + 1)]
+    # period p | width iff x >> p is x's low bits; each p divides the lcm probe
+    periods = [(p, lanes * ((1 << (width - p)) - 1))
+               for p in range(1, rotation_max + 1) if width % p == 0]
+    lcm = math.lcm(*(p for p, _ in periods)) % width
+    steps = _popcount_steps(width, lanes * sum(1 << (r * width * partitions)
+                                               for r in range(rotation_max + 1)))
+    fields = [(i * counter_bits, ((1 << width) - 1) << (i * width), slice(i, None, partitions))
+              for i in range(partitions)]
+    return (rotations, (lcm, lanes * ((1 << (width - lcm)) - 1)), periods, steps, fields,
+            (1 << counter_bits) - 1 if counter_bits else -1)
+
+
+def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
+                     incumbent: int, partitions: int | None = None,
+                     counter_bits: int = 0) -> tuple[int, ...]:
+    """Exhaustively pick each partition's rotation minimizing flips against the stored bits.
+
+    A partition's rotation is the r in [0, rotation_max] minimizing
+    Hamming(rotate_right(its encoded bits, r), its stored bits); ties prefer
+    its incumbent counter value (no metadata flip), then the smaller r.
+    Without `partitions` the call is for one partition and returns (r, flips).
+    With it, partition i sits at bit i * width and its incumbent is the
+    `counter_bits`-bit field at bit i * counter_bits of `incumbent`; the call
+    returns (rotations, flips, rotated): the rotations in that layout, their
+    total flips and the rotated partitions.
+
+    The rotated copies of the block, XORed with the stored bits, are
+    concatenated and every (copy, partition) lane popcounted at once. If every
+    partition has period p, r and r mod p flip the same cells: only r < p is
+    searched.
     """
-    try:  # two int keys hash faster than one tuple
-        shift, low, periods = _PERIOD_PROBES[width][rotation_max]
-    except KeyError:  # only divisors of width up to rotation_max can shorten the search
-        low = (1 << width) - 1
-        periods = [(p, low >> p) for p in range(1, rotation_max + 1) if width % p == 0]
-        shift = math.lcm(*(p for p, _ in periods)) % width  # each of them divides it
-        low >>= shift
-        _PERIOD_PROBES.setdefault(width, {})[rotation_max] = shift, low, periods
-    span, tie = rotation_max + 1, incumbent
-    if encoded >> shift == encoded & low:  # most words fail this one compare
-        for p, low in periods:  # p | width: period p iff encoded >> p is its low bits
-            if encoded >> p == encoded & low:
-                tie = incumbent % p if 0 <= incumbent <= rotation_max else -1
-                if p == 1:
-                    return (incumbent if tie == 0 else 0), (encoded ^ stored).bit_count()
-                span = p  # the incumbent keeps its tie preference as incumbent mod p
-                break
-    mask = (1 << width) - 1
-    # rotate_right(encoded, r) is the low `width` bits of `doubled >> r`
-    doubled = encoded | (encoded << width)
-    best_r = 0
-    best_flips = width + 1
-    for r in range(span):
-        flips = (((doubled >> r) ^ stored) & mask).bit_count()
-        if flips < best_flips or (flips == best_flips and r == tie):
-            best_r = r
-            best_flips = flips
-    return (incumbent if best_r == tie else best_r), best_flips
+    n = partitions or 1
+    rotations, (lcm, keep), periods, steps, fields, counter_mask = \
+        _rotation_plan(width, rotation_max, n, counter_bits)
+    span = rotation_max + 1
+    if (encoded >> lcm) & keep == encoded & keep:  # most blocks fail this one compare
+        span = next((p for p, m in periods if (encoded >> p) & m == encoded & m), span)
+    copies = [((encoded >> r) & low) | ((encoded << back) & high)
+              for r, low, back, high in rotations[:span]]
+    c = 0
+    for copy in reversed(copies):
+        c = (c << (width * n)) | (copy ^ stored)
+    for f, lo, hi in steps:
+        c = (c & lo) + ((c & hi) >> f)
+    if width % 8 or width > 255:  # lane (r, i) holds its count in its low bits ...
+        counts = [(c >> k) & ((1 << width) - 1) for k in range(0, span * width * n, width)]
+    else:  # ... and, in a lane of whole bytes, in its low byte
+        counts = c.to_bytes(span * width * n // 8, "little")[::width // 8]
+
+    chosen = flips = rotated = 0
+    for counter_shift, lane, column in fields:
+        per_r = counts[column]
+        best = min(per_r)
+        r = (incumbent >> counter_shift) & counter_mask
+        t = r % span  # under period p the incumbent ties as incumbent mod p
+        if not 0 <= r <= rotation_max or per_r[t] != best:
+            r = t = per_r.index(best)
+        chosen |= r << counter_shift
+        flips += best
+        rotated |= copies[t] & lane
+    return (chosen, flips) if partitions is None else (chosen, flips, rotated)
 
 
 class WriteScheme:
@@ -146,17 +194,7 @@ class FnwScheme(WriteScheme):
         self._word_mask = (1 << w) - 1
 
         lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
-        # SWAR popcount steps: add fields [p, p+f) and [p+f, p+2f), cut at the word end
-        self._popcount_steps = []
-        f = 1
-        while f < w:
-            lo = hi = 0
-            for p in range(0, w, 2 * f):
-                lo |= ((1 << min(f, w - p)) - 1) << p
-                if p + f < w:
-                    hi |= ((1 << min(f, w - p - f)) - 1) << (p + f)
-            self._popcount_steps.append((f, lo * lanes, hi * lanes))
-            f *= 2
+        self._popcount_steps = _popcount_steps(w, lanes)
         self._k = k = (w + 1).bit_length()
         m = -(-(k + 1) // w)
         self._passes = []
@@ -266,9 +304,12 @@ class WireScheme(WriteScheme):
 
     def encode(self, block, data):
         cfg = self.cfg
-        granules = b"".join(map(data.translate, self._split_tables)) or data
-        resident = self.finder.observe_write(np.bincount(np.frombuffer(granules, np.uint8)),
-                                             lambda: unpack_granules(data, cfg.granule_bits))
+        granules, k = data, len(self._split_tables)
+        if k:  # granule i of byte j is granule j * k + i of the write
+            granules = bytearray(len(data) * k)
+            for i, table in enumerate(self._split_tables):
+                granules[i::k] = data.translate(table)
+        resident = self.finder.observe_write(granules)
 
         version = self.current_version()
         meta = block.meta
@@ -276,26 +317,14 @@ class WireScheme(WriteScheme):
                                    self.wear, cfg.granule_bits)
         encoded = bytes_to_bits(data.translate(self._enc_table(version, epoch)))
 
-        width = cfg.partition_bits
-        part_mask = self._part_mask
-        counter_mask = self._counter_mask
-        stored_bits = block.bits
-        phys = 0
-        new_meta = epoch << self._epoch_shift
-        for shift, counter_shift in self._fields:
-            part = (encoded >> shift) & part_mask
-            r, _ = optimal_rotation(part, (stored_bits >> shift) & part_mask, width,
-                                    cfg.rotation_max, (meta >> counter_shift) & counter_mask)
-            if r:
-                part = ((part >> r) | (part << (width - r))) & part_mask
-            phys |= part << shift
-            new_meta |= r << counter_shift
-
+        rotations, _, phys = optimal_rotation(
+            encoded, block.bits, cfg.partition_bits, cfg.rotation_max, meta,
+            cfg.partitions_per_block, cfg.counter_bits)
         block.codebook_version = version
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
         # the previous content no longer pins its values
         block.refs = self.finder.rereference(block.refs, resident)
-        return phys, new_meta
+        return phys, epoch << self._epoch_shift | rotations
 
     def read(self, block):
         cfg = self.cfg

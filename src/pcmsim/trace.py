@@ -5,11 +5,11 @@ Canonical format is line-oriented text:
     W <addr-hex> <payload-hex>
     R <addr-hex>
 
-`#` starts a comment, blank lines are ignored. Write payloads must be exactly
-one block long. The generator produces traces with a controllable read/write
-mix, address distribution (uniform or bounded zipf) and per-granule value
-distribution (explicit probabilities with a uniform tail, or zipf over the
-value space).
+The text is ASCII. `#` starts a comment, blank lines are ignored. Write
+payloads must be exactly one block long. The generator produces traces with a
+controllable read/write mix, address distribution (uniform or bounded zipf)
+and per-granule value distribution (explicit probabilities with a uniform
+tail, or zipf over the value space).
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ def parse_trace(stream: Iterable[str], block_bytes: int = 64) -> list[TraceEvent
     """Parse a trace, validating payload lengths strictly."""
     events = []
     for lineno, raw in enumerate(stream, 1):
+        if not raw.isascii():  # comments included; a file's non-ASCII byte is a surrogate
+            raise TraceFormatError(f"line {lineno}: trace text must be ASCII")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -61,7 +63,7 @@ def parse_trace(stream: Iterable[str], block_bytes: int = 64) -> list[TraceEvent
 
 
 def parse_trace_file(path, block_bytes: int = 64) -> list[TraceEvent]:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_trace(fh, block_bytes)
 
 

@@ -126,6 +126,15 @@ def test_main_cli_rejects_bad_trace(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_cli_rejects_non_ascii_trace_byte_by_line(tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b"R 0000\nR 0001 # caf\xc3\xa9\n")  # even inside a comment
+    for argv in (["run", "--trace", str(bad), "--out", str(tmp_path)],
+                 ["analyze", str(bad), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 def test_main_cli_rejects_address_outside_64_bits(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text(f"R 0\nW -1 {'00' * 64}\n")

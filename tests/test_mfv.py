@@ -1,13 +1,12 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, MfvFinder, build_codebook, pack_granules,
                     unpack_granules)
-from pcmsim.mfv import FV_COUNTER_MAX
+from pcmsim.mfv import FV_COUNTER_MAX, FifoEntry
 
 
 def hamming(a, b):
@@ -98,6 +97,84 @@ def test_retire_decrements_pointer():
     assert entry.pointer == 4
 
 
+class EagerFinder(MfvFinder):
+    """Reference FIFO filter: every miss decrements every saturation counter."""
+
+    fifo = None  # a plain list here, in place of the lazily decayed view
+
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.fifo = []
+
+    def observe(self, value):
+        entry = self._fv_index.get(value)
+        if entry is not None:
+            if entry.counter < FV_COUNTER_MAX:
+                entry.counter += 1
+            return None
+
+        for i, f in enumerate(self.fifo):
+            if f.value == value:
+                if f.sat_counter < self.sat_max:
+                    f.sat_counter += 1
+                if f.sat_counter >= self.sat_max and self._install(value):
+                    del self.fifo[i]
+                    return value
+                return None
+
+        for f in self.fifo:
+            if f.sat_counter > 0:
+                f.sat_counter -= 1
+        if len(self.fifo) < self.fifo_entries:
+            self.fifo.append(FifoEntry(value))
+        else:
+            for f in self.fifo:
+                if f.sat_counter < self.replace_threshold:
+                    f.value = value
+                    f.sat_counter = 1
+                    break
+        return None
+
+
+@st.composite
+def fifo_runs(draw):
+    """Filter geometry and observations interleaved with reference changes;
+    one or two FV entries, so the table is often full and installs fail."""
+    sat_max = draw(st.integers(1, 4))
+    params = {"fifo_entries": draw(st.integers(1, 4)), "sat_max": sat_max,
+              "replace_threshold": draw(st.integers(0, sat_max + 1)),
+              "fv_entries": draw(st.integers(1, 2))}
+    value = st.integers(0, 6)
+    steps = draw(st.lists(st.one_of(st.tuples(st.just("observe"), value),
+                                    st.tuples(st.sampled_from(["add", "retire"]), value)),
+                          max_size=60))
+    return params, steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(fifo_runs())
+def test_lazy_fifo_decay_matches_eager_reference(run):
+    params, steps = run
+    lazy, eager = MfvFinder(**params), EagerFinder(**params)
+    for op, v in steps:
+        for f in (lazy, eager):
+            if op == "observe":
+                f.observe(v)
+            elif op == "add":
+                f.add_reference(v)
+            else:
+                f.retire_reference(v)
+        assert finder_state(lazy) == finder_state(eager)
+
+
+def test_threshold_zero_never_replaces_an_entry():
+    # a lazy `expiry < misses + threshold` would replace the entry at counter 0
+    f = MfvFinder(fifo_entries=1, sat_max=2, replace_threshold=0)
+    for v in (1, 2, 3):
+        f.observe(v)
+    assert [(e.value, e.sat_counter) for e in f.fifo] == [(1, 0)]
+
+
 def test_retire_unknown_value_is_diagnosed_noop():
     f = MfvFinder()
     before = [e.used for e in f.fv]
@@ -166,8 +243,7 @@ def replay_finder(params, seeded, writes, batched):
         refs.setdefault(addr, []).append(v)
     for addr, vals in writes:
         if batched:
-            values = np.array(vals, dtype=np.uint8)
-            f.observe_write(np.bincount(values), lambda: values)
+            f.observe_write(bytes(vals))
         else:
             for v in vals:
                 f.observe(v)
@@ -187,24 +263,20 @@ def test_observe_write_matches_per_granule_observe(run):
 
 def test_observe_write_credits_occurrences_after_midwrite_promotion():
     f = MfvFinder(fifo_entries=2, sat_max=2)
-    values = np.array([5, 5, 5, 5], dtype=np.uint8)
-    f.observe_write(np.bincount(values), lambda: values)
+    f.observe_write(bytes([5, 5, 5, 5]))
     assert f.is_frequent(5)
     assert f._fv_index[5].counter == 2   # promoted by the second, bumped twice
 
 
-def test_observe_write_unpacks_only_when_a_value_is_not_resident():
+def test_observe_write_observes_only_values_not_resident():
     f = MfvFinder(fifo_entries=2, sat_max=2)
-    unpacked = []
+    observed = []
+    observe = f.observe
+    f.observe = lambda v: observed.append(v) or observe(v)
 
-    def write(*vals):
-        values = np.array(vals, dtype=np.uint8)
-        return f.observe_write(np.bincount(values),
-                               lambda: unpacked.append(vals) or values)
-
-    assert write(5, 5, 3) == 1 << 5   # 5 promoted mid-write, 3 left in the FIFO
-    assert write(5, 5) == 1 << 5
-    assert unpacked == [(5, 5, 3)]
+    assert f.observe_write(bytes([5, 5, 3])) == 1 << 5   # 5 promoted mid-write
+    assert f.observe_write(bytes([5, 4, 5])) == 1 << 5   # 3 and 4 in the FIFO
+    assert observed == [5, 5, 3, 4]
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,8 +287,7 @@ def test_observe_write_returns_the_values_resident_at_its_end(run):
     for v, _, _ in seeded:
         f._install(v)
     for _, vals in writes:
-        values = np.array(vals, dtype=np.uint8)
-        resident = f.observe_write(np.bincount(values), lambda: values)
+        resident = f.observe_write(bytes(vals))
         assert resident == sum(1 << v for v in set(vals) if f.is_frequent(v))
 
 

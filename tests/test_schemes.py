@@ -258,16 +258,21 @@ LIFETIME_ROTATION_CASES = [
     for incumbent in (0, 5, 9)]
 
 
+def naive_rotation(encoded, stored, width, rmax, incumbent):
+    """(rotation, flips) of one partition by trying every rotation."""
+    flips = [popcount(rotate_right(encoded, r, width) ^ stored) for r in range(rmax + 1)]
+    best = min(flips)
+    return (incumbent if incumbent <= rmax and flips[incumbent] == best
+            else flips.index(best)), best
+
+
 @settings(max_examples=600, deadline=None)
 @given(rotation_cases())
 @example_cases(LIFETIME_ROTATION_CASES)
 def test_rotation_matches_naive_reference(case):
     encoded, stored, width, rmax, incumbent = case
-    flips = [popcount(rotate_right(encoded, r, width) ^ stored) for r in range(rmax + 1)]
-    best = min(flips)
-    expect = (incumbent if incumbent <= rmax and flips[incumbent] == best
-              else flips.index(best))
-    assert optimal_rotation(encoded, stored, width, rmax, incumbent) == (expect, best)
+    assert (optimal_rotation(encoded, stored, width, rmax, incumbent)
+            == naive_rotation(encoded, stored, width, rmax, incumbent))
 
 
 def test_rotation_monotone_in_rotation_max():
@@ -281,6 +286,64 @@ def test_rotation_monotone_in_rotation_max():
             if prev is not None:
                 assert flips <= prev
             prev = flips
+
+
+@st.composite
+def block_rotation_cases(draw):
+    """A block geometry PcmConfig accepts, partitions periodic or not, and
+    incumbent counters that may lie above rotation_max."""
+    width = draw(st.sampled_from([4, 8, 16, 24, 32, 64]))
+    partitions = draw(st.sampled_from([n for n in range(1, 9) if width * n % 8 == 0]))
+    rmax = draw(st.one_of(st.sampled_from([0, 1, 8 % width, width - 1]),
+                          st.integers(0, width - 1)))
+    counter_bits = max(1, rmax.bit_length()) + draw(st.integers(0, 2))
+    block_bytes = width * partitions // 8
+    cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
+                    rotation_max=rmax, counter_bits=counter_bits, granule_bits=4,
+                    page_bytes=block_bytes)
+    # a short period makes every rotation r tie with r mod p
+    periods = [p for p in (1, 2, 3, 4, 8) if width % p == 0] + [width]
+    shape = draw(st.sampled_from(["all periodic", "some periodic", "random"]))
+    encoded = 0
+    for i in range(partitions):
+        p = width
+        if shape == "all periodic" or (shape == "some periodic" and draw(st.booleans())):
+            p = draw(st.sampled_from(periods))
+        pattern = draw(st.integers(0, (1 << p) - 1))
+        encoded |= sum(pattern << k for k in range(0, width, p)) << (i * width)
+    bits = cfg.block_bits
+    stored = draw(st.one_of(st.integers(0, (1 << bits) - 1), st.just(0),
+                            st.just((1 << bits) - 1)))
+    incumbent = draw(st.integers(0, (1 << (counter_bits * partitions)) - 1))
+    return cfg, encoded, stored, incumbent
+
+
+ONES = (1 << 64) - 1
+# the lifetime shape: all-zero and all-one 64-bit partitions, period 1
+LIFETIME_BLOCK_CASES = [
+    (PcmConfig(), ONES << 64 | ONES << 192 | ONES << 448, stored,
+     sum(c << (6 * i) for i, c in enumerate([0, 5, 8, 3, 0, 7, 1, 2])))
+    for stored in (0, (1 << 512) - 1, 0x0123456789ABCDEF << 128)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_rotation_cases())
+@example_cases(LIFETIME_BLOCK_CASES)
+def test_block_rotation_matches_per_partition_naive_search(case):
+    cfg, encoded, stored, incumbent = case
+    width, counter_bits = cfg.partition_bits, cfg.counter_bits
+    mask, counter_mask = (1 << width) - 1, (1 << counter_bits) - 1
+    rotations = flips = rotated = 0
+    for i in range(cfg.partitions_per_block):
+        part = (encoded >> (i * width)) & mask
+        r, part_flips = naive_rotation(part, (stored >> (i * width)) & mask, width,
+                                       cfg.rotation_max,
+                                       (incumbent >> (i * counter_bits)) & counter_mask)
+        rotations |= r << (i * counter_bits)
+        flips += part_flips
+        rotated |= rotate_right(part, r, width) << (i * width)
+    assert optimal_rotation(encoded, stored, width, cfg.rotation_max, incumbent,
+                            cfg.partitions_per_block, counter_bits) == (rotations, flips, rotated)
 
 
 # ---------------------------------------------------------------------------
