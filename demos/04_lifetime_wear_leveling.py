@@ -51,7 +51,7 @@ def main():
             ("diffwrite", "diffwrite", None),
             ("wire + wear leveling", "wire",
              WearConfig(enabled=True, epoch_writes=16, remap_period=5_000))):
-        sim = Simulation(scheme_id, BLOCKS, cfg, wear, lifetime_mode=True)
+        sim = Simulation(scheme_id, BLOCKS, cfg, wear)
         life = run_lifetime(sim, events, max_writes=1_000_000)
         print(f"{label:>22}: {life.writes:>7} writes until capacity < 50% "
               f"({life.seconds * 1e3:.2f} ms at 250 ns/write)")

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,7 +118,10 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
+            d = json.loads(Path(path).read_text(encoding="utf-8"),
+                           parse_float=_finite_float, parse_constant=_finite_float)
+        except ConfigError as exc:
+            raise ConfigError(f"config {path}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         return cls.from_dict(d)
@@ -139,6 +143,15 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
                "dict": ((dict,), "a JSON object"), "list": ((list,), "a JSON list of names")}
 
 
+def _finite_float(text: str) -> float:
+    """json.loads hook for numbers with a fraction or exponent, and for NaN,
+    Infinity and -Infinity: no config value may be infinite or NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text} is not a finite number")
+    return value
+
+
 def _check_keys(kw, types, where: str = "") -> None:
     """Raise ConfigError unless each key of `kw` is in `types` with a value of its type."""
     if not isinstance(kw, dict):
@@ -154,15 +167,6 @@ def _check_keys(kw, types, where: str = "") -> None:
         want, name = _JSON_TYPES[hint.split(" | ")[0].split("[")[0]]
         if type(value) not in want and not (value is None and hint.endswith("| None")):
             raise ConfigError(f"config key '{where}{key}' must be {name}, not {value!r}")
-
-
-def build_simulation(cfg: ExperimentConfig, scheme_id: str, *,
-                     lifetime_mode: bool = False) -> Simulation:
-    return Simulation(
-        scheme_id, cfg.memory_blocks, cfg.pcm, cfg.wear,
-        fnw_word_bits=cfg.fnw_word_bits,
-        freeze_codebook=cfg.wire_freeze_codebook,
-        lifetime_mode=lifetime_mode)
 
 
 def load_events(cfg: ExperimentConfig):
@@ -197,7 +201,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
     reports = []
     for scheme_id in cfg.schemes:
-        sim = build_simulation(cfg, scheme_id, lifetime_mode=cfg.lifetime)
+        sim = Simulation(scheme_id, cfg.memory_blocks, cfg.pcm, cfg.wear,
+                         fnw_word_bits=cfg.fnw_word_bits,
+                         freeze_codebook=cfg.wire_freeze_codebook)
         if cfg.lifetime:
             lifetime = run_lifetime(sim, events, cfg.max_writes)
             reports.append(build_report(sim, coverage, lifetime))

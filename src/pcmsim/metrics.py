@@ -67,21 +67,21 @@ class LifetimeResult:
     seconds: float
     capped: bool
     final_capacity: float
+    dropped_writes: int
 
 
 def run_lifetime(sim, events, max_writes: int = 100_000_000) -> LifetimeResult:
     """Replay a trace cyclically until capacity drops below one half.
 
-    Counts write operations actually serviced; reads of dead pages are
-    skipped. A safety cap keeps wear-free traces from looping forever and is
-    reported as `capped`.
+    Works on any `Simulation`. Counts write operations actually serviced; a
+    write to a dead page is dropped and counted in `dropped_writes` (the page
+    stays dead), and a read of one is skipped. A safety cap on write attempts
+    keeps wear-free traces from looping forever and is reported as `capped`.
     """
     if not any(ev.op == "W" for ev in events):
         raise SimulationError("trace cannot wear memory: it contains no writes")
-    capped = True
-    done = False
-    attempts = 0
-    while not done:
+    attempts = dropped = 0
+    while True:
         for ev in events:
             if ev.op != "W":
                 try:
@@ -89,17 +89,15 @@ def run_lifetime(sim, events, max_writes: int = 100_000_000) -> LifetimeResult:
                 except DeadBlockError:
                     pass  # a dead page has nothing to read
                 continue
-            sim.write(ev.addr, ev.payload)
+            try:
+                sim.write(ev.addr, ev.payload)
+            except DeadBlockError:
+                dropped += 1
             attempts += 1
-            if sim.memory.live_capacity() < 0.5:
-                capped = False
-                done = True
-                break
-            if attempts >= max_writes:
-                done = True
-                break
-    seconds = sim.writes * sim.cfg.write_latency_ns * 1e-9
-    return LifetimeResult(sim.writes, seconds, capped, sim.memory.live_capacity())
+            capacity = sim.memory.live_capacity()
+            if capacity < 0.5 or attempts >= max_writes:
+                seconds = sim.writes * sim.cfg.write_latency_ns * 1e-9
+                return LifetimeResult(sim.writes, seconds, capacity >= 0.5, capacity, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def build_report(sim, coverage_rows, lifetime: LifetimeResult | None = None) -> 
         overhead_bits=sim.scheme.overhead_bits_per_block(),
         truncated=sim.truncated,
         lifetime_capped=lifetime.capped if lifetime else False,
-        dropped_writes=sim.dropped_writes,
+        dropped_writes=lifetime.dropped_writes if lifetime else 0,
         notes=notes,
     )
 

@@ -25,17 +25,16 @@ class FifoEntry:
 
 @dataclass
 class FvEntry:
-    value: int = 0
-    counter: int = 0
-    pointer: int = 0
-    used: bool = False
+    counter: int = 0  # saturating access counter
+    pointer: int = 0  # stored blocks relying on the value
 
 
 class MfvFinder:
     """FIFO filter plus frequent-value table.
 
-    `generation` increments whenever the set of used FV values changes, which
-    is the signal for consumers to rebuild their codebook.
+    The FV table `fv` maps at most `fv_entries` values to their entries.
+    `generation` increments whenever its set of values changes, which is the
+    signal for consumers to rebuild their codebook.
     """
 
     def __init__(self, fifo_entries: int = 16, sat_max: int = 7,
@@ -47,13 +46,13 @@ class MfvFinder:
         self.fifo_entries = fifo_entries
         self.sat_max = sat_max
         self.replace_threshold = replace_threshold
+        self.fv_entries = fv_entries
         # FIFO entry k: _fifo_values[k], counter max(0, _fifo_expiry[k] - _misses)
         self._fifo_values: list[int] = []
         self._fifo_expiry: list[int] = []
         self._fifo_slot: dict[int, int] = {}  # value -> k
         self._misses = 0
-        self.fv: list[FvEntry] = [FvEntry() for _ in range(fv_entries)]
-        self._fv_index: dict[int, FvEntry] = {}
+        self.fv: dict[int, FvEntry] = {}
         self.generation = 0
         self.retire_misses = 0  # diagnostics: retire of an untracked value
         self._shared = 0  # bit v: value v's entry has two or more references
@@ -74,7 +73,7 @@ class MfvFinder:
         free; a miss decrements every counter, by counting one more miss, and
         replaces the first entry below the threshold (or drops the value).
         """
-        entry = self._fv_index.get(value)
+        entry = self.fv.get(value)
         if entry is not None:
             if entry.counter < FV_COUNTER_MAX:
                 entry.counter += 1
@@ -123,7 +122,7 @@ class MfvFinder:
         call. A value promoted partway through the write is not in the
         resident set; `observe` itself credits its later occurrences.
         """
-        index, count = self._fv_index, granules.count
+        index, count = self.fv, granules.count
         resident = 0
         for v, entry in index.items():
             n = count(v)
@@ -140,22 +139,17 @@ class MfvFinder:
         return resident
 
     def _install(self, value: int) -> bool:
-        for e in self.fv:
-            if not e.used:
-                e.value = value
-                e.counter = 0
-                e.pointer = 0
-                e.used = True
-                self._fv_index[value] = e
-                self.generation += 1
-                return True
-        return False
+        if len(self.fv) >= self.fv_entries:
+            return False
+        self.fv[value] = FvEntry()
+        self.generation += 1
+        return True
 
     # -- reference counting --------------------------------------------------
 
     def add_reference(self, value: int) -> bool:
         """Record one more stored block relying on `value`; False if untracked."""
-        entry = self._fv_index.get(value)
+        entry = self.fv.get(value)
         if entry is None:
             return False
         entry.pointer += 1
@@ -165,7 +159,7 @@ class MfvFinder:
 
     def retire_reference(self, value: int) -> None:
         """Drop one block reference; the entry becomes a Gap at pointer zero."""
-        entry = self._fv_index.get(value)
+        entry = self.fv.get(value)
         if entry is None or entry.pointer <= 0:
             self.retire_misses += 1
             return
@@ -173,8 +167,7 @@ class MfvFinder:
             self._shared &= ~(1 << value)
         entry.pointer -= 1
         if entry.pointer == 0:
-            entry.used = False
-            del self._fv_index[value]
+            del self.fv[value]
             self.generation += 1
 
     def rereference(self, old: int, new: int) -> int:
@@ -201,13 +194,11 @@ class MfvFinder:
     # -- queries ---------------------------------------------------------------
 
     def is_frequent(self, value: int) -> bool:
-        return value in self._fv_index
+        return value in self.fv
 
     def ranked_values(self) -> list[int]:
-        """Used FV values ordered by access counter (descending, value tiebreak)."""
-        used = [e for e in self.fv if e.used]
-        used.sort(key=lambda e: (-e.counter, e.value))
-        return [e.value for e in used]
+        """FV values ordered by access counter (descending, value tiebreak)."""
+        return sorted(self.fv, key=lambda v: (-self.fv[v].counter, v))
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +271,30 @@ def build_codebook(ranked_mfvs, granule_bits: int, version: int = 0) -> Codebook
 # ---------------------------------------------------------------------------
 # granule packing (LSB-first: granule k occupies bits [k*g, (k+1)*g))
 
-def unpack_granules(data: bytes, granule_bits: int) -> np.ndarray:
-    """Split payload bytes into granule values, low-order granules first."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    if granule_bits not in (1, 2, 4, 8):
-        raise ConfigError(f"unsupported granule width {granule_bits}")
+# per granule width below 8, one translate table per granule position of a byte
+_SPLIT_TABLES = {g: [bytes((b >> k) & ((1 << g) - 1) for b in range(256))
+                     for k in range(0, 8, g)] for g in (1, 2, 4)}
+
+
+def split_granules(data: bytes, granule_bits: int) -> bytes:
+    """Split payload bytes into granule values, a byte each, low-order granules
+    first: granule i of byte j lands at j * k + i, k = 8 // granule_bits."""
     if granule_bits == 8:
-        return b.copy()
-    k = 8 // granule_bits
-    out = np.empty(k * len(b), dtype=np.uint8)
-    for i in range(k):
-        out[i::k] = (b >> (i * granule_bits)) & ((1 << granule_bits) - 1)
-    return out
+        return data
+    tables = _SPLIT_TABLES.get(granule_bits)
+    if tables is None:
+        raise ConfigError(f"unsupported granule width {granule_bits}")
+    k = len(tables)
+    granules = bytearray(len(data) * k)
+    for i, table in enumerate(tables):
+        granules[i::k] = data.translate(table)
+    return granules
+
+
+def unpack_granules(data: bytes, granule_bits: int) -> np.ndarray:
+    """`split_granules` as a uint8 array."""
+    values = np.frombuffer(split_granules(data, granule_bits), dtype=np.uint8)
+    return values if values.flags.writeable else values.copy()
 
 
 def pack_granules(values: np.ndarray, granule_bits: int) -> bytes:

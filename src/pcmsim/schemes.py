@@ -18,7 +18,8 @@ import numpy as np
 from .core import (ConfigError, PcmBlock, PcmConfig, WriteOutcome,
                    bits_to_bytes, bytes_to_bits, program_all_cells,
                    program_cells, rotate_left, rotate_right)
-from .mfv import Codebook, MfvFinder, build_codebook, pack_granules, unpack_granules
+from .mfv import (Codebook, MfvFinder, build_codebook, pack_granules, split_granules,
+                  unpack_granules)
 from .wearlevel import WearConfig, next_epoch
 
 SCHEME_IDS = ("plain", "diffwrite", "fnw", "wire")
@@ -57,31 +58,30 @@ def _rotation_plan(width: int, rotation_max: int, partitions: int, counter_bits:
     fields = [(i * counter_bits, ((1 << width) - 1) << (i * width), slice(i, None, partitions))
               for i in range(partitions)]
     return (rotations, (lcm, lanes * ((1 << (width - lcm)) - 1)), periods, steps, fields,
-            (1 << counter_bits) - 1 if counter_bits else -1)
+            (1 << counter_bits) - 1)
 
 
 def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
-                     incumbent: int, partitions: int | None = None,
-                     counter_bits: int = 0) -> tuple[int, ...]:
+                     incumbent: int, partitions: int,
+                     counter_bits: int) -> tuple[int, int, int]:
     """Exhaustively pick each partition's rotation minimizing flips against the stored bits.
 
     A partition's rotation is the r in [0, rotation_max] minimizing
     Hamming(rotate_right(its encoded bits, r), its stored bits); ties prefer
     its incumbent counter value (no metadata flip), then the smaller r.
-    Without `partitions` the call is for one partition and returns (r, flips).
-    With it, partition i sits at bit i * width and its incumbent is the
-    `counter_bits`-bit field at bit i * counter_bits of `incumbent`; the call
-    returns (rotations, flips, rotated): the rotations in that layout, their
-    total flips and the rotated partitions.
+    Partition i sits at bit i * width and its incumbent is the
+    `counter_bits`-bit field at bit i * counter_bits of `incumbent`. Returns
+    (rotations, flips, rotated): the rotations in that layout, their total
+    flips and the rotated partitions.
 
     The rotated copies of the block, XORed with the stored bits, are
     concatenated and every (copy, partition) lane popcounted at once. If every
     partition has period p, r and r mod p flip the same cells: only r < p is
     searched.
     """
-    n = partitions or 1
     rotations, (lcm, keep), periods, steps, fields, counter_mask = \
-        _rotation_plan(width, rotation_max, n, counter_bits)
+        _rotation_plan(width, rotation_max, partitions, counter_bits)
+    bits = width * partitions
     span = rotation_max + 1
     if (encoded >> lcm) & keep == encoded & keep:  # most blocks fail this one compare
         span = next((p for p, m in periods if (encoded >> p) & m == encoded & m), span)
@@ -89,13 +89,13 @@ def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
               for r, low, back, high in rotations[:span]]
     c = 0
     for copy in reversed(copies):
-        c = (c << (width * n)) | (copy ^ stored)
+        c = (c << bits) | (copy ^ stored)
     for f, lo, hi in steps:
         c = (c & lo) + ((c & hi) >> f)
     if width % 8 or width > 255:  # lane (r, i) holds its count in its low bits ...
-        counts = [(c >> k) & ((1 << width) - 1) for k in range(0, span * width * n, width)]
+        counts = [(c >> k) & ((1 << width) - 1) for k in range(0, span * bits, width)]
     else:  # ... and, in a lane of whole bytes, in its low byte
-        counts = c.to_bytes(span * width * n // 8, "little")[::width // 8]
+        counts = c.to_bytes(span * bits // 8, "little")[::width // 8]
 
     chosen = flips = rotated = 0
     for counter_shift, lane, column in fields:
@@ -103,12 +103,12 @@ def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
         best = min(per_r)
         r = (incumbent >> counter_shift) & counter_mask
         t = r % span  # under period p the incumbent ties as incumbent mod p
-        if not 0 <= r <= rotation_max or per_r[t] != best:
+        if r > rotation_max or per_r[t] != best:
             r = t = per_r.index(best)
         chosen |= r << counter_shift
         flips += best
         rotated |= copies[t] & lane
-    return (chosen, flips) if partitions is None else (chosen, flips, rotated)
+    return chosen, flips, rotated
 
 
 class WriteScheme:
@@ -240,20 +240,16 @@ class WireScheme(WriteScheme):
 
     scheme_id = "wire"
 
-    def __init__(self, cfg: PcmConfig, finder: MfvFinder | None = None,
-                 wear: WearConfig | None = None,
+    def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None,
                  freeze_codebook: bool = False):
         super().__init__(cfg)
-        self.finder = finder if finder is not None else MfvFinder()
+        self.finder = MfvFinder()
         self.wear = wear
         self.freeze_codebook = freeze_codebook
         self.versions: list[Codebook] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
         self._enc_tables: dict[tuple[int, int], bytes] = {}
         self._dec_tables: dict[tuple[int, int], bytes] = {}
-        g = cfg.granule_bits  # split payloads per granule position; g8 needs no split
-        self._split_tables = [bytes((b >> k) & ((1 << g) - 1) for b in range(256))
-                              for k in range(0, 8, g)] if g < 8 else []
         self._part_mask = (1 << cfg.partition_bits) - 1
         self._counter_mask = (1 << cfg.counter_bits) - 1
         self._epoch_shift = cfg.counter_bits * cfg.partitions_per_block
@@ -304,12 +300,7 @@ class WireScheme(WriteScheme):
 
     def encode(self, block, data):
         cfg = self.cfg
-        granules, k = data, len(self._split_tables)
-        if k:  # granule i of byte j is granule j * k + i of the write
-            granules = bytearray(len(data) * k)
-            for i, table in enumerate(self._split_tables):
-                granules[i::k] = data.translate(table)
-        resident = self.finder.observe_write(granules)
+        resident = self.finder.observe_write(split_granules(data, cfg.granule_bits))
 
         version = self.current_version()
         meta = block.meta
@@ -344,7 +335,6 @@ class WireScheme(WriteScheme):
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
-                finder: MfvFinder | None = None,
                 wear: WearConfig | None = None,
                 freeze_codebook: bool = False) -> WriteScheme:
     if scheme_id == "plain":
@@ -354,5 +344,5 @@ def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
     if scheme_id == "fnw":
         return FnwScheme(cfg, fnw_word_bits)
     if scheme_id == "wire":
-        return WireScheme(cfg, finder, wear, freeze_codebook)
+        return WireScheme(cfg, wear, freeze_codebook)
     raise ConfigError(f"unknown scheme '{scheme_id}' (choose from {', '.join(SCHEME_IDS)})")

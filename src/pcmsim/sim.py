@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .core import (DeadBlockError, MetadataCache, PcmConfig, PcmMemory,
                    SimulationError, WriteOutcome)
-from .mfv import MfvFinder
 from .schemes import WriteScheme, make_scheme
 from .wearlevel import StartGapLeveler, WearConfig
 
@@ -17,33 +16,29 @@ from .wearlevel import StartGapLeveler, WearConfig
 class Simulation:
     """Replays trace events against one memory image under one scheme.
 
-    In lifetime mode, writes aimed at blocks that already failed are dropped
-    (the page is dead and stays dead) instead of raising, so replay can
-    continue until capacity crosses the failure threshold. Reads of failed
-    blocks always raise; `run_lifetime` skips them.
+    A write or read of a block that already failed raises `DeadBlockError`;
+    the write also marks its page dead. `replay` stops at the first such
+    access, and `run_lifetime` drops the write or skips the read and goes on.
     """
 
     def __init__(self, scheme_id: str, num_blocks: int, cfg: PcmConfig | None = None,
                  wear: WearConfig | None = None, *, fnw_word_bits: int = 16,
-                 finder: MfvFinder | None = None, freeze_codebook: bool = False,
-                 lifetime_mode: bool = False):
+                 freeze_codebook: bool = False):
         self.cfg = cfg if cfg is not None else PcmConfig()
         self.num_blocks = num_blocks
         self.wear = wear if wear is not None else WearConfig()
-        self.lifetime_mode = lifetime_mode
 
         extra = 1 if self.wear.enabled else 0
         self.memory = PcmMemory(num_blocks, self.cfg, extra_blocks=extra)
         self.leveler = StartGapLeveler(num_blocks, self.wear) if self.wear.enabled else None
         self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
         self.scheme: WriteScheme = make_scheme(
-            scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, finder=finder,
-            wear=self.wear, freeze_codebook=freeze_codebook)
+            scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, wear=self.wear,
+            freeze_codebook=freeze_codebook)
 
         self.totals = WriteOutcome()
         self.writes = 0
         self.reads = 0
-        self.dropped_writes = 0
         self.truncated = False
 
     def _physical(self, logical: int) -> int:
@@ -51,13 +46,10 @@ class Simulation:
             raise SimulationError(f"block address {logical} outside memory")
         return self.leveler.map(logical) if self.leveler else logical
 
-    def write(self, addr: int, payload: bytes) -> WriteOutcome | None:
+    def write(self, addr: int, payload: bytes) -> WriteOutcome:
         block = self.memory.blocks[self._physical(addr)]
         if block.failed:
             self.memory.kill_page(addr)
-            if self.lifetime_mode:
-                self.dropped_writes += 1
-                return None
             raise DeadBlockError("write to dead block")
         out = self.scheme.write(block, payload)
         if self.metadata_cache is not None:
@@ -91,7 +83,7 @@ class Simulation:
         return self.scheme.read(block)
 
     def replay(self, events) -> None:
-        """Run a whole trace; a dead-block access truncates a non-lifetime run."""
+        """Run a whole trace; the first dead-block access truncates it."""
         try:
             for op, addr, payload in events:
                 if op == "W":

@@ -98,6 +98,8 @@ class GenSpec:
     def validate(self, granule_bits: int) -> None:
         if self.events <= 0:
             raise ConfigError("event count must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, not {self.seed}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigError("read_fraction must lie in [0, 1]")
         if self.address_model not in ("uniform", "zipf"):

@@ -148,7 +148,8 @@ def test_criterion_3_fnw_exhaustive_bound():
 # 4. rotation conformance
 
 def test_criterion_4_rotation_conformance():
-    r, flips = optimal_rotation(0b0010, 0b1000, 4, 3, incumbent=0)
+    r, flips, _ = optimal_rotation(0b0010, 0b1000, 4, 3, incumbent=0, partitions=1,
+                                   counter_bits=2)
     ok = (r, flips) == (2, 0)
 
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
@@ -272,7 +273,7 @@ def test_criterion_9_directional_lifetime():
     for scheme_id, wear in (("diffwrite", None),
                             ("wire", WearConfig(enabled=True, epoch_writes=64,
                                                 remap_period=10_000))):
-        sim = Simulation(scheme_id, blocks, cfg, wear, lifetime_mode=True)
+        sim = Simulation(scheme_id, blocks, cfg, wear)
         lt = run_lifetime(sim, events, max_writes=2_000_000)
         lives[scheme_id] = lt
     ratio = lives["wire"].writes / lives["diffwrite"].writes

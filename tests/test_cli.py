@@ -214,3 +214,42 @@ def test_gen_with_no_memory_blocks_exits_2(tmp_path, capsys, blocks):
     err = capsys.readouterr().err
     assert err.startswith("error: memory_blocks must be positive")
     assert "Traceback" not in err and not trace_path.exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["run", "--seed", "-1", "--events", "100"], None),
+    (["gen", "--preset", "balanced", "--events", "100"], {"seed": -3}),
+    (["gen"], {"gen": {"events": 100, "seed": -3}}),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    if argv[0] == "gen":
+        argv.append(str(tmp_path / "t.trace"))
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be non-negative")
+
+
+NON_FINITE_CONFIGS = [
+    '{"gen": {"events": 100, "values": {"0": NaN}}}',
+    '{"gen": {"events": 100}, "pcm": {"e_set": NaN}}',
+    '{"gen": {"events": 100, "address_model": "zipf", "address_zipf_s": NaN}}',
+    '{"gen": {"events": 100}, "pcm": {"e_reset": Infinity}}',
+    '{"gen": {"events": 100, "read_fraction": -Infinity}}',
+    '{"gen": {"events": 100}, "pcm": {"e_set": 1e999}}',  # overflows to inf
+]
+
+
+@pytest.mark.parametrize("text", NON_FINITE_CONFIGS)
+def test_non_finite_number_in_config_exits_2(tmp_path, capsys, text):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"memory_blocks": 16, ' + text[1:])
+    with pytest.raises(ConfigError, match="not a finite number"):
+        ExperimentConfig.load(config)
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a finite number" in err

@@ -83,7 +83,7 @@ def one_block_cfg(endurance):
 
 
 def test_lifetime_endurance_rule_boundary():
-    sim = Simulation("plain", 1, one_block_cfg(1), lifetime_mode=True)
+    sim = Simulation("plain", 1, one_block_cfg(1))
     events = [TraceEvent("W", 0, bytes(64))]
     result = run_lifetime(sim, events)
     assert result.writes == 2          # second program exceeds endurance 1
@@ -93,7 +93,7 @@ def test_lifetime_endurance_rule_boundary():
 
 
 def test_wear_free_trace_hits_the_cap():
-    sim = Simulation("diffwrite", 1, one_block_cfg(5), lifetime_mode=True)
+    sim = Simulation("diffwrite", 1, one_block_cfg(5))
     events = [TraceEvent("W", 0, bytes(64))]  # identical data never wears
     result = run_lifetime(sim, events, max_writes=500)
     assert result.capped
@@ -101,7 +101,7 @@ def test_wear_free_trace_hits_the_cap():
 
 
 def test_trace_without_writes_is_rejected():
-    sim = Simulation("plain", 1, one_block_cfg(5), lifetime_mode=True)
+    sim = Simulation("plain", 1, one_block_cfg(5))
     with pytest.raises(SimulationError):
         run_lifetime(sim, [TraceEvent("R", 0)])
 
@@ -110,7 +110,7 @@ def test_lifetime_proportional_to_endurance():
     events = [TraceEvent("W", 0, bytes(64))]
     lives = {}
     for endurance in (50, 100):
-        sim = Simulation("plain", 1, one_block_cfg(endurance), lifetime_mode=True)
+        sim = Simulation("plain", 1, one_block_cfg(endurance))
         lives[endurance] = run_lifetime(sim, events).writes
     # the endurance rule pins lifetimes exactly at E+1 plain writes
     assert lives[50] == 51

@@ -70,8 +70,8 @@ def test_fv_table_has_no_duplicate_used_values():
     f = MfvFinder(fifo_entries=4, sat_max=2, fv_entries=4)
     for _ in range(2000):
         f.observe(rng.randrange(8))
-    used = [e.value for e in f.fv if e.used]
-    assert len(used) == len(set(used))
+    ranked = f.ranked_values()
+    assert len(ranked) == len(set(ranked))
 
 
 def test_retire_boundary_makes_gap():
@@ -93,8 +93,8 @@ def test_retire_decrements_pointer():
         f.add_reference(7)
     f.retire_reference(7)
     assert f.is_frequent(7)
-    entry = [e for e in f.fv if e.used][0]
-    assert entry.pointer == 4
+    assert list(f.fv) == [7]
+    assert f.fv[7].pointer == 4
 
 
 class EagerFinder(MfvFinder):
@@ -107,7 +107,7 @@ class EagerFinder(MfvFinder):
         self.fifo = []
 
     def observe(self, value):
-        entry = self._fv_index.get(value)
+        entry = self.fv.get(value)
         if entry is not None:
             if entry.counter < FV_COUNTER_MAX:
                 entry.counter += 1
@@ -177,10 +177,20 @@ def test_threshold_zero_never_replaces_an_entry():
 
 def test_retire_unknown_value_is_diagnosed_noop():
     f = MfvFinder()
-    before = [e.used for e in f.fv]
+    before = list(f.fv)
     f.retire_reference(0xC)
     assert f.retire_misses == 1
-    assert [e.used for e in f.fv] == before
+    assert list(f.fv) == before
+
+
+def test_full_fv_table_refuses_an_install_and_keeps_its_generation():
+    f = MfvFinder(sat_max=2, fv_entries=2)
+    for v in (1, 1, 2, 2):
+        f.observe(v)
+    assert sorted(f.fv) == [1, 2] and f.generation == 2
+    assert f.observe(3) is None and f.observe(3) is None  # saturated, no free entry
+    assert sorted(f.fv) == [1, 2] and f.generation == 2
+    assert [(e.value, e.sat_counter) for e in f.fifo] == [(3, 2)]
 
 
 def test_promotion_is_monotone_under_extra_occurrences():
@@ -205,10 +215,8 @@ def test_promotion_is_monotone_under_extra_occurrences():
 
 
 def finder_state(f):
-    slot = {id(e): i for i, e in enumerate(f.fv)}
     return ([(e.value, e.sat_counter) for e in f.fifo],
-            [(e.value, e.counter, e.pointer, e.used) for e in f.fv],
-            {v: slot[id(e)] for v, e in f._fv_index.items()},
+            {v: (e.counter, e.pointer) for v, e in f.fv.items()},
             f.generation, f.retire_misses)
 
 
@@ -238,7 +246,7 @@ def replay_finder(params, seeded, writes, batched):
     refs = {}
     for v, below_max, addr in seeded:
         f._install(v)
-        f._fv_index[v].counter = FV_COUNTER_MAX - below_max
+        f.fv[v].counter = FV_COUNTER_MAX - below_max
         f.add_reference(v)
         refs.setdefault(addr, []).append(v)
     for addr, vals in writes:
@@ -265,7 +273,7 @@ def test_observe_write_credits_occurrences_after_midwrite_promotion():
     f = MfvFinder(fifo_entries=2, sat_max=2)
     f.observe_write(bytes([5, 5, 5, 5]))
     assert f.is_frequent(5)
-    assert f._fv_index[5].counter == 2   # promoted by the second, bumped twice
+    assert f.fv[5].counter == 2   # promoted by the second, bumped twice
 
 
 def test_observe_write_observes_only_values_not_resident():
@@ -319,14 +327,14 @@ def replay_rereference(fv_entries, installs, holders, steps):
                     f._install(v)
         old = held[i] if stale is None else stale
         generation, misses = slow.generation, slow.retire_misses
-        pointers = {v: e.pointer for v, e in slow._fv_index.items()}
+        pointers = {v: e.pointer for v, e in slow.fv.items()}
         seen["kept single holder"] += sum(pointers.get(v) == 1 for v in range(6)
                                           if (old & new) >> v & 1)
         seen["untracked add"] += sum(v not in pointers for v in range(6) if new >> v & 1)
         held[i] = fast.rereference(old, new)
         assert held[i] == retire_then_add(slow, old, new)
         assert finder_state(fast) == finder_state(slow)
-        assert fast._shared == sum(1 << v for v, e in fast._fv_index.items()
+        assert fast._shared == sum(1 << v for v, e in fast.fv.items()
                                    if e.pointer >= 2)
         seen["eviction"] += slow.generation - generation
         seen["retire miss"] += slow.retire_misses - misses

@@ -205,18 +205,26 @@ def example_cases(cases):
     return pin
 
 
+def one_partition(encoded, stored, width, rmax, incumbent):
+    """(rotation, flips) from `optimal_rotation` on a one-partition block whose
+    8-bit counter holds the incumbent."""
+    r, flips, _ = optimal_rotation(encoded, stored, width, rmax, incumbent,
+                                   partitions=1, counter_bits=8)
+    return r, flips
+
+
 def test_optimal_rotation_prefers_incumbent_then_smaller():
     # two rotations tie at distance 0 is impossible; build a tie at distance 1
     # stored 0000 vs encoded 0001: every rotation gives distance 1
-    r, flips = optimal_rotation(0b0001, 0b0000, 4, 3, incumbent=2)
+    r, flips = one_partition(0b0001, 0b0000, 4, 3, incumbent=2)
     assert (r, flips) == (2, 1)
-    r, flips = optimal_rotation(0b0001, 0b0000, 4, 3, incumbent=9)
+    r, flips = one_partition(0b0001, 0b0000, 4, 3, incumbent=9)
     assert (r, flips) == (0, 1)
 
 
 def test_rotation_exact_match_two_bits():
     # stored physical 1000, freshly encoded 0010: rotating right by two aligns
-    r, flips = optimal_rotation(0b0010, 0b1000, 4, 3, incumbent=0)
+    r, flips = one_partition(0b0010, 0b1000, 4, 3, incumbent=0)
     assert (r, flips) == (2, 0)
 
 
@@ -228,7 +236,7 @@ def test_rotation_brute_force_oracle():
         enc = rng.getrandbits(width)
         stored = rng.getrandbits(width)
         incumbent = rng.randrange(width)
-        r, flips = optimal_rotation(enc, stored, width, rmax, incumbent)
+        r, flips = one_partition(enc, stored, width, rmax, incumbent)
         best = min(hamming(rot_right(enc, k, width), stored) for k in range(rmax + 1))
         assert flips == best
         assert hamming(rot_right(enc, r, width), stored) == best
@@ -271,7 +279,7 @@ def naive_rotation(encoded, stored, width, rmax, incumbent):
 @example_cases(LIFETIME_ROTATION_CASES)
 def test_rotation_matches_naive_reference(case):
     encoded, stored, width, rmax, incumbent = case
-    assert (optimal_rotation(encoded, stored, width, rmax, incumbent)
+    assert (one_partition(encoded, stored, width, rmax, incumbent)
             == naive_rotation(encoded, stored, width, rmax, incumbent))
 
 
@@ -282,7 +290,7 @@ def test_rotation_monotone_in_rotation_max():
         stored = rng.getrandbits(16)
         prev = None
         for rmax in range(0, 16):
-            _, flips = optimal_rotation(enc, stored, 16, rmax, 0)
+            _, flips = one_partition(enc, stored, 16, rmax, 0)
             if prev is not None:
                 assert flips <= prev
             prev = flips
@@ -519,9 +527,10 @@ def test_wire_metadata_cache_counts_extra_reads():
 
 
 def test_dead_block_accesses_touch_no_metadata_line():
-    sim = Simulation("wire", 4, PcmConfig(page_bytes=64), lifetime_mode=True)
+    sim = Simulation("wire", 4, PcmConfig(page_bytes=64))
     sim.memory.blocks[2].failed = True
-    assert sim.write(2, bytes(64)) is None   # dropped
+    with pytest.raises(DeadBlockError):
+        sim.write(2, bytes(64))
     with pytest.raises(DeadBlockError):
         sim.read(2)
     cache = sim.metadata_cache

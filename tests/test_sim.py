@@ -20,14 +20,23 @@ def test_data_flip_counts_conserve_cell_wear():
 
 def test_lifetime_mode_drops_writes_to_dead_blocks():
     cfg = PcmConfig(cell_endurance=2, page_bytes=128)
-    sim = Simulation("plain", 4, cfg, lifetime_mode=True)
-    for _ in range(3):
-        sim.write(0, bytes(64))
+    sim = Simulation("plain", 4, cfg)
+    result = run_lifetime(sim, [TraceEvent("W", 0, bytes(64))], max_writes=4)
     assert sim.memory.blocks[0].failed
-    assert sim.write(0, bytes(64)) is None
-    assert sim.dropped_writes == 1
-    assert sim.writes == 3
+    assert result.dropped_writes == 1
+    assert sim.writes == result.writes == 3
     assert sim.memory.live_capacity() == 0.5
+
+
+def test_run_lifetime_on_a_default_simulation_drops_dead_writes_and_finishes():
+    # block 0 dies on its third write; its later writes are dropped until
+    # block 1 dies too and capacity falls below one half
+    cfg = PcmConfig(cell_endurance=2, page_bytes=64)
+    sim = Simulation("plain", 2, cfg)
+    events = [TraceEvent("W", 0, bytes(64))] * 2 + [TraceEvent("W", 1, bytes(64))]
+    result = run_lifetime(sim, events)
+    assert not result.capped
+    assert (result.writes, result.dropped_writes, result.final_capacity) == (6, 3, 0.0)
 
 
 def test_read_after_start_gap_move_into_failed_block_raises():
@@ -47,11 +56,11 @@ def test_lifetime_replay_skips_reads_of_dead_blocks():
     # block 0 dies on its third write; half the pages stay live, so replay
     # runs to the cap and every later read of block 0 is skipped
     cfg = PcmConfig(cell_endurance=2, page_bytes=64)
-    sim = Simulation("plain", 2, cfg, lifetime_mode=True)
+    sim = Simulation("plain", 2, cfg)
     events = [TraceEvent("W", 0, bytes(64)), TraceEvent("R", 0)]
     result = run_lifetime(sim, events, max_writes=10)
     assert result.capped
-    assert (sim.writes, sim.dropped_writes, sim.reads) == (3, 7, 2)
+    assert (sim.writes, result.dropped_writes, sim.reads) == (3, 7, 2)
 
 
 def test_out_of_range_address_rejected():
@@ -71,5 +80,5 @@ def test_fifo_counters_stay_bounded_under_fuzz():
         values = [e.value for e in f.fifo]
         assert len(values) == len(set(values))
         assert all(0 <= e.sat_counter <= 5 for e in f.fifo)
-        used = [e.value for e in f.fv if e.used]
-        assert len(used) == len(set(used))
+        ranked = f.ranked_values()
+        assert len(ranked) == len(set(ranked))
