@@ -118,10 +118,7 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"),
-                           parse_float=_finite_float, parse_constant=_finite_float)
-        except ConfigError as exc:
-            raise ConfigError(f"config {path}: {exc}") from None
+            d = json.loads(Path(path).read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         return cls.from_dict(d)
@@ -143,17 +140,20 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
                "dict": ((dict,), "a JSON object"), "list": ((list,), "a JSON list of names")}
 
 
-def _finite_float(text: str) -> float:
-    """json.loads hook for numbers with a fraction or exponent, and for NaN,
-    Infinity and -Infinity: no config value may be infinite or NaN."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"{text} is not a finite number")
-    return value
+def _is_finite(value) -> bool:
+    """False for an infinite or NaN float, or a JSON object that holds one.
+
+    JSON's NaN, Infinity and overflowing literals such as 1e999 parse to
+    these; no config value may be one.
+    """
+    if isinstance(value, dict):
+        return all(map(_is_finite, value.values()))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _check_keys(kw, types, where: str = "") -> None:
-    """Raise ConfigError unless each key of `kw` is in `types` with a value of its type."""
+    """Raise ConfigError unless each key of `kw` is in `types` with a finite
+    value of its type."""
     if not isinstance(kw, dict):
         raise ConfigError(f"config section '{where[:-1]}' must be a JSON object" if where
                           else "config must be a JSON object")
@@ -167,6 +167,8 @@ def _check_keys(kw, types, where: str = "") -> None:
         want, name = _JSON_TYPES[hint.split(" | ")[0].split("[")[0]]
         if type(value) not in want and not (value is None and hint.endswith("| None")):
             raise ConfigError(f"config key '{where}{key}' must be {name}, not {value!r}")
+        if not _is_finite(value):
+            raise ConfigError(f"config key '{where}{key}' holds {value!r}, not a finite number")
 
 
 def load_events(cfg: ExperimentConfig):

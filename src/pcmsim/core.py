@@ -101,7 +101,11 @@ class PcmConfig:
                 f"granule width {self.granule_bits}")
         if not 0 <= self.rotation_max < self.partition_bits:
             raise ConfigError("rotation_max must lie in [0, partition width)")
-        if self.counter_bits <= 0 or self.rotation_max >= (1 << self.counter_bits):
+        # a counter never needs more bits than the partition it rotates
+        if not 1 <= self.counter_bits <= self.partition_bits:
+            raise ConfigError(f"counter_bits must lie in [1, {self.partition_bits}], "
+                              f"the partition width, not {self.counter_bits}")
+        if self.rotation_max.bit_length() > self.counter_bits:
             raise ConfigError("rotation_max must be representable in counter_bits")
         if self.cell_endurance <= 0:
             raise ConfigError("cell_endurance must be positive")

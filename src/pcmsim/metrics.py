@@ -22,15 +22,30 @@ from .core import DeadBlockError, SimulationError
 from .mfv import unpack_granules
 
 
+# cells (intrav) or granules (mfv_coverage) taken per numpy pass, so report
+# assembly needs memory for one block of rows or one batch of payloads, not
+# for the whole wear matrix or trace
+REPORT_CHUNK = 1 << 14
+
+
 def intrav(wear_matrix) -> float:
-    """Intra-block wear variation; 0 for an unworn array."""
-    w = np.asarray(wear_matrix, dtype=float)
+    """Intra-block wear variation; 0 for an unworn array.
+
+    `BF_aver` is the mean of the matrix as given, summed as floats: exact for
+    integer counts, whose partial sums all stay below 2^53. The per-block
+    sample deviations come from float copies of blocks of whole rows (at most
+    REPORT_CHUNK cells, at least one row); rows are independent, so they equal
+    those of one float copy of the matrix.
+    """
+    w = np.asarray(wear_matrix)
     if w.ndim != 2 or w.shape[1] < 2:
         raise ValueError("wear matrix must be 2-D with at least two cells per block")
-    bf_aver = w.mean()
+    bf_aver = w.mean(dtype=float)
     if bf_aver == 0:
         return 0.0
-    stds = w.std(axis=1, ddof=1)
+    step = max(1, REPORT_CHUNK // w.shape[1])
+    stds = np.concatenate([w[i:i + step].astype(float).std(axis=1, ddof=1)
+                           for i in range(0, w.shape[0], step)])
     return float(stds.sum() / (bf_aver * w.shape[0]))
 
 
@@ -38,13 +53,16 @@ def mfv_coverage(payloads, granule_bits: int) -> list[tuple[int, int, float, flo
     """Descending granule-value frequency table with cumulative fractions.
 
     Returns (value, count, fraction, cumulative_fraction) rows; empty input
-    yields an empty table.
+    yields an empty table. Payloads are counted in batches of about
+    REPORT_CHUNK granules: each batch is joined, unpacked and bincounted into
+    one int64 count per value.
     """
-    vals = unpack_granules(b"".join(payloads), granule_bits)
-    total = vals.size
+    counts = np.zeros(1 << granule_bits, dtype=np.int64)
+    for data in _join_batches(payloads, REPORT_CHUNK * granule_bits // 8):
+        counts += np.bincount(unpack_granules(data, granule_bits), minlength=counts.size)
+    total = int(counts.sum())
     if total == 0:
         return []
-    counts = np.bincount(vals, minlength=1 << granule_bits)
     order = sorted(range(counts.size), key=lambda v: (-counts[v], v))
     rows = []
     cum = 0
@@ -52,6 +70,19 @@ def mfv_coverage(payloads, granule_bits: int) -> list[tuple[int, int, float, flo
         cum += int(counts[v])
         rows.append((v, int(counts[v]), counts[v] / total, cum / total))
     return rows
+
+
+def _join_batches(chunks, nbytes: int):
+    """Yield the byte strings of `chunks` joined into batches of at least
+    `nbytes` bytes; the last batch may be shorter, or empty."""
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= nbytes:
+            yield b"".join(batch)
+            batch, size = [], 0
+    yield b"".join(batch)
 
 
 def top_k_coverage(rows, k: int) -> float:

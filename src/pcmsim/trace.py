@@ -112,7 +112,7 @@ class GenSpec:
         for v, p in self.values.items():
             if not 0 <= v < n:
                 raise ConfigError(f"granule value {v:#x} exceeds {granule_bits} bits")
-            if not isinstance(p, (int, float)) or p < 0:
+            if isinstance(p, bool) or not isinstance(p, (int, float)) or p < 0:
                 raise ConfigError("value probabilities must be non-negative numbers")
             total += p
         if total > 1.0 + 1e-9:
@@ -144,27 +144,40 @@ def _sample_addresses(rng: np.random.Generator, spec: GenSpec,
     return rng.choice(num_blocks, size=n, p=p / p.sum())
 
 
-def _sample_values(rng: np.random.Generator, p: np.ndarray, shape) -> np.ndarray:
-    """`rng.choice(len(p), size=shape, p=p).astype(np.uint8)`, for `len(p) <= 256`.
+# granules drawn per `rng.random` call while sampling values (whole rows, at
+# least one): bounds set-up memory whatever the trace's length
+SAMPLE_CHUNK_GRANULES = 1 << 17
 
-    Draws the same `u = rng.random(shape)` and returns the same `#{cdf <= u}`
-    (`cdf = p.cumsum(); cdf /= cdf[-1]`) from 2^16 buckets `b = floor(u * 2^16)`,
-    held as uint16. Scaling by 2^16 is exact, so `u` lies in `[b, b + 1) / 2^16`:
-    where no cdf value lies inside the bucket, its count is the table's; else
-    `u`, recovered exactly as `(u * 2^16) / 2^16`, goes to `searchsorted`.
+
+def _sample_values(rng: np.random.Generator, p: np.ndarray, rows: int, cols: int):
+    """Yield `rng.choice(len(p), size=(rows, cols), p=p).astype(np.uint8)` in
+    blocks of whole rows, at most SAMPLE_CHUNK_GRANULES values each (at least
+    one row); for `len(p) <= 256`.
+
+    Draws `u` as consecutive `rng.random((k, cols))` calls of at most
+    SAMPLE_CHUNK_GRANULES doubles. `Generator.random` fills doubles in order,
+    so the values, and the generator's state once every block is drawn, equal
+    those of one `rng.random((rows, cols))` call, which `choice` makes.
+    From `u` each block returns the same `#{cdf <= u}` (`cdf = p.cumsum();
+    cdf /= cdf[-1]`) from 2^16 buckets `b = floor(u * 2^16)`, held as uint16.
+    Scaling by 2^16 is exact, so `u` lies in `[b, b + 1) / 2^16`: where no cdf
+    value lies inside the bucket, its count is the table's; else `u`,
+    recovered exactly as `(u * 2^16) / 2^16`, goes to `searchsorted`.
     """
     nb = 1 << 16
     cdf = np.asarray(p, dtype=float).cumsum()
     cdf /= cdf[-1]
-    low = cdf.searchsorted(np.arange(nb) / nb, side="right")
+    low = cdf.searchsorted(np.arange(nb) / nb, side="right").astype(np.uint8)
     inexact = low != cdf.searchsorted(np.arange(1, nb + 1) / nb, side="left")
-    u = rng.random(shape)
-    u *= nb
-    b = u.astype(np.uint16)
-    out = low.astype(np.uint8)[b]
-    idx = np.flatnonzero(inexact[b])
-    out.flat[idx] = cdf.searchsorted(u.flat[idx] / nb, side="right")
-    return out
+    step = max(1, SAMPLE_CHUNK_GRANULES // max(cols, 1))
+    for start in range(0, rows, step):
+        u = rng.random((min(step, rows - start), cols))
+        u *= nb
+        b = u.astype(np.uint16)
+        out = low[b]
+        idx = np.flatnonzero(inexact[b])
+        out.flat[idx] = cdf.searchsorted(u.flat[idx] / nb, side="right")
+        yield out
 
 
 def generate(spec: GenSpec, *, num_blocks: int, block_bytes: int = 64,
@@ -177,9 +190,10 @@ def generate(spec: GenSpec, *, num_blocks: int, block_bytes: int = 64,
     n_writes = int((~reads).sum())
     gpb = block_bytes * 8 // granule_bits
     pv = value_probabilities(spec, granule_bits)
-    # each row packs to whole bytes, so one pack of the matrix holds every payload
-    packed = pack_granules(_sample_values(rng, pv, (n_writes, gpb)).ravel(), granule_bits)
-    payloads = (packed[i:i + block_bytes] for i in range(0, len(packed), block_bytes))
+    # each row packs to whole bytes, so a block of rows packs to its rows' payloads
+    packed = (pack_granules(v.ravel(), granule_bits)
+              for v in _sample_values(rng, pv, n_writes, gpb))
+    payloads = (b[i:i + block_bytes] for b in packed for i in range(0, len(b), block_bytes))
     return [TraceEvent("R", a) if r else TraceEvent("W", a, next(payloads))
             for a, r in zip(addrs.tolist(), reads.tolist())]
 

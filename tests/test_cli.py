@@ -161,6 +161,9 @@ BAD_CONFIGS = [
     ('{"memory_blocks": true}', "memory_blocks"),
     ('{"pcm": []}', "config section 'pcm' must be a JSON object"),
     ('{"gen": {"values": {"zz": 0.5}}}', "gen.values"),
+    ('{"pcm": {"counter_bits": 65}}', "counter_bits"),  # wider than a 64-bit partition
+    # 4-bit partitions and the default 6-bit counter: counter_bits must be set
+    ('{"pcm": {"partitions_per_block": 128, "rotation_max": 3}}', "4], the partition width, not 6"),
     ('[1, 2]', "must be a JSON object"),
     ('{"memory_blocks": 16,', "not valid JSON"),
 ]
@@ -185,11 +188,12 @@ def test_from_dict_raises_config_error_naming_key(text, named):
 
 def test_non_numeric_value_probability_exits_2(tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"memory_blocks": 16,
-                                  "gen": {"events": 10, "values": {"0": "x"}}}))
-    rc = main(["run", "--config", str(config), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "value probabilities" in capsys.readouterr().err
+    for value in ("x", True):  # a JSON true is no probability
+        config.write_text(json.dumps({"memory_blocks": 16,
+                                      "gen": {"events": 10, "values": {"0": value}}}))
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "value probabilities" in capsys.readouterr().err
 
 
 def test_scheme_string_is_rejected_not_split_into_letters(tmp_path, capsys):
@@ -249,6 +253,8 @@ def test_non_finite_number_in_config_exits_2(tmp_path, capsys, text):
     config.write_text('{"memory_blocks": 16, ' + text[1:])
     with pytest.raises(ConfigError, match="not a finite number"):
         ExperimentConfig.load(config)
+    with pytest.raises(ConfigError, match="not a finite number"):
+        ExperimentConfig.from_dict(json.loads(config.read_text()))
     rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err

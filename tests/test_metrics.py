@@ -1,5 +1,6 @@
 import math
-import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pcmsim import (PcmConfig, SimulationError, Simulation, TraceEvent,
                     intrav, mfv_coverage, run_lifetime, top_k_coverage,
                     GenSpec, generate)
+from pcmsim.metrics import REPORT_CHUNK
 
 
 def intrav_oracle(matrix):
@@ -67,6 +69,17 @@ def test_invariant_under_scaling():
     m = rng.integers(0, 20, size=(4, 16)).astype(float)
     m[0, 0] = 1
     assert intrav(3.5 * m) == pytest.approx(intrav(m), rel=1e-12)
+
+
+def test_row_blocks_equal_one_float_pass():
+    # the formula on one float copy of the whole matrix, for matrices spanning
+    # several row blocks, one of them with rows longer than a block
+    rng = np.random.default_rng(13)
+    for shape in [(600, 512), (3, REPORT_CHUNK + 1)]:
+        m = rng.integers(0, 1000, size=shape)
+        for w in (m, 0.37 * m):
+            f = w.astype(float)
+            assert intrav(w) == float(f.std(axis=1, ddof=1).sum() / (f.mean() * f.shape[0]))
 
 
 def test_hot_cell_exceeds_uniform():
@@ -147,20 +160,42 @@ def test_uniform_payloads_spread_evenly():
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])
 def test_coverage_matches_per_granule_count(g):
-    rng = random.Random(g)
-    payloads = [bytes(rng.choice([0, 0, 0x17, rng.randrange(256)]) for _ in range(8))
-                for _ in range(40)]
-    counts = [0] * (1 << g)
-    for p in payloads:
-        for byte in p:
-            for k in range(0, 8, g):
-                counts[(byte >> k) & ((1 << g) - 1)] += 1
-    total = sum(counts)
+    # uneven payloads, some empty, holding about 2.5 counting batches of granules
+    rng = np.random.default_rng(g)
+    n = 5 * REPORT_CHUNK * g // 16
+    data = np.where(rng.random(n) < 0.6, 0x17, rng.integers(0, 256, n)).astype(np.uint8)
+    data = data.tobytes()
+    cuts = np.sort(rng.integers(0, n, 300)).tolist()
+    payloads = [data[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    counts = Counter((byte >> k) & ((1 << g) - 1) for byte in data for k in range(0, 8, g))
+    total = sum(counts.values())
     order = sorted(range(1 << g), key=lambda v: (-counts[v], v))
     cums = np.cumsum([counts[v] for v in order])
     expect = [(v, counts[v], counts[v] / total, cum / total)
               for v, cum in zip(order, cums)]
-    assert mfv_coverage(iter(payloads), g) == expect
+    rows = mfv_coverage(iter(payloads), g)
+    assert rows == expect
+    assert all((type(v), type(c), type(f), type(cum)) == (int, int, np.float64, float)
+               for v, c, f, cum in rows)
+
+
+def test_generate_and_coverage_memory_does_not_grow_with_the_trace():
+    # g1, about 2M granules: one float64 draw or intp cast of them is 16 MB
+    spec = GenSpec(events=8000, values={0: 0.5}, seed=3)
+    tracemalloc.start()
+    try:
+        events = generate(spec, num_blocks=64, granule_bits=1)
+        result, generate_peak = tracemalloc.get_traced_memory()
+        payloads = [ev.payload for ev in events if ev.op == "W"]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        mfv_coverage(payloads, 1)
+        coverage_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(payloads) * 512 > 1_900_000
+    assert generate_peak - result < 4 << 20
+    assert coverage_peak - start < 4 << 20
 
 
 def test_generator_ground_truth_eighty_percent_zeros():

@@ -9,7 +9,8 @@ from pcmsim import (ConfigError, GenSpec, TraceEvent, TraceFormatError,
                     emit_trace, generate, parse_trace, preset_spec)
 from pcmsim.metrics import mfv_coverage, top_k_coverage
 from pcmsim.mfv import pack_granules
-from pcmsim.trace import _sample_addresses, _sample_values, value_probabilities
+from pcmsim.trace import (SAMPLE_CHUNK_GRANULES, _sample_addresses, _sample_values,
+                          value_probabilities)
 
 
 def test_parse_write_of_zeros():
@@ -147,9 +148,22 @@ def value_distributions(draw):
     return p / p.sum()
 
 
+CHUNK = SAMPLE_CHUNK_GRANULES
 SHAPES = st.one_of(st.tuples(st.just(0), st.integers(0, 8)),
-                   st.tuples(st.integers(0, 1024)),
-                   st.tuples(st.integers(1, 32), st.integers(1, 32)))
+                   st.tuples(st.integers(1, 4), st.just(0)),
+                   st.tuples(st.integers(1, 1024), st.integers(1, 4)),
+                   st.tuples(st.integers(1, 32), st.integers(1, 32)),
+                   # several chunks of whole rows, mostly ending mid-chunk
+                   st.tuples(st.integers(CHUNK // 512 + 1, 3 * CHUNK // 512), st.just(512)),
+                   st.tuples(st.integers(1, 3), st.sampled_from([CHUNK - 1, CHUNK + 1])))
+
+
+def sample_all(rng, p, rows, cols):
+    """`_sample_values`'s blocks stacked into one (rows, cols) matrix."""
+    blocks = list(_sample_values(rng, p, rows, cols))
+    assert all(b.dtype == np.uint8 and b.shape[1] == cols for b in blocks)
+    assert all(b.size <= max(CHUNK, cols) for b in blocks)
+    return np.concatenate([np.empty((0, cols), np.uint8), *blocks])
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,8 +171,8 @@ SHAPES = st.one_of(st.tuples(st.just(0), st.integers(0, 8)),
 def test_sample_values_equals_choice_and_leaves_same_state(p, shape, seed):
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = ref_rng.choice(p.size, size=shape, p=p).astype(np.uint8)
-    got = _sample_values(rng, p, shape)
-    assert got.dtype == np.uint8 and got.shape == expected.shape
+    got = sample_all(rng, p, *shape)
+    assert got.shape == expected.shape
     assert np.array_equal(got, expected)
     assert rng.random() == ref_rng.random()
 
@@ -168,7 +182,7 @@ def test_sample_values_falls_back_inside_edge_buckets():
     p = value_probabilities(preset_spec("balanced"), 8)
     shape = (400, 512)
     expected = np.random.default_rng(3).choice(256, size=shape, p=p).astype(np.uint8)
-    assert np.array_equal(_sample_values(np.random.default_rng(3), p, shape), expected)
+    assert np.array_equal(sample_all(np.random.default_rng(3), p, *shape), expected)
 
 
 def reference_generate(spec, num_blocks, block_bytes, granule_bits):
@@ -206,3 +220,12 @@ def test_generate_equals_per_event_reference(granule_bits, block_bytes):
             want = reference_generate(spec, 24, block_bytes, granule_bits)
             assert got == want
             assert all(type(ev.addr) is int for ev in got)
+
+
+@pytest.mark.parametrize("read_fraction", [0, 0.5])
+def test_generate_equals_reference_across_sample_chunks(read_fraction):
+    # at g1 a 64-byte write is 512 granules: 600 events span several draws
+    spec = GenSpec(events=600, read_fraction=read_fraction, values={0: 0.5}, seed=11)
+    got = generate(spec, num_blocks=24, block_bytes=64, granule_bits=1)
+    assert sum(ev.op == "W" for ev in got) * 512 > CHUNK + 512
+    assert got == reference_generate(spec, 24, 64, 1)
