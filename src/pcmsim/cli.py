@@ -32,14 +32,13 @@ from .trace import (GenSpec, PRESETS, TraceFormatError, emit_trace, generate,
                     parse_trace_file, preset_spec)
 from .wearlevel import WearConfig
 
-DEFAULT_MEMORY_BLOCKS = 256
-
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one experiment; round-trips losslessly via JSON."""
+    """Full description of one experiment, read from JSON by `load`; a key
+    the JSON leaves out keeps its field default."""
 
-    memory_blocks: int = DEFAULT_MEMORY_BLOCKS
+    memory_blocks: int = 256
     pcm: PcmConfig = field(default_factory=PcmConfig)
     wear: WearConfig = field(default_factory=WearConfig)
     schemes: list[str] = field(default_factory=lambda: ["diffwrite", "wire"])
@@ -65,28 +64,6 @@ class ExperimentConfig:
         if self.max_writes <= 0:
             raise ConfigError("max_writes must be positive")
 
-    def to_dict(self) -> dict:
-        d = {
-            "memory_blocks": self.memory_blocks,
-            "pcm": dataclasses.asdict(self.pcm),
-            "wear": dataclasses.asdict(self.wear),
-            "schemes": list(self.schemes),
-            "fnw": {"word_bits": self.fnw_word_bits},
-            "wire": {"freeze_codebook": self.wire_freeze_codebook},
-            "out": self.out_dir,
-            "lifetime": self.lifetime,
-            "max_writes": self.max_writes,
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.trace_path is not None:
-            d["trace"] = self.trace_path
-        if self.gen is not None:
-            g = dataclasses.asdict(self.gen)
-            g["values"] = {format(k, "x"): v for k, v in self.gen.values.items()}
-            d["gen"] = g
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_keys(d, _CONFIG_KEYS)
@@ -97,14 +74,14 @@ class ExperimentConfig:
                               "set pcm.rotation_max instead")
         cfg.pcm = PcmConfig(**dict(d.get("pcm", {})))
         cfg.wear = WearConfig(**d.get("wear", {}))
-        cfg.memory_blocks = d.get("memory_blocks", DEFAULT_MEMORY_BLOCKS)
+        cfg.memory_blocks = d.get("memory_blocks", cfg.memory_blocks)
         cfg.schemes = list(d.get("schemes", cfg.schemes))
-        cfg.fnw_word_bits = d.get("fnw", {}).get("word_bits", 16)
-        cfg.wire_freeze_codebook = wire_kw.get("freeze_codebook", False)
+        cfg.fnw_word_bits = d.get("fnw", {}).get("word_bits", cfg.fnw_word_bits)
+        cfg.wire_freeze_codebook = wire_kw.get("freeze_codebook", cfg.wire_freeze_codebook)
         cfg.trace_path = d.get("trace")
         cfg.seed = d.get("seed")
-        cfg.out_dir = d.get("out", ".")
-        cfg.lifetime = bool(d.get("lifetime", False))
+        cfg.out_dir = d.get("out", cfg.out_dir)
+        cfg.lifetime = d.get("lifetime", cfg.lifetime)
         cfg.max_writes = d.get("max_writes", cfg.max_writes)
         if "gen" in d:
             g = dict(d["gen"])
@@ -122,11 +99,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         return cls.from_dict(d)
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # each config key's type (an annotation, or its section's), and each annotation's JSON form
@@ -320,7 +292,7 @@ def main(argv=None) -> int:
 
     p_an = sub.add_parser("analyze", help="value frequency table of a trace")
     p_an.add_argument("trace", type=str, help="trace file to analyze")
-    p_an.add_argument("--granule-bits", type=int, default=4)
+    p_an.add_argument("--granule-bits", type=int, choices=(1, 2, 4, 8), default=4)
     p_an.add_argument("--block-bytes", type=int, default=64)
     p_an.add_argument("--out", type=str, default=None,
                       help="also write coverage.csv to this directory")

@@ -32,10 +32,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # bit helpers
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def rotate_right(x: int, r: int, width: int) -> int:
     """Rotate the low `width` bits of x right by r (bit j moves to j-r mod width)."""
     r %= width
@@ -180,9 +176,9 @@ class WriteOutcome:
         """
         diff = old ^ new
         if diff:
-            ones = popcount(diff & new)
+            ones = (diff & new).bit_count()
             self.meta_flips_set += ones
-            self.meta_flips_reset += popcount(diff) - ones
+            self.meta_flips_reset += diff.bit_count() - ones
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +221,14 @@ class PcmBlock:
 
     @property
     def cell_writes(self) -> np.ndarray:
-        """Per-cell program counts as an int64 row (a fresh array per call)."""
+        """Per-cell program counts as a row of the narrowest unsigned dtype
+        that holds them (a fresh array per call)."""
         return _wear_rows([self])[0]
 
 
 def _wear_rows(blocks) -> np.ndarray:
-    """Int64 wear rows of equally sized blocks, one row per block."""
+    """Wear rows of equally sized blocks, one row per block, in the narrowest
+    unsigned dtype that holds the deepest block's counts."""
     nbytes = blocks[0].block_bytes
     depth = max(len(b.wear_planes) for b in blocks)
     levels = zip(*[b.wear_planes + [0] * (depth - len(b.wear_planes)) for b in blocks])
@@ -242,7 +240,7 @@ def _wear_rows(blocks) -> np.ndarray:
         rows <<= 1
         rows |= np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                               bitorder="little").reshape(rows.shape)
-    return rows.astype(np.int64)
+    return rows
 
 
 def _max_wear(planes: list[int]) -> int:
@@ -301,9 +299,9 @@ def program_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOutcom
     diff = block.bits ^ new_bits
     if diff == 0:
         return out
-    ones = popcount(diff & new_bits)
+    ones = (diff & new_bits).bit_count()
     out.flips_set = ones
-    out.flips_reset = popcount(diff) - ones
+    out.flips_reset = diff.bit_count() - ones
     _wear(block, diff, cfg)
     block.bits ^= diff
     return out
@@ -318,7 +316,7 @@ def program_all_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOu
     if block.failed:
         raise DeadBlockError("write to dead block")
     out = WriteOutcome()
-    out.flips_set = popcount(new_bits)
+    out.flips_set = new_bits.bit_count()
     out.flips_reset = cfg.block_bits - out.flips_set
     _wear(block, (1 << cfg.block_bits) - 1, cfg)
     block.bits = new_bits
@@ -341,18 +339,16 @@ class PcmMemory:
         self.total_pages = math.ceil(num_blocks / cfg.blocks_per_page)
         self.dead_pages: set[int] = set()
 
-    def page_of(self, logical_addr: int) -> int:
-        return logical_addr // self.cfg.blocks_per_page
-
     def kill_page(self, logical_addr: int) -> None:
-        self.dead_pages.add(self.page_of(logical_addr))
+        self.dead_pages.add(logical_addr // self.cfg.blocks_per_page)
 
     def live_capacity(self) -> float:
         """Fraction of pages not yet killed."""
         return (self.total_pages - len(self.dead_pages)) / self.total_pages
 
     def wear_matrix(self) -> np.ndarray:
-        """Per-cell write counts, one row per physical block."""
+        """Per-cell write counts, one row per physical block, in the narrowest
+        unsigned dtype that holds them (see `_wear_rows`)."""
         return _wear_rows(self.blocks)
 
 

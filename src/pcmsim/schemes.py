@@ -135,7 +135,7 @@ class WriteScheme:
 
     def encode(self, block: PcmBlock, data: bytes) -> tuple[int, int]:
         """(physical bits, metadata word) to store; may set the block's uncharged tags."""
-        return int.from_bytes(data, "little"), 0  # the identity encoder
+        return bytes_to_bits(data), 0  # the identity encoder
 
     def read(self, block: PcmBlock) -> bytes:
         return bits_to_bytes(block.bits, self.cfg.block_bytes)
@@ -235,7 +235,7 @@ class WireScheme(WriteScheme):
     metadata cache. Blocks also record the codebook version they were
     encoded with so older content stays decodable after the ranking
     evolves. Encoding and decoding are one `bytes.translate` each, through
-    256-byte tables cached per (version, epoch).
+    a pair of 256-byte tables cached per (version, epoch).
     """
 
     scheme_id = "wire"
@@ -248,8 +248,7 @@ class WireScheme(WriteScheme):
         self.freeze_codebook = freeze_codebook
         self.versions: list[Codebook] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
-        self._enc_tables: dict[tuple[int, int], bytes] = {}
-        self._dec_tables: dict[tuple[int, int], bytes] = {}
+        self._codecs: dict[tuple[int, int], tuple[bytes, bytes]] = {}
         self._part_mask = (1 << cfg.partition_bits) - 1
         self._counter_mask = (1 << cfg.counter_bits) - 1
         self._epoch_shift = cfg.counter_bits * cfg.partitions_per_block
@@ -277,24 +276,19 @@ class WireScheme(WriteScheme):
         table = np.array(granule_table, dtype=np.uint8)
         return pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
 
-    def _enc_table(self, version: int, epoch: int) -> bytes:
+    def _codec(self, version: int, epoch: int) -> tuple[bytes, bytes]:
+        """(encode, decode) translate tables of a codebook version whose
+        codewords are rotated left by `epoch`."""
         key = (version, epoch)
-        table = self._enc_tables.get(key)
-        if table is None:
+        codec = self._codecs.get(key)
+        if codec is None:
             g = self.cfg.granule_bits
-            table = self._enc_tables[key] = self._byte_table(
-                [rotate_left(cw, epoch, g) for cw in self.versions[version].perm])
-        return table
-
-    def _dec_table(self, version: int, epoch: int) -> bytes:
-        key = (version, epoch)
-        table = self._dec_tables.get(key)
-        if table is None:
-            g = self.cfg.granule_bits
-            inv = self.versions[version].inv_perm
-            table = self._dec_tables[key] = self._byte_table(
-                [inv[rotate_right(cw, epoch, g)] for cw in range(1 << g)])
-        return table
+            book = self.versions[version]
+            codec = self._codecs[key] = (
+                self._byte_table([rotate_left(cw, epoch, g) for cw in book.perm]),
+                self._byte_table([book.inv_perm[rotate_right(cw, epoch, g)]
+                                  for cw in range(1 << g)]))
+        return codec
 
     # -- write/read paths ------------------------------------------------------
 
@@ -306,7 +300,7 @@ class WireScheme(WriteScheme):
         meta = block.meta
         epoch, bumped = next_epoch(meta >> self._epoch_shift, block.writes_since_bump,
                                    self.wear, cfg.granule_bits)
-        encoded = bytes_to_bits(data.translate(self._enc_table(version, epoch)))
+        encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
 
         rotations, _, phys = optimal_rotation(
             encoded, block.bits, cfg.partition_bits, cfg.rotation_max, meta,
@@ -331,7 +325,7 @@ class WireScheme(WriteScheme):
                 stored = ((stored << r) | (stored >> (width - r))) & part_mask
             image |= stored << shift
         return bits_to_bytes(image, cfg.block_bytes).translate(
-            self._dec_table(block.codebook_version, meta >> self._epoch_shift))
+            self._codec(block.codebook_version, meta >> self._epoch_shift)[1])
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,

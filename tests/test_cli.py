@@ -63,8 +63,19 @@ def test_gen_then_run_from_file(tmp_path, capsys):
     assert cmd_run(cfg2) == 0
 
 
-def test_config_round_trips_losslessly(tmp_path):
-    cfg = ExperimentConfig(
+def test_config_loads_from_literal_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "memory_blocks": 32,
+        "pcm": {"cell_endurance": 500, "rotation_max": 4, "counter_bits": 3},
+        "schemes": ["plain", "fnw"],
+        "fnw": {"word_bits": 8},
+        "gen": {"events": 123, "read_fraction": 0.25, "values": {"0": 0.5, "f": 0.25},
+                "seed": 99},
+        "lifetime": True,
+        "max_writes": 12345,
+    }))
+    assert ExperimentConfig.load(path) == ExperimentConfig(
         memory_blocks=32,
         pcm=PcmConfig(cell_endurance=500, rotation_max=4, counter_bits=3),
         schemes=["plain", "fnw"],
@@ -74,11 +85,10 @@ def test_config_round_trips_losslessly(tmp_path):
         lifetime=True,
         max_writes=12345,
     )
-    path = tmp_path / "cfg.json"
-    cfg.dump(path)
-    assert ExperimentConfig.load(path) == cfg
-    # and a second round through the dict form
-    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_empty_config_keeps_every_default():
+    assert ExperimentConfig.from_dict({}) == ExperimentConfig()
 
 
 def test_truncated_report_on_dead_block(tmp_path, capsys):
@@ -101,6 +111,16 @@ def test_main_cli_gen_and_analyze(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "cumulative" in captured.out
     assert (tmp_path / "coverage.csv").read_text().startswith("value,count")
+
+
+@pytest.mark.parametrize("bits", ["-1", "3", "64"])
+def test_main_cli_analyze_rejects_granule_width(tmp_path, capsys, bits):
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(f"W 0 {'00' * 64}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(trace_path), "--granule-bits", bits])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_main_cli_run_with_flags(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcmsim import (PcmConfig, SimulationError, Simulation, TraceEvent,
-                    intrav, mfv_coverage, run_lifetime, top_k_coverage,
+                    build_report, intrav, mfv_coverage, run_lifetime, top_k_coverage,
                     GenSpec, generate)
 from pcmsim.metrics import REPORT_CHUNK
 
@@ -196,6 +196,22 @@ def test_generate_and_coverage_memory_does_not_grow_with_the_trace():
     assert len(payloads) * 512 > 1_900_000
     assert generate_peak - result < 4 << 20
     assert coverage_peak - start < 4 << 20
+
+
+def test_report_memory_stays_near_one_byte_per_cell():
+    # 4,096 blocks of 512 cells: an int64 copy of the wear matrix alone is 16 MB,
+    # the uint8 matrix 2 MB
+    sim = Simulation("diffwrite", 4096)
+    for addr in range(0, 4096, 3):
+        sim.write(addr, bytes([addr % 251]) * 64)
+    tracemalloc.start()
+    try:
+        rep = build_report(sim, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.intrav > 0
+    assert peak < 8 << 20
 
 
 def test_generator_ground_truth_eighty_percent_zeros():

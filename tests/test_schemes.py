@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
                     build_codebook, optimal_rotation, pack_granules,
                     unpack_granules)
-from pcmsim.core import popcount, rotate_left, rotate_right
+from pcmsim.core import rotate_left, rotate_right
 from pcmsim.schemes import FnwScheme, WireScheme
 
 CFG = PcmConfig()
@@ -141,8 +141,8 @@ def _fnw_loop_reference(stored, flips, logical, word_bits, words):
         d = (logical >> shift) & word_mask
         inv = d ^ word_mask
         f = (flips >> shift) & 1
-        cost_direct = popcount(old ^ d) + (f != 0)
-        cost_invert = popcount(old ^ inv) + (f != 1)
+        cost_direct = (old ^ d).bit_count() + (f != 0)
+        cost_invert = (old ^ inv).bit_count() + (f != 1)
         invert = cost_invert < cost_direct or (cost_invert == cost_direct and f == 1)
         new_bits |= (inv if invert else d) << shift
         new_flips |= int(invert) << shift
@@ -186,9 +186,9 @@ def test_fnw_matches_per_word_reference(case):
         assert block.bits == new_bits
         assert block.meta == new_flips
         assert (out.flips_set, out.flips_reset) == (
-            popcount(diff & new_bits), popcount(diff & ~new_bits))
+            (diff & new_bits).bit_count(), (diff & ~new_bits).bit_count())
         assert (out.meta_flips_set, out.meta_flips_reset) == (
-            popcount(meta_diff & new_flips), popcount(meta_diff & ~new_flips))
+            (meta_diff & new_flips).bit_count(), (meta_diff & ~new_flips).bit_count())
         assert scheme.read(block) == data
         flips = new_flips
 
@@ -268,7 +268,7 @@ LIFETIME_ROTATION_CASES = [
 
 def naive_rotation(encoded, stored, width, rmax, incumbent):
     """(rotation, flips) of one partition by trying every rotation."""
-    flips = [popcount(rotate_right(encoded, r, width) ^ stored) for r in range(rmax + 1)]
+    flips = [(rotate_right(encoded, r, width) ^ stored).bit_count() for r in range(rmax + 1)]
     best = min(flips)
     return (incumbent if incumbent <= rmax and flips[incumbent] == best
             else flips.index(best)), best
@@ -435,8 +435,9 @@ def test_wire_translate_tables_equal_per_granule_path(g, data):
                        dtype=np.uint8)
         for payload in payloads:
             image = pack_granules(enc[unpack_granules(payload, g)], g)
-            assert payload.translate(scheme._enc_table(1, epoch)) == image
-            decoded = image.translate(scheme._dec_table(1, epoch))
+            enc_table, dec_table = scheme._codec(1, epoch)
+            assert payload.translate(enc_table) == image
+            decoded = image.translate(dec_table)
             assert decoded == pack_granules(dec[unpack_granules(image, g)], g) == payload
 
 

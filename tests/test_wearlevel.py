@@ -4,7 +4,7 @@ import pytest
 
 from pcmsim import (PcmConfig, PcmMemory, Simulation, StartGapLeveler,
                     WearConfig, pack_granules)
-from pcmsim.core import popcount, rotate_left, rotate_right
+from pcmsim.core import rotate_left, rotate_right
 
 # An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
 # tables); decoding rotates them back right.
@@ -161,7 +161,7 @@ def test_start_gap_copy_charges_the_metadata_word(scheme_id):
             continue
         dest = sim.memory.blocks[gap]
         assert dest.meta == sim.memory.blocks[sim.leveler.gap].meta  # moved with the content
-        assert step_charge == sum(popcount(a ^ b) for a, b in
+        assert step_charge == sum((a ^ b).bit_count() for a, b in
                                   zip(wire_fields(old_dest), wire_fields(dest.meta)))
         charged += step_charge
     assert (charged > 0) == (scheme_id == "wire")
