@@ -28,13 +28,15 @@ def main():
     print("\nfinal ranking (by access counter):",
           " ".join(f"{v:#x}" for v in ranked))
 
-    cb = build_codebook(ranked, 4)
+    codewords = build_codebook(ranked, 4)
     print("\ncodeword table (rank, value, codeword):")
-    print(cb.dump())
+    rank = {v: k for k, v in enumerate(ranked, 1)}
+    for v in sorted(range(16), key=lambda v: rank.get(v, 17)):
+        print(f"{rank.get(v, '-')} {v:x} {codewords[v]:x}")
 
-    print("adjacent ranked values differ in one codeword bit:")
+    print("\nadjacent ranked values differ in one codeword bit:")
     for a, b in zip(ranked, ranked[1:]):
-        ca, cb_ = cb.encode_granule(a), cb.encode_granule(b)
+        ca, cb_ = codewords[a], codewords[b]
         print(f"  {a:#x} -> {ca:04b}   {b:#x} -> {cb_:04b}   "
               f"distance {bin(ca ^ cb_).count('1')}")
 

@@ -204,43 +204,11 @@ class MfvFinder:
 # ---------------------------------------------------------------------------
 # codebook
 
-def gray_sequence(n: int) -> list[int]:
-    """First n terms of the reflected Gray sequence 0, 1, 3, 2, 6, ..."""
-    return [i ^ (i >> 1) for i in range(n)]
+def build_codebook(ranked_mfvs, granule_bits: int) -> tuple[int, ...]:
+    """Assign codewords so consecutively ranked values differ in one bit;
+    returns the codeword of every value, indexed by value.
 
-
-@dataclass(frozen=True)
-class Codebook:
-    """Bijective granule-value permutation with a distance-1 ranked chain."""
-
-    granule_bits: int
-    perm: tuple[int, ...]
-    inv_perm: tuple[int, ...]
-    ranked_mfvs: tuple[int, ...]
-    version: int = 0
-
-    def encode_granule(self, value: int) -> int:
-        return self.perm[value]
-
-    def decode_granule(self, codeword: int) -> int:
-        return self.inv_perm[codeword]
-
-    def dump(self) -> str:
-        """Versioned text table: one `rank value-hex codeword-hex` row per value."""
-        lines = [f"codebook g={self.granule_bits} version={self.version}"]
-        ranked = set(self.ranked_mfvs)
-        for rank, v in enumerate(self.ranked_mfvs, 1):
-            lines.append(f"{rank} {v:x} {self.perm[v]:x}")
-        for v in range(1 << self.granule_bits):
-            if v not in ranked:
-                lines.append(f"- {v:x} {self.perm[v]:x}")
-        return "\n".join(lines) + "\n"
-
-
-def build_codebook(ranked_mfvs, granule_bits: int, version: int = 0) -> Codebook:
-    """Assign codewords so consecutively ranked values differ in one bit.
-
-    Rank k (1-based) maps to the k-th reflected-Gray code starting at zero;
+    Rank k (1-based) maps to the k-th reflected-Gray code 0, 1, 3, 2, 6, ...;
     all remaining values take the remaining codewords in ascending order,
     keeping the mapping a bijection so decode needs no flag bits.
     """
@@ -253,19 +221,15 @@ def build_codebook(ranked_mfvs, granule_bits: int, version: int = 0) -> Codebook
     if len(ranked) > n:
         raise ConfigError("more ranked values than codewords")
 
-    gray = gray_sequence(len(ranked))
+    gray = [i ^ (i >> 1) for i in range(len(ranked))]
     perm = [-1] * n
     for v, cw in zip(ranked, gray):
         perm[v] = cw
-    taken = set(gray)
-    free_codewords = sorted(set(range(n)) - taken)
+    free_codewords = sorted(set(range(n)) - set(gray))
     free_values = [v for v in range(n) if perm[v] < 0]
     for v, cw in zip(free_values, free_codewords):
         perm[v] = cw
-    inv = [0] * n
-    for v, cw in enumerate(perm):
-        inv[cw] = v
-    return Codebook(granule_bits, tuple(perm), tuple(inv), tuple(ranked), version)
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (ConfigError, PcmBlock, PcmConfig, WriteOutcome,
                    bits_to_bytes, bytes_to_bits, program_all_cells,
-                   program_cells, rotate_left, rotate_right)
-from .mfv import (Codebook, MfvFinder, build_codebook, pack_granules, split_granules,
+                   program_cells, rotate_left)
+from .mfv import (MfvFinder, build_codebook, pack_granules, split_granules,
                   unpack_granules)
 from .wearlevel import WearConfig, next_epoch
 
@@ -246,7 +246,8 @@ class WireScheme(WriteScheme):
         self.finder = MfvFinder()
         self.wear = wear
         self.freeze_codebook = freeze_codebook
-        self.versions: list[Codebook] = [build_codebook([], cfg.granule_bits)]
+        # version k's codeword of every value, indexed by value
+        self.versions: list[tuple[int, ...]] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
         self._codecs: dict[tuple[int, int], tuple[bytes, bytes]] = {}
         self._part_mask = (1 << cfg.partition_bits) - 1
@@ -264,8 +265,7 @@ class WireScheme(WriteScheme):
     def current_version(self) -> int:
         if not self.freeze_codebook and self.finder.generation != self._built_generation:
             ranked = self.finder.ranked_values()
-            self.versions.append(
-                build_codebook(ranked, self.cfg.granule_bits, len(self.versions)))
+            self.versions.append(build_codebook(ranked, self.cfg.granule_bits))
             self._built_generation = self.finder.generation
         return len(self.versions) - 1
 
@@ -278,16 +278,16 @@ class WireScheme(WriteScheme):
 
     def _codec(self, version: int, epoch: int) -> tuple[bytes, bytes]:
         """(encode, decode) translate tables of a codebook version whose
-        codewords are rotated left by `epoch`."""
+        codewords are rotated left by `epoch`; decode inverts encode."""
         key = (version, epoch)
         codec = self._codecs.get(key)
         if codec is None:
             g = self.cfg.granule_bits
-            book = self.versions[version]
-            codec = self._codecs[key] = (
-                self._byte_table([rotate_left(cw, epoch, g) for cw in book.perm]),
-                self._byte_table([book.inv_perm[rotate_right(cw, epoch, g)]
-                                  for cw in range(1 << g)]))
+            encode = [rotate_left(cw, epoch, g) for cw in self.versions[version]]
+            decode = [0] * (1 << g)
+            for v, cw in enumerate(encode):
+                decode[cw] = v
+            codec = self._codecs[key] = (self._byte_table(encode), self._byte_table(decode))
         return codec
 
     # -- write/read paths ------------------------------------------------------

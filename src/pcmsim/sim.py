@@ -30,7 +30,7 @@ class Simulation:
 
         extra = 1 if self.wear.enabled else 0
         self.memory = PcmMemory(num_blocks, self.cfg, extra_blocks=extra)
-        self.leveler = StartGapLeveler(num_blocks, self.wear) if self.wear.enabled else None
+        self.leveler = StartGapLeveler(num_blocks) if self.wear.enabled else None
         self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
         self.scheme: WriteScheme = make_scheme(
             scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, wear=self.wear,
@@ -58,14 +58,13 @@ class Simulation:
             self.memory.kill_page(addr)
         self.writes += 1
         self.totals.add(out)
-        if self.leveler:
-            move = self.leveler.note_write(self.memory)
-            if move is not None:
-                if self.scheme.scheme_id == "fnw":
-                    # the one uncharged metadata move, kept for the goldens:
-                    # FNW flip bits travel with a start-gap copy for free
-                    move.meta_flips_set = move.meta_flips_reset = 0
-                self.totals.add(move)
+        if self.leveler and self.writes % self.wear.remap_period == 0:
+            move = self.leveler.step(self.memory)
+            if self.scheme.scheme_id == "fnw":
+                # the one uncharged metadata move, kept for the goldens:
+                # FNW flip bits travel with a start-gap copy for free
+                move.meta_flips_set = move.meta_flips_reset = 0
+            self.totals.add(move)
         return out
 
     def read(self, addr: int) -> bytes:

@@ -107,6 +107,8 @@ class GenSpec:
         if (self.address_model == "zipf" and self.address_zipf_s <= 0
                 or self.value_zipf_s is not None and self.value_zipf_s <= 0):
             raise ConfigError("zipf exponent must be positive")
+        if self.values and self.value_zipf_s is not None:
+            raise ConfigError("gen.values and gen.value_zipf_s are exclusive: set one")
         n = 1 << granule_bits
         total = 0.0
         for v, p in self.values.items():

@@ -42,17 +42,15 @@ def next_epoch(epoch: int, writes_since_bump: int, wear: WearConfig | None,
 class StartGapLeveler:
     """Start-gap address remapping over num_blocks logical + 1 spare block.
 
-    Every `remap_period` external writes the block next to the gap is copied
-    into the gap (a full unconditional program, wear included) and the gap
-    advances; after num_blocks+1 steps every block has shifted one slot.
+    Each step copies the block next to the gap into the gap (a full
+    unconditional program, wear included) and the gap advances; after
+    num_blocks+1 steps every block has shifted one slot.
     """
 
-    def __init__(self, num_blocks: int, wear: WearConfig):
+    def __init__(self, num_blocks: int):
         self.n = num_blocks
-        self.wear = wear
         self.start = 0
         self.gap = num_blocks  # physical index of the spare block
-        self.writes = 0
 
     def map(self, logical: int) -> int:
         x = (logical + self.start) % self.n
@@ -64,13 +62,6 @@ class StartGapLeveler:
             raise ValueError("gap block backs no logical address")
         x = physical - 1 if physical > self.gap else physical
         return (x - self.start) % self.n
-
-    def note_write(self, memory: PcmMemory) -> WriteOutcome | None:
-        """Count one serviced write; performs a gap step when the period elapses."""
-        self.writes += 1
-        if self.writes % self.wear.remap_period == 0:
-            return self.step(memory)
-        return None
 
     def step(self, memory: PcmMemory) -> WriteOutcome:
         """Copy the neighbor into the gap and advance; mapping stays bijective."""

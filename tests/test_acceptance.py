@@ -83,7 +83,7 @@ def test_criterion_1_round_trip_fidelity():
     for i in range(8):
         ranked = rng.sample(range(16), rng.randrange(17))
         scheme = WireScheme(cfg, freeze_codebook=True)
-        scheme.versions.append(build_codebook(ranked, 4, version=1))
+        scheme.versions.append(build_codebook(ranked, 4))
         wires.append(scheme)
     for _ in range(n):
         scheme = wires[rng.randrange(8)]

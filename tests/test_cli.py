@@ -257,6 +257,19 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
     assert err.startswith("error: seed must be non-negative")
 
 
+def test_value_zipf_with_explicit_values_exits_2(tmp_path, capsys):
+    # value_zipf_s ranks every value, so explicit values would be ignored
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"memory_blocks": 16, "gen": {
+        "events": 200, "value_zipf_s": 1.2, "seed": 3, "values": {"0": 0.9}}}))
+    trace_path = tmp_path / "t.trace"
+    rc = main(["gen", "--config", str(config), str(trace_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gen.values" in err and "gen.value_zipf_s" in err
+    assert "Traceback" not in err and not trace_path.exists()
+
+
 NON_FINITE_CONFIGS = [
     '{"gen": {"events": 100, "values": {"0": NaN}}}',
     '{"gen": {"events": 100}, "pcm": {"e_set": NaN}}',

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, DeadBlockError, MetadataCache, PcmBlock,
-                    PcmConfig, PcmMemory, StartGapLeveler, WearConfig,
-                    WriteOutcome, program_all_cells, program_cells)
+                    PcmConfig, PcmMemory, StartGapLeveler, WriteOutcome,
+                    program_all_cells, program_cells)
 
 CFG = PcmConfig()
 
@@ -107,7 +107,7 @@ def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops
                     counter_bits=1, granule_bits=1, page_bytes=1,
                     cell_endurance=endurance)
     mem = PcmMemory(2, cfg, extra_blocks=1)
-    lev = StartGapLeveler(2, WearConfig(enabled=True))
+    lev = StartGapLeveler(2)
     for kind, i, bits in ops:
         block = mem.blocks[i]
         if kind == "step":
@@ -136,7 +136,7 @@ def _wear_reference_run(nbytes, endurance, ops):
                     cell_endurance=endurance)
     nbits = cfg.block_bits
     mem = PcmMemory(2, cfg, extra_blocks=1)
-    lev = StartGapLeveler(2, WearConfig(enabled=True))
+    lev = StartGapLeveler(2)
     rows = np.zeros((3, nbits), dtype=np.int64)
     bits = [0, 0, 0]
     failed = [False, False, False]

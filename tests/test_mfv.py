@@ -371,28 +371,28 @@ def test_rereference_example_covers_every_case():
 
 def test_two_bit_example_assignment():
     cb = build_codebook([0b00, 0b11], 2)
-    assert cb.encode_granule(0b00) == 0b00
-    assert cb.encode_granule(0b11) == 0b01
-    assert cb.encode_granule(0b01) == 0b10
-    assert cb.encode_granule(0b10) == 0b11
+    assert cb[0b00] == 0b00
+    assert cb[0b11] == 0b01
+    assert cb[0b01] == 0b10
+    assert cb[0b10] == 0b11
 
 
 def test_all_zero_and_all_one_codewords():
     cb = build_codebook([0b0000, 0b1111], 4)
-    assert cb.encode_granule(0) == 0
-    assert cb.encode_granule(0xF) == 1
-    assert hamming(cb.encode_granule(0), cb.encode_granule(0xF)) == 1
+    assert cb[0] == 0
+    assert cb[0xF] == 1
+    assert hamming(cb[0], cb[0xF]) == 1
 
 
 def test_single_bit_space():
     cb = build_codebook([0, 1], 1)
-    assert sorted(cb.perm) == [0, 1]
-    assert hamming(cb.encode_granule(0), cb.encode_granule(1)) == 1
+    assert sorted(cb) == [0, 1]
+    assert hamming(cb[0], cb[1]) == 1
 
 
 def test_empty_ranking_yields_identity():
     cb = build_codebook([], 4)
-    assert cb.perm == tuple(range(16))
+    assert cb == tuple(range(16))
 
 
 def test_rejects_bad_rankings():
@@ -410,21 +410,19 @@ def test_bijection_and_rank_chain_random(g):
         k = rng.randrange(n + 1)
         ranked = rng.sample(range(n), k)
         cb = build_codebook(ranked, g)
-        assert sorted(cb.perm) == list(range(n))        # bijection
-        for v in range(n):
-            assert cb.decode_granule(cb.encode_granule(v)) == v
-        for a, b in zip(ranked, ranked[1:]):            # chain-wise distance 1
-            assert hamming(cb.encode_granule(a), cb.encode_granule(b)) == 1
+        assert sorted(cb) == list(range(n))  # bijection
+        for a, b in zip(ranked, ranked[1:]):  # chain-wise distance 1
+            assert hamming(cb[a], cb[b]) == 1
 
 
 def test_leftovers_assigned_in_ascending_order():
     # construction oracle by hand enumeration, g=3, ranked = [5, 2]
     cb = build_codebook([5, 2], 3)
-    assert cb.encode_granule(5) == 0
-    assert cb.encode_granule(2) == 1
+    assert cb[5] == 0
+    assert cb[2] == 1
     leftover_values = [0, 1, 3, 4, 6, 7]
     leftover_codewords = [2, 3, 4, 5, 6, 7]
-    assert [cb.encode_granule(v) for v in leftover_values] == leftover_codewords
+    assert [cb[v] for v in leftover_values] == leftover_codewords
 
 
 # ---------------------------------------------------------------------------

@@ -427,11 +427,11 @@ def test_wire_translate_tables_equal_per_granule_path(g, data):
     payloads = data.draw(st.lists(st.binary(min_size=64, max_size=64),
                                   min_size=1, max_size=4))
     scheme = WireScheme(PcmConfig(granule_bits=g), freeze_codebook=True)
-    scheme.versions.append(build_codebook(ranked, g, 1))
+    scheme.versions.append(build_codebook(ranked, g))
     book = scheme.versions[1]
     for epoch in range(g):
-        enc = np.array([rotate_left(cw, epoch, g) for cw in book.perm], dtype=np.uint8)
-        dec = np.array([book.inv_perm[rotate_right(cw, epoch, g)] for cw in range(n)],
+        enc = np.array([rotate_left(cw, epoch, g) for cw in book], dtype=np.uint8)
+        dec = np.array([book.index(rotate_right(cw, epoch, g)) for cw in range(n)],
                        dtype=np.uint8)
         for payload in payloads:
             image = pack_granules(enc[unpack_granules(payload, g)], g)

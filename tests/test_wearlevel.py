@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from pcmsim import (PcmConfig, PcmMemory, Simulation, StartGapLeveler,
-                    WearConfig, pack_granules)
+from pcmsim import (DeadBlockError, PcmConfig, PcmMemory, Simulation,
+                    StartGapLeveler, WearConfig, pack_granules)
 from pcmsim.core import rotate_left, rotate_right
 
 # An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
@@ -80,9 +80,8 @@ def test_five_steps_shift_every_block_one_slot():
     # permutation trace: a full gap cycle (N+1 steps) rotates every block one
     # slot within the occupied positions and returns the gap to its start
     cfg = PcmConfig()
-    wear = WearConfig(enabled=True)
     mem = PcmMemory(4, cfg, extra_blocks=1)
-    lev = StartGapLeveler(4, wear)
+    lev = StartGapLeveler(4)
     for la in range(4):
         mem.blocks[lev.map(la)].bits = la + 1
     for _ in range(5):
@@ -96,10 +95,9 @@ def test_five_steps_shift_every_block_one_slot():
 def test_mapping_stays_bijective_after_random_steps():
     rng = random.Random(13)
     cfg = PcmConfig()
-    wear = WearConfig(enabled=True)
     for n in (1, 3, 8):
         mem = PcmMemory(n, cfg, extra_blocks=1)
-        lev = StartGapLeveler(n, wear)
+        lev = StartGapLeveler(n)
         for _ in range(rng.randrange(1, 4 * (n + 1))):
             lev.step(mem)
         physical = [lev.map(la) for la in range(n)]
@@ -111,14 +109,32 @@ def test_mapping_stays_bijective_after_random_steps():
 
 def test_remap_copy_wears_the_destination():
     cfg = PcmConfig()
-    wear = WearConfig(enabled=True)
     mem = PcmMemory(2, cfg, extra_blocks=1)
-    lev = StartGapLeveler(2, wear)
+    lev = StartGapLeveler(2)
     mem.blocks[1].bits = (1 << 512) - 1
     out = lev.step(mem)  # copies block 1 into the gap (block 2)
     assert out.flips == 512
     assert (mem.blocks[2].cell_writes == 1).all()
     assert mem.blocks[2].bits == mem.blocks[1].bits
+
+
+def test_gap_steps_after_every_remap_period_serviced_writes():
+    # remap_period 3: the gap moves after the 3rd and 6th serviced writes
+    # only; a write refused because its block is dead does not count
+    sim = Simulation("diffwrite", 4, wear=WearConfig(enabled=True, remap_period=3))
+    gaps = []
+    for _ in range(7):
+        sim.write(1, bytes(64))
+        gaps.append(sim.leveler.gap)
+    assert gaps == [4, 4, 3, 3, 3, 2, 2]
+
+    sim.memory.blocks[sim.leveler.map(0)].failed = True
+    sim.write(1, bytes(64))  # the 8th serviced write
+    with pytest.raises(DeadBlockError):
+        sim.write(0, bytes(64))
+    assert (sim.writes, sim.leveler.gap) == (8, 2)
+    sim.write(1, bytes(64))  # the 9th: the next step is due here, not earlier
+    assert (sim.writes, sim.leveler.gap) == (9, 1)
 
 
 def test_read_after_write_survives_bumps_and_remaps():
