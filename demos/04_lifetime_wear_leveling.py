@@ -12,7 +12,7 @@ Uses a deliberately tiny endurance so the experiment finishes in seconds.
 import numpy as np
 
 from pcmsim import (PcmConfig, Simulation, TraceEvent, WearConfig,
-                    run_lifetime)
+                    build_report, run_lifetime)
 
 BLOCKS = 32
 ENDURANCE = 300
@@ -52,9 +52,10 @@ def main():
             ("wire + wear leveling", "wire",
              WearConfig(enabled=True, epoch_writes=16, remap_period=5_000))):
         sim = Simulation(scheme_id, BLOCKS, cfg, wear)
-        life = run_lifetime(sim, events, max_writes=1_000_000)
-        print(f"{label:>22}: {life.writes:>7} writes until capacity < 50% "
-              f"({life.seconds * 1e3:.2f} ms at 250 ns/write)")
+        run_lifetime(sim, events, max_writes=1_000_000)
+        rep = build_report(sim, [], lifetime=True)
+        print(f"{label:>22}: {rep.lifetime_writes:>7} writes until capacity < 50% "
+              f"({rep.lifetime_seconds * 1e3:.2f} ms at 250 ns/write)")
 
     print("\nwear of the first granule's four cells after 200 alternations:")
     for enabled in (False, True):

@@ -4,8 +4,8 @@ from .core import (ConfigError, DeadBlockError, MetadataCache, PcmBlock,
                    PcmConfig, PcmMemory, SimulationError, WriteOutcome,
                    program_all_cells, program_cells)
 from .mfv import MfvFinder, build_codebook, pack_granules, unpack_granules
-from .metrics import (LifetimeResult, RunReport, build_report, intrav,
-                      mfv_coverage, run_lifetime, top_k_coverage)
+from .metrics import (RunReport, build_report, intrav, mfv_coverage,
+                      run_lifetime, top_k_coverage)
 from .schemes import (SCHEME_IDS, DiffScheme, FnwScheme, PlainScheme,
                       WireScheme, make_scheme, optimal_rotation)
 from .sim import Simulation

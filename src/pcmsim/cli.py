@@ -7,9 +7,8 @@ Subcommands:
     analyze  print the granule-value frequency table of a trace
 
 Config files are JSON with the section/key names used throughout the library
-(`pcm.*`, `wear.*`, `fnw.word_bits`, `wire.freeze_codebook`, `gen.*`). Flags
-override config values. Identical config and seed reproduce identical output
-bytes.
+(`pcm.*`, `wear.*`, `fnw.word_bits`, `gen.*`). Flags override config values.
+Identical config and seed reproduce identical output bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 from .core import ConfigError, PcmConfig, SimulationError
 from .metrics import (build_report, mfv_coverage, reports_to_csv,
                       reports_to_text, run_lifetime)
-from .schemes import SCHEME_IDS
+from .schemes import SCHEME_IDS, FnwScheme
 from .sim import Simulation
 from .trace import (GenSpec, PRESETS, TraceFormatError, emit_trace, generate,
                     parse_trace_file, preset_spec)
@@ -43,7 +42,6 @@ class ExperimentConfig:
     wear: WearConfig = field(default_factory=WearConfig)
     schemes: list[str] = field(default_factory=lambda: ["diffwrite", "wire"])
     fnw_word_bits: int = 16
-    wire_freeze_codebook: bool = False
     trace_path: str | None = None
     gen: GenSpec | None = None
     seed: int | None = None
@@ -59,6 +57,7 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEME_IDS:
                 raise ConfigError(f"unknown scheme '{s}'")
+        FnwScheme(self.pcm, self.fnw_word_bits)  # checks the word width, run or not
         if self.trace_path is None and self.gen is None:
             raise ConfigError("either a trace path or a generator spec is required")
         if self.max_writes <= 0:
@@ -68,8 +67,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_keys(d, _CONFIG_KEYS)
         cfg = cls()
-        wire_kw = dict(d.get("wire", {}))
-        if "rotation_max" in wire_kw:
+        if "rotation_max" in d.get("wire", {}):
             raise ConfigError("wire.rotation_max is not a config key; "
                               "set pcm.rotation_max instead")
         cfg.pcm = PcmConfig(**dict(d.get("pcm", {})))
@@ -77,7 +75,6 @@ class ExperimentConfig:
         cfg.memory_blocks = d.get("memory_blocks", cfg.memory_blocks)
         cfg.schemes = list(d.get("schemes", cfg.schemes))
         cfg.fnw_word_bits = d.get("fnw", {}).get("word_bits", cfg.fnw_word_bits)
-        cfg.wire_freeze_codebook = wire_kw.get("freeze_codebook", cfg.wire_freeze_codebook)
         cfg.trace_path = d.get("trace")
         cfg.seed = d.get("seed")
         cfg.out_dir = d.get("out", cfg.out_dir)
@@ -106,7 +103,7 @@ _CONFIG_KEYS = {"memory_blocks": "int", "schemes": "list", "trace": "str | None"
                 "seed": "int | None", "out": "str", "lifetime": "bool", "max_writes": "int",
                 "pcm": PcmConfig.__annotations__, "wear": WearConfig.__annotations__,
                 "gen": GenSpec.__annotations__, "fnw": {"word_bits": "int"},
-                "wire": {"freeze_codebook": "bool", "rotation_max": "int"}}
+                "wire": {"rotation_max": "int"}}
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
                "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
                "dict": ((dict,), "a JSON object"), "list": ((list,), "a JSON list of names")}
@@ -176,14 +173,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     reports = []
     for scheme_id in cfg.schemes:
         sim = Simulation(scheme_id, cfg.memory_blocks, cfg.pcm, cfg.wear,
-                         fnw_word_bits=cfg.fnw_word_bits,
-                         freeze_codebook=cfg.wire_freeze_codebook)
+                         fnw_word_bits=cfg.fnw_word_bits)
         if cfg.lifetime:
-            lifetime = run_lifetime(sim, events, cfg.max_writes)
-            reports.append(build_report(sim, coverage, lifetime))
+            run_lifetime(sim, events, cfg.max_writes)
         else:
             sim.replay(events)
-            reports.append(build_report(sim, coverage))
+        reports.append(build_report(sim, coverage, cfg.lifetime))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

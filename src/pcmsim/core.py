@@ -80,7 +80,6 @@ class PcmConfig:
     write_latency_ns: float = 250.0
     page_bytes: int = 4096
     metadata_cache_bytes: int = 2048
-    count_metadata_flips: bool = True
 
     def __post_init__(self):
         if self.block_bytes <= 0 or self.partitions_per_block <= 0:
@@ -140,7 +139,7 @@ class WriteOutcome:
 
     Metadata flips (rotation counters, flip bits, epoch tags) are kept
     separate from data-cell flips so wear statistics stay clean; their energy
-    is charged at the same per-bit SET/RESET costs when enabled.
+    is always charged, at the same per-bit SET/RESET costs.
     """
 
     flips_set: int = 0
@@ -158,8 +157,7 @@ class WriteOutcome:
 
     def energy_pj(self, cfg: PcmConfig) -> float:
         e = self.flips_set * cfg.e_set + self.flips_reset * cfg.e_reset
-        if cfg.count_metadata_flips:
-            e += self.meta_flips_set * cfg.e_set + self.meta_flips_reset * cfg.e_reset
+        e += self.meta_flips_set * cfg.e_set + self.meta_flips_reset * cfg.e_reset
         return e
 
     def add(self, other: "WriteOutcome") -> "WriteOutcome":

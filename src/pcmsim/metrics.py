@@ -92,43 +92,37 @@ def top_k_coverage(rows, k: int) -> float:
     return rows[min(k, len(rows)) - 1][3]
 
 
-@dataclass
-class LifetimeResult:
-    writes: int
-    seconds: float
-    capped: bool
-    final_capacity: float
-    dropped_writes: int
-
-
-def run_lifetime(sim, events, max_writes: int = 100_000_000) -> LifetimeResult:
+def run_lifetime(sim, events, max_writes: int = 100_000_000) -> None:
     """Replay a trace cyclically until capacity drops below one half.
 
-    Works on any `Simulation`. Counts write operations actually serviced; a
-    write to a dead page is dropped and counted in `dropped_writes` (the page
-    stays dead), and a read of one is skipped. A safety cap on write attempts
-    keeps wear-free traces from looping forever and is reported as `capped`.
+    Works on any `Simulation` and leaves its results on it: `sim.writes`
+    counts the writes actually serviced. A write to a failed block is dropped
+    and counted in `sim.dropped_writes` (its page stays dead), and a read of
+    one is skipped; the other blocks of a dead page go on serving both. A
+    safety cap on write attempts keeps wear-free traces from looping forever;
+    `sim.capped` is set when the cap ends a run whose capacity is still at
+    one half or more.
     """
     if not any(ev.op == "W" for ev in events):
         raise SimulationError("trace cannot wear memory: it contains no writes")
-    attempts = dropped = 0
+    attempts = 0
     while True:
         for ev in events:
             if ev.op != "W":
                 try:
                     sim.read(ev.addr)
                 except DeadBlockError:
-                    pass  # a dead page has nothing to read
+                    pass  # a failed block has nothing to read
                 continue
             try:
                 sim.write(ev.addr, ev.payload)
             except DeadBlockError:
-                dropped += 1
+                sim.dropped_writes += 1
             attempts += 1
             capacity = sim.memory.live_capacity()
             if capacity < 0.5 or attempts >= max_writes:
-                seconds = sim.writes * sim.cfg.write_latency_ns * 1e-9
-                return LifetimeResult(sim.writes, seconds, capacity >= 0.5, capacity, dropped)
+                sim.capped = capacity >= 0.5
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +181,9 @@ class RunReport:
         return "\n".join(lines)
 
 
-def build_report(sim, coverage_rows, lifetime: LifetimeResult | None = None) -> RunReport:
+def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
+    """One scheme's report row; `lifetime` fills the lifetime columns from a
+    `run_lifetime` run."""
     wear = sim.memory.wear_matrix()
     iv = intrav(wear)
     notes = []
@@ -204,14 +200,14 @@ def build_report(sim, coverage_rows, lifetime: LifetimeResult | None = None) -> 
         flips_meta=sim.totals.meta_flips,
         energy_pj=sim.energy_pj(),
         intrav=iv,
-        lifetime_writes=lifetime.writes if lifetime else 0,
-        lifetime_seconds=lifetime.seconds if lifetime else 0.0,
+        lifetime_writes=sim.writes if lifetime else 0,
+        lifetime_seconds=sim.writes * sim.cfg.write_latency_ns * 1e-9 if lifetime else 0.0,
         meta_extra_reads=sim.meta_extra_reads(),
         mfv_top=tuple(top_k_coverage(coverage_rows, k) for k in range(1, 6)),
         overhead_bits=sim.scheme.overhead_bits_per_block(),
         truncated=sim.truncated,
-        lifetime_capped=lifetime.capped if lifetime else False,
-        dropped_writes=lifetime.dropped_writes if lifetime else 0,
+        lifetime_capped=sim.capped,
+        dropped_writes=sim.dropped_writes,
         notes=notes,
     )
 

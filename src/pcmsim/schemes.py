@@ -245,7 +245,7 @@ class WireScheme(WriteScheme):
         super().__init__(cfg)
         self.finder = MfvFinder()
         self.wear = wear
-        self.freeze_codebook = freeze_codebook
+        self.freeze_codebook = freeze_codebook  # keep version 0, the identity, for good
         # version k's codeword of every value, indexed by value
         self.versions: list[tuple[int, ...]] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
@@ -329,8 +329,7 @@ class WireScheme(WriteScheme):
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
-                wear: WearConfig | None = None,
-                freeze_codebook: bool = False) -> WriteScheme:
+                wear: WearConfig | None = None) -> WriteScheme:
     if scheme_id == "plain":
         return PlainScheme(cfg)
     if scheme_id == "diffwrite":
@@ -338,5 +337,5 @@ def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
     if scheme_id == "fnw":
         return FnwScheme(cfg, fnw_word_bits)
     if scheme_id == "wire":
-        return WireScheme(cfg, wear, freeze_codebook)
+        return WireScheme(cfg, wear)
     raise ConfigError(f"unknown scheme '{scheme_id}' (choose from {', '.join(SCHEME_IDS)})")

@@ -18,12 +18,13 @@ class Simulation:
 
     A write or read of a block that already failed raises `DeadBlockError`;
     the write also marks its page dead. `replay` stops at the first such
-    access, and `run_lifetime` drops the write or skips the read and goes on.
+    access and sets `truncated`; `run_lifetime` drops the write (counted in
+    `dropped_writes`) or skips the read, goes on, and sets `capped` if its
+    cap on write attempts ended the run.
     """
 
     def __init__(self, scheme_id: str, num_blocks: int, cfg: PcmConfig | None = None,
-                 wear: WearConfig | None = None, *, fnw_word_bits: int = 16,
-                 freeze_codebook: bool = False):
+                 wear: WearConfig | None = None, *, fnw_word_bits: int = 16):
         self.cfg = cfg if cfg is not None else PcmConfig()
         self.num_blocks = num_blocks
         self.wear = wear if wear is not None else WearConfig()
@@ -33,13 +34,14 @@ class Simulation:
         self.leveler = StartGapLeveler(num_blocks) if self.wear.enabled else None
         self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
         self.scheme: WriteScheme = make_scheme(
-            scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, wear=self.wear,
-            freeze_codebook=freeze_codebook)
+            scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, wear=self.wear)
 
         self.totals = WriteOutcome()
         self.writes = 0
         self.reads = 0
         self.truncated = False
+        self.dropped_writes = 0
+        self.capped = False
 
     def _physical(self, logical: int) -> int:
         if logical < 0 or logical >= self.num_blocks:

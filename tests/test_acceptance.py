@@ -104,7 +104,8 @@ def test_criterion_1_round_trip_fidelity():
 def test_criterion_2_wire_degenerates_to_diffwrite():
     rng = random.Random(7)
     cfg = PcmConfig(rotation_max=0)
-    wire = Simulation("wire", 8, cfg, freeze_codebook=True)
+    wire = Simulation("wire", 8, cfg)
+    wire.scheme.freeze_codebook = True
     diff = Simulation("diffwrite", 8, cfg)
     ok = True
     for _ in range(10_000):
@@ -274,8 +275,8 @@ def test_criterion_9_directional_lifetime():
                             ("wire", WearConfig(enabled=True, epoch_writes=64,
                                                 remap_period=10_000))):
         sim = Simulation(scheme_id, blocks, cfg, wear)
-        lt = run_lifetime(sim, events, max_writes=2_000_000)
-        lives[scheme_id] = lt
+        run_lifetime(sim, events, max_writes=2_000_000)
+        lives[scheme_id] = sim
     ratio = lives["wire"].writes / lives["diffwrite"].writes
     ok = (ratio >= 1.1
           and not lives["wire"].capped and not lives["diffwrite"].capped)

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from pcmsim import ConfigError, PcmConfig, parse_trace_file
+from pcmsim import ConfigError, PcmConfig, cli, parse_trace_file
 from pcmsim.cli import ExperimentConfig, cmd_gen, cmd_run, main
 from pcmsim.trace import GenSpec, preset_spec
 
@@ -91,6 +93,29 @@ def test_empty_config_keeps_every_default():
     assert ExperimentConfig.from_dict({}) == ExperimentConfig()
 
 
+def test_readme_config_examples_load():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert examples
+    for text in examples:
+        ExperimentConfig.from_dict(json.loads(text)).validate()
+
+
+@pytest.mark.parametrize("schemes", [["wire"], ["diffwrite", "fnw"]])
+def test_bad_fnw_word_width_exits_2_before_any_scheme_runs(tmp_path, capsys, monkeypatch,
+                                                            schemes):
+    def no_run(*_, **__):
+        pytest.fail("a scheme ran before the config was checked")
+    monkeypatch.setattr(cli, "Simulation", no_run)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"memory_blocks": 16, "fnw": {"word_bits": 7},
+                                  "schemes": schemes}))
+    rc = main(["run", "--config", str(config), "--preset", "balanced", "--events", "200",
+               "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "fnw word width 7 must divide the block" in capsys.readouterr().err
+
+
 def test_truncated_report_on_dead_block(tmp_path, capsys):
     cfg = small_config(tmp_path, schemes=["plain"])
     cfg.pcm = PcmConfig(cell_endurance=2)
@@ -176,6 +201,8 @@ def test_main_cli_rejects_wire_rotation_max(tmp_path, capsys):
 BAD_CONFIGS = [
     ('{"pcm": {"bogus": 1}}', "pcm.bogus"),
     ('{"gen": {"nope": 1}}', "gen.nope"),
+    ('{"pcm": {"count_metadata_flips": true}}', "pcm.count_metadata_flips"),
+    ('{"wire": {"freeze_codebook": false}}', "wire.freeze_codebook"),
     ('{"memory_blocks": "x"}', "memory_blocks"),
     ('{"wear": {"epoch_writes": "a"}}', "wear.epoch_writes"),
     ('{"memory_blocks": true}', "memory_blocks"),

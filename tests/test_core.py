@@ -207,12 +207,6 @@ def test_energy_is_monotone_in_flip_counts():
         assert out.energy_pj(CFG) > e0
 
 
-def test_metadata_energy_can_be_excluded():
-    cfg = PcmConfig(count_metadata_flips=False)
-    out = WriteOutcome(flips_set=1, meta_flips_set=100)
-    assert out.energy_pj(cfg) == cfg.e_set
-
-
 def test_config_invariants_rejected():
     with pytest.raises(ConfigError):
         PcmConfig(block_bytes=64, partitions_per_block=7)

@@ -98,19 +98,28 @@ def one_block_cfg(endurance):
 def test_lifetime_endurance_rule_boundary():
     sim = Simulation("plain", 1, one_block_cfg(1))
     events = [TraceEvent("W", 0, bytes(64))]
-    result = run_lifetime(sim, events)
-    assert result.writes == 2          # second program exceeds endurance 1
-    assert not result.capped
-    assert result.final_capacity == 0.0
-    assert result.seconds == pytest.approx(2 * 250e-9)
+    run_lifetime(sim, events)
+    assert sim.writes == 2             # second program exceeds endurance 1
+    assert not sim.capped
+    assert sim.memory.live_capacity() == 0.0
+    assert build_report(sim, [], lifetime=True).lifetime_seconds == pytest.approx(2 * 250e-9)
+
+
+def test_capacity_loss_on_the_last_allowed_write_is_not_capped():
+    # the second write is both the last one max_writes allows and the one
+    # that kills the only page: the run ended by wearing out, not by the cap
+    sim = Simulation("plain", 1, one_block_cfg(1))
+    run_lifetime(sim, [TraceEvent("W", 0, bytes(64))], max_writes=2)
+    assert sim.writes == 2
+    assert not sim.capped
 
 
 def test_wear_free_trace_hits_the_cap():
     sim = Simulation("diffwrite", 1, one_block_cfg(5))
     events = [TraceEvent("W", 0, bytes(64))]  # identical data never wears
-    result = run_lifetime(sim, events, max_writes=500)
-    assert result.capped
-    assert result.writes == 500
+    run_lifetime(sim, events, max_writes=500)
+    assert sim.capped
+    assert sim.writes == 500
 
 
 def test_trace_without_writes_is_rejected():
@@ -124,7 +133,8 @@ def test_lifetime_proportional_to_endurance():
     lives = {}
     for endurance in (50, 100):
         sim = Simulation("plain", 1, one_block_cfg(endurance))
-        lives[endurance] = run_lifetime(sim, events).writes
+        run_lifetime(sim, events)
+        lives[endurance] = sim.writes
     # the endurance rule pins lifetimes exactly at E+1 plain writes
     assert lives[50] == 51
     assert lives[100] == 101

@@ -373,7 +373,8 @@ def test_wire_rotation_conformance_small_partition():
 
 
 def test_wire_identity_write_costs_nothing():
-    sim = Simulation("wire", 2, freeze_codebook=True)
+    sim = Simulation("wire", 2)
+    sim.scheme.freeze_codebook = True
     payload = pack_granules([0b0010] + [0] * 127, 4)
     sim.write(0, payload)
     meta_before = sim.totals.meta_flips
@@ -407,7 +408,8 @@ def test_wire_per_partition_flips_match_brute_force():
 def test_wire_degenerates_to_diffwrite():
     cfg = PcmConfig(rotation_max=0)
     rng = random.Random(37)
-    wire = Simulation("wire", 4, cfg, freeze_codebook=True)
+    wire = Simulation("wire", 4, cfg)
+    wire.scheme.freeze_codebook = True
     diff = Simulation("diffwrite", 4, cfg)
     for _ in range(300):
         addr = rng.randrange(4)

@@ -21,10 +21,10 @@ def test_data_flip_counts_conserve_cell_wear():
 def test_lifetime_mode_drops_writes_to_dead_blocks():
     cfg = PcmConfig(cell_endurance=2, page_bytes=128)
     sim = Simulation("plain", 4, cfg)
-    result = run_lifetime(sim, [TraceEvent("W", 0, bytes(64))], max_writes=4)
+    run_lifetime(sim, [TraceEvent("W", 0, bytes(64))], max_writes=4)
     assert sim.memory.blocks[0].failed
-    assert result.dropped_writes == 1
-    assert sim.writes == result.writes == 3
+    assert sim.dropped_writes == 1
+    assert sim.writes == 3
     assert sim.memory.live_capacity() == 0.5
 
 
@@ -34,9 +34,9 @@ def test_run_lifetime_on_a_default_simulation_drops_dead_writes_and_finishes():
     cfg = PcmConfig(cell_endurance=2, page_bytes=64)
     sim = Simulation("plain", 2, cfg)
     events = [TraceEvent("W", 0, bytes(64))] * 2 + [TraceEvent("W", 1, bytes(64))]
-    result = run_lifetime(sim, events)
-    assert not result.capped
-    assert (result.writes, result.dropped_writes, result.final_capacity) == (6, 3, 0.0)
+    run_lifetime(sim, events)
+    assert not sim.capped
+    assert (sim.writes, sim.dropped_writes, sim.memory.live_capacity()) == (6, 3, 0.0)
 
 
 def test_read_after_start_gap_move_into_failed_block_raises():
@@ -58,9 +58,23 @@ def test_lifetime_replay_skips_reads_of_dead_blocks():
     cfg = PcmConfig(cell_endurance=2, page_bytes=64)
     sim = Simulation("plain", 2, cfg)
     events = [TraceEvent("W", 0, bytes(64)), TraceEvent("R", 0)]
-    result = run_lifetime(sim, events, max_writes=10)
-    assert result.capped
-    assert (sim.writes, result.dropped_writes, sim.reads) == (3, 7, 2)
+    run_lifetime(sim, events, max_writes=10)
+    assert sim.capped
+    assert (sim.writes, sim.dropped_writes, sim.reads) == (3, 7, 2)
+
+
+def test_lifetime_keeps_writing_live_blocks_of_a_dead_page():
+    # block 0 dies on its third write and kills page 0; block 1 shares the
+    # page but has not failed, so its writes are still serviced
+    sim = Simulation("diffwrite", 4, PcmConfig(cell_endurance=2, page_bytes=128))
+    zeros, ones = bytes(64), bytes([0xFF] * 64)
+    events = [TraceEvent("W", 0, zeros), TraceEvent("W", 0, ones),
+              TraceEvent("W", 1, zeros)]
+    run_lifetime(sim, events, max_writes=30)
+    assert sim.memory.dead_pages == {0}
+    assert [b.failed for b in sim.memory.blocks] == [True, False, False, False]
+    assert (sim.writes, sim.dropped_writes) == (14, 16)
+    assert sim.capped
 
 
 def test_out_of_range_address_rejected():
