@@ -215,6 +215,8 @@ def cmd_gen(cfg: ExperimentConfig, path: str) -> int:
 def cmd_analyze(trace_path: str, granule_bits: int, block_bytes: int,
                 out_dir: str | None = None) -> int:
     """Print (and optionally emit as CSV) a trace's value frequency table."""
+    if block_bytes <= 0:
+        raise ConfigError(f"--block-bytes must be positive, not {block_bytes}")
     events = parse_trace_file(trace_path, block_bytes)
     rows = mfv_coverage((ev.payload for ev in events if ev.op == "W"), granule_bits)
     print(f"{'value':>6} {'count':>10} {'fraction':>9} {'cumulative':>10}")

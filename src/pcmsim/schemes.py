@@ -43,7 +43,7 @@ def _popcount_steps(width: int, lanes: int) -> list[tuple[int, int, int]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _rotation_plan(width: int, rotation_max: int, partitions: int, counter_bits: int):
+def _rotation_plan(width: int, rotation_max: int, partitions: int):
     """Masks of `optimal_rotation` for one block geometry."""
     lanes = sum(1 << (i * width) for i in range(partitions))
     # lane-wise rotate_right(x, r) = ((x >> r) & low) | ((x << (width - r)) & high)
@@ -55,32 +55,30 @@ def _rotation_plan(width: int, rotation_max: int, partitions: int, counter_bits:
     lcm = math.lcm(*(p for p, _ in periods)) % width
     steps = _popcount_steps(width, lanes * sum(1 << (r * width * partitions)
                                                for r in range(rotation_max + 1)))
-    fields = [(i * counter_bits, ((1 << width) - 1) << (i * width), slice(i, None, partitions))
+    fields = [(i * width, ((1 << width) - 1) << (i * width), slice(i, None, partitions))
               for i in range(partitions)]
-    return (rotations, (lcm, lanes * ((1 << (width - lcm)) - 1)), periods, steps, fields,
-            (1 << counter_bits) - 1)
+    return rotations, (lcm, lanes * ((1 << (width - lcm)) - 1)), periods, steps, fields
 
 
 def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
-                     incumbent: int, partitions: int,
-                     counter_bits: int) -> tuple[int, int, int]:
+                     incumbent: int, partitions: int) -> tuple[int, int, int]:
     """Exhaustively pick each partition's rotation minimizing flips against the stored bits.
 
     A partition's rotation is the r in [0, rotation_max] minimizing
     Hamming(rotate_right(its encoded bits, r), its stored bits); ties prefer
     its incumbent counter value (no metadata flip), then the smaller r.
-    Partition i sits at bit i * width and its incumbent is the
-    `counter_bits`-bit field at bit i * counter_bits of `incumbent`. Returns
-    (rotations, flips, rotated): the rotations in that layout, their total
-    flips and the rotated partitions.
+    Partition i sits at bit i * width, and its counter in the `width`-bit
+    lane at bit i * width of `incumbent` (lane form, as `WireScheme` stores
+    it; higher bits are ignored). Returns (rotations, flips, rotated): the
+    rotations in that lane form, their total flips and the rotated partitions.
 
     The rotated copies of the block, XORed with the stored bits, are
     concatenated and every (copy, partition) lane popcounted at once. If every
     partition has period p, r and r mod p flip the same cells: only r < p is
     searched.
     """
-    rotations, (lcm, keep), periods, steps, fields, counter_mask = \
-        _rotation_plan(width, rotation_max, partitions, counter_bits)
+    rotations, (lcm, keep), periods, steps, fields = \
+        _rotation_plan(width, rotation_max, partitions)
     bits = width * partitions
     span = rotation_max + 1
     if (encoded >> lcm) & keep == encoded & keep:  # most blocks fail this one compare
@@ -98,14 +96,14 @@ def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
         counts = c.to_bytes(span * bits // 8, "little")[::width // 8]
 
     chosen = flips = rotated = 0
-    for counter_shift, lane, column in fields:
+    for shift, lane, column in fields:
         per_r = counts[column]
         best = min(per_r)
-        r = (incumbent >> counter_shift) & counter_mask
+        r = (incumbent & lane) >> shift
         t = r % span  # under period p the incumbent ties as incumbent mod p
         if r > rotation_max or per_r[t] != best:
             r = t = per_r.index(best)
-        chosen |= r << counter_shift
+        chosen |= r << shift
         flips += best
         rotated |= copies[t] & lane
     return chosen, flips, rotated
@@ -228,14 +226,16 @@ class WireScheme(WriteScheme):
 
     Writes feed granules to the frequent-value finder, encode them through
     the current codebook version (bit-rotated by the block's wear epoch),
-    then rotate each partition to best match the stored cells. The block's
-    metadata word holds partition i's rotation counter at bit
-    i * counter_bits and the epoch above the counters, so its flips are the
-    counters' and the epoch's; the simulation reaches it through its
-    metadata cache. Blocks also record the codebook version they were
-    encoded with so older content stays decodable after the ranking
-    evolves. Encoding and decoding are one `bytes.translate` each, through
-    a pair of 256-byte tables cached per (version, epoch).
+    then rotate each partition to best match the stored cells. Blocks also
+    record the codebook version they were encoded with so older content
+    stays decodable after the ranking evolves. Encoding and decoding are one
+    `bytes.translate` each, through 256-byte tables cached per (version, epoch).
+
+    The metadata word, reached through the simulation's metadata cache, is in
+    lane form like `fnw`'s: partition i's rotation counter at bit
+    i * partition_bits, the epoch at bit block_bits. Bit k of every counter
+    lines up with its lane, so a read undoes all rotations at once: step k
+    rotates left by 2^k the lanes whose counter has bit k set.
     """
 
     scheme_id = "wire"
@@ -250,12 +250,17 @@ class WireScheme(WriteScheme):
         self.versions: list[tuple[int, ...]] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
         self._codecs: dict[tuple[int, int], tuple[bytes, bytes]] = {}
-        self._part_mask = (1 << cfg.partition_bits) - 1
-        self._counter_mask = (1 << cfg.counter_bits) - 1
-        self._epoch_shift = cfg.counter_bits * cfg.partitions_per_block
-        # (partition shift in the data bits, counter shift in the metadata word)
-        self._fields = [(i * cfg.partition_bits, i * cfg.counter_bits)
-                        for i in range(cfg.partitions_per_block)]
+        self._granule_bits = cfg.granule_bits
+        self._width = w = cfg.partition_bits
+        self._rotation_max = cfg.rotation_max
+        self._partitions = cfg.partitions_per_block
+        self._epoch_shift = cfg.block_bits
+        self._lanes = lanes = sum(1 << (i * w) for i in range(cfg.partitions_per_block))
+        self._part_mask = part_mask = (1 << w) - 1
+        # read step k rotates by s = 2^k <= rotation_max < w, lane-wise:
+        # rotate_left(x, s) = ((x << s) & high) | ((x >> (w - s)) & low)
+        self._unrotate = [(s, lanes * (part_mask & part_mask << s), w - s, lanes * ((1 << s) - 1))
+                          for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
 
     def overhead_bits_per_block(self) -> int:
         return self.cfg.counter_bits * self.cfg.partitions_per_block
@@ -293,18 +298,16 @@ class WireScheme(WriteScheme):
     # -- write/read paths ------------------------------------------------------
 
     def encode(self, block, data):
-        cfg = self.cfg
-        resident = self.finder.observe_write(split_granules(data, cfg.granule_bits))
+        resident = self.finder.observe_write(split_granules(data, self._granule_bits))
 
         version = self.current_version()
         meta = block.meta
         epoch, bumped = next_epoch(meta >> self._epoch_shift, block.writes_since_bump,
-                                   self.wear, cfg.granule_bits)
+                                   self.wear, self._granule_bits)
         encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
 
         rotations, _, phys = optimal_rotation(
-            encoded, block.bits, cfg.partition_bits, cfg.rotation_max, meta,
-            cfg.partitions_per_block, cfg.counter_bits)
+            encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
         block.codebook_version = version
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
         # the previous content no longer pins its values
@@ -312,20 +315,15 @@ class WireScheme(WriteScheme):
         return phys, epoch << self._epoch_shift | rotations
 
     def read(self, block):
-        cfg = self.cfg
-        width = cfg.partition_bits
-        part_mask = self._part_mask
-        counter_mask = self._counter_mask
-        bits, meta = block.bits, block.meta
-        image = 0
-        for shift, counter_shift in self._fields:
-            stored = (bits >> shift) & part_mask
-            r = (meta >> counter_shift) & counter_mask
-            if r:
-                stored = ((stored << r) | (stored >> (width - r))) & part_mask
-            image |= stored << shift
-        return bits_to_bytes(image, cfg.block_bytes).translate(
-            self._codec(block.codebook_version, meta >> self._epoch_shift)[1])
+        image, counters = block.bits, block.meta
+        lanes, part_mask = self._lanes, self._part_mask
+        for s, high, back, low in self._unrotate:
+            turn = counters & lanes  # the lanes whose counter has this step's bit set
+            counters >>= 1
+            if turn:
+                image ^= (image ^ ((image << s) & high | (image >> back) & low)) & turn * part_mask
+        return bits_to_bytes(image, self.cfg.block_bytes).translate(
+            self._codec(block.codebook_version, block.meta >> self._epoch_shift)[1])
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,

@@ -42,10 +42,11 @@ def rot_right(x, r, w):
 def _random_block_state(rng, cfg, scheme=None, n_versions=1):
     block = PcmBlock(cfg)
     block.bits = rng.getrandbits(cfg.block_bits)
-    # `wire`'s metadata word: rotation counters counter_bits apart, epoch above
+    # `wire`'s metadata word in lane form: partition i's rotation counter at
+    # bit i * partition_bits, the epoch at bit block_bits
     counters = [rng.randint(0, cfg.rotation_max) for _ in range(cfg.partitions_per_block)]
-    block.meta = sum(r << (i * cfg.counter_bits) for i, r in enumerate(counters))
-    block.meta |= rng.randrange(cfg.granule_bits) << (cfg.counter_bits * len(counters))
+    block.meta = sum(r << (i * cfg.partition_bits) for i, r in enumerate(counters))
+    block.meta |= rng.randrange(cfg.granule_bits) << cfg.block_bits
     block.codebook_version = rng.randrange(n_versions)
     return block
 
@@ -149,8 +150,7 @@ def test_criterion_3_fnw_exhaustive_bound():
 # 4. rotation conformance
 
 def test_criterion_4_rotation_conformance():
-    r, flips, _ = optimal_rotation(0b0010, 0b1000, 4, 3, incumbent=0, partitions=1,
-                                   counter_bits=2)
+    r, flips, _ = optimal_rotation(0b0010, 0b1000, 4, 3, incumbent=0, partitions=1)
     ok = (r, flips) == (2, 0)
 
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
@@ -159,7 +159,7 @@ def test_criterion_4_rotation_conformance():
     block = PcmBlock(cfg)
     block.bits = 0b1000
     out = scheme.write(block, pack_granules([0b0010] + [0] * 7, 4))
-    r = block.meta & ((1 << cfg.counter_bits) - 1)  # partition 0's counter
+    r = block.meta & ((1 << cfg.partition_bits) - 1)  # partition 0's counter lane
     ok = ok and out.flips == 0 and r == 2
     check(4, "stored 1000 reaches encoded 0010 with a 2-bit rotation, 0 flips",
           ok, f"r={r}, data flips={out.flips}")

@@ -148,6 +148,15 @@ def test_main_cli_analyze_rejects_granule_width(tmp_path, capsys, bits):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nbytes", ["0", "-64"])
+def test_main_cli_analyze_rejects_block_bytes_before_reading(tmp_path, capsys, nbytes):
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(f"W 0 {'00' * 64}\n")
+    assert main(["analyze", str(trace_path), "--block-bytes", nbytes]) == 2
+    err = capsys.readouterr().err
+    assert "--block-bytes" in err and "line 1" not in err
+
+
 def test_main_cli_run_with_flags(tmp_path, capsys):
     rc = main(["run", "--preset", "balanced", "--events", "400", "--seed", "2",
                "--schemes", "plain,diffwrite", "--out", str(tmp_path / "o")])

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
-                    build_codebook, optimal_rotation, pack_granules,
+                    WriteOutcome, build_codebook, optimal_rotation, pack_granules,
                     unpack_granules)
 from pcmsim.core import rotate_left, rotate_right
 from pcmsim.schemes import FnwScheme, WireScheme
@@ -207,9 +207,8 @@ def example_cases(cases):
 
 def one_partition(encoded, stored, width, rmax, incumbent):
     """(rotation, flips) from `optimal_rotation` on a one-partition block whose
-    8-bit counter holds the incumbent."""
-    r, flips, _ = optimal_rotation(encoded, stored, width, rmax, incumbent,
-                                   partitions=1, counter_bits=8)
+    counter lane holds the incumbent."""
+    r, flips, _ = optimal_rotation(encoded, stored, width, rmax, incumbent, partitions=1)
     return r, flips
 
 
@@ -299,7 +298,8 @@ def test_rotation_monotone_in_rotation_max():
 @st.composite
 def block_rotation_cases(draw):
     """A block geometry PcmConfig accepts, partitions periodic or not, and
-    incumbent counters that may lie above rotation_max."""
+    incumbent counters in lane form that may lie above rotation_max, with an
+    epoch above the lanes."""
     width = draw(st.sampled_from([4, 8, 16, 24, 32, 64]))
     partitions = draw(st.sampled_from([n for n in range(1, 9) if width * n % 8 == 0]))
     rmax = draw(st.one_of(st.sampled_from([0, 1, 8 % width, width - 1]),
@@ -322,7 +322,10 @@ def block_rotation_cases(draw):
     bits = cfg.block_bits
     stored = draw(st.one_of(st.integers(0, (1 << bits) - 1), st.just(0),
                             st.just((1 << bits) - 1)))
-    incumbent = draw(st.integers(0, (1 << (counter_bits * partitions)) - 1))
+    counters = draw(st.lists(st.integers(0, (1 << counter_bits) - 1),
+                             min_size=partitions, max_size=partitions))
+    incumbent = sum(c << (i * width) for i, c in enumerate(counters))
+    incumbent |= draw(st.integers(0, 7)) << bits
     return cfg, encoded, stored, incumbent
 
 
@@ -330,7 +333,7 @@ ONES = (1 << 64) - 1
 # the lifetime shape: all-zero and all-one 64-bit partitions, period 1
 LIFETIME_BLOCK_CASES = [
     (PcmConfig(), ONES << 64 | ONES << 192 | ONES << 448, stored,
-     sum(c << (6 * i) for i, c in enumerate([0, 5, 8, 3, 0, 7, 1, 2])))
+     sum(c << (64 * i) for i, c in enumerate([0, 5, 8, 3, 0, 7, 1, 2])) | 3 << 512)
     for stored in (0, (1 << 512) - 1, 0x0123456789ABCDEF << 128)]
 
 
@@ -339,19 +342,18 @@ LIFETIME_BLOCK_CASES = [
 @example_cases(LIFETIME_BLOCK_CASES)
 def test_block_rotation_matches_per_partition_naive_search(case):
     cfg, encoded, stored, incumbent = case
-    width, counter_bits = cfg.partition_bits, cfg.counter_bits
-    mask, counter_mask = (1 << width) - 1, (1 << counter_bits) - 1
+    width = cfg.partition_bits
+    mask = (1 << width) - 1
     rotations = flips = rotated = 0
     for i in range(cfg.partitions_per_block):
         part = (encoded >> (i * width)) & mask
         r, part_flips = naive_rotation(part, (stored >> (i * width)) & mask, width,
-                                       cfg.rotation_max,
-                                       (incumbent >> (i * counter_bits)) & counter_mask)
-        rotations |= r << (i * counter_bits)
+                                       cfg.rotation_max, (incumbent >> (i * width)) & mask)
+        rotations |= r << (i * width)
         flips += part_flips
         rotated |= rotate_right(part, r, width) << (i * width)
     assert optimal_rotation(encoded, stored, width, cfg.rotation_max, incumbent,
-                            cfg.partitions_per_block, counter_bits) == (rotations, flips, rotated)
+                            cfg.partitions_per_block) == (rotations, flips, rotated)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def test_wire_rotation_conformance_small_partition():
     payload = pack_granules([0b0010] + [0] * 7, 4)
     out = scheme.write(block, payload)
     assert out.flips == 0
-    assert block.meta & ((1 << cfg.counter_bits) - 1) == 2  # partition 0's counter
+    assert block.meta & ((1 << cfg.partition_bits) - 1) == 2  # partition 0's counter lane
     assert scheme.read(block) == payload
 
 
@@ -441,6 +443,79 @@ def test_wire_translate_tables_equal_per_granule_path(g, data):
             assert payload.translate(enc_table) == image
             decoded = image.translate(dec_table)
             assert decoded == pack_granules(dec[unpack_granules(image, g)], g) == payload
+
+
+@st.composite
+def wire_geometries(draw):
+    """(cfg, counters, epoch): a block geometry PcmConfig accepts, with a
+    rotation counter of at most rotation_max per partition and an epoch."""
+    width = draw(st.sampled_from([1, 4, 8, 64]))
+    partitions = draw(st.sampled_from([n for n in range(1, 17) if width * n % 8 == 0]))
+    rmax = draw(st.integers(0, width - 1))
+    counter_bits = draw(st.integers(max(1, rmax.bit_length()), width))
+    g = draw(st.sampled_from([b for b in (1, 2, 4, 8) if width % b == 0]))
+    block_bytes = width * partitions // 8
+    cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
+                    rotation_max=rmax, counter_bits=counter_bits, granule_bits=g,
+                    page_bytes=block_bytes)
+    counters = draw(st.lists(st.integers(0, rmax), min_size=partitions, max_size=partitions))
+    return cfg, counters, draw(st.integers(0, g - 1))
+
+
+def per_partition_read(scheme, block):
+    """`WireScheme.read` one partition at a time: undo each partition's
+    rotation from its counter lane, then decode."""
+    cfg = scheme.cfg
+    width = cfg.partition_bits
+    mask = (1 << width) - 1
+    image = 0
+    for i in range(cfg.partitions_per_block):
+        stored = (block.bits >> (i * width)) & mask
+        r = (block.meta >> (i * width)) & mask
+        if r:
+            stored = ((stored << r) | (stored >> (width - r))) & mask
+        image |= stored << (i * width)
+    return image.to_bytes(cfg.block_bytes, "little").translate(
+        scheme._codec(block.codebook_version, block.meta >> cfg.block_bits)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometry=wire_geometries(), data=st.data())
+def test_wire_read_matches_per_partition_loop(geometry, data):
+    cfg, counters, epoch = geometry
+    g = cfg.granule_bits
+    scheme = WireScheme(cfg, freeze_codebook=True)
+    ranked = data.draw(st.lists(st.integers(0, (1 << g) - 1), unique=True, max_size=16))
+    scheme.versions.append(build_codebook(ranked, g))
+    block = PcmBlock(cfg)
+    block.bits = data.draw(st.integers(0, (1 << cfg.block_bits) - 1))
+    block.meta = sum(r << (i * cfg.partition_bits) for i, r in enumerate(counters))
+    block.meta |= epoch << cfg.block_bits
+    block.codebook_version = data.draw(st.integers(0, 1))
+    assert scheme.read(block) == per_partition_read(scheme, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(old=wire_geometries(), data=st.data())
+def test_wire_meta_charge_is_the_same_in_lane_and_packed_form(old, data):
+    # a packed word (counters counter_bits apart, epoch above) and the lane
+    # form give every field the same width, so a change charges the same SET
+    # and RESET flips in both
+    cfg, old_counters, old_epoch = old
+    n, cb, w = cfg.partitions_per_block, cfg.counter_bits, cfg.partition_bits
+    new_counters = data.draw(st.lists(st.integers(0, (1 << cb) - 1), min_size=n, max_size=n))
+    new_epoch = data.draw(st.integers(0, cfg.granule_bits - 1))
+
+    def word(counters, epoch, spacing, epoch_shift):
+        return sum(c << (i * spacing) for i, c in enumerate(counters)) | epoch << epoch_shift
+
+    packed, lanes = WriteOutcome(), WriteOutcome()
+    packed.count_meta_change(word(old_counters, old_epoch, cb, cb * n),
+                             word(new_counters, new_epoch, cb, cb * n))
+    lanes.count_meta_change(word(old_counters, old_epoch, w, cfg.block_bits),
+                            word(new_counters, new_epoch, w, cfg.block_bits))
+    assert (lanes.meta_flips_set, lanes.meta_flips_reset) == \
+        (packed.meta_flips_set, packed.meta_flips_reset)
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])

@@ -11,9 +11,11 @@ from pcmsim.core import rotate_left, rotate_right
 
 
 def wire_fields(meta, cfg=PcmConfig()):
-    """`wire`'s metadata word split into its rotation counters, then the epoch."""
-    cb, n = cfg.counter_bits, cfg.partitions_per_block
-    return [(meta >> (i * cb)) & ((1 << cb) - 1) for i in range(n)] + [meta >> (cb * n)]
+    """`wire`'s metadata word split into its rotation counters, then the epoch:
+    partition i's counter in the lane at bit i * partition_bits, the epoch at
+    bit block_bits."""
+    w, n = cfg.partition_bits, cfg.partitions_per_block
+    return [(meta >> (i * w)) & ((1 << w) - 1) for i in range(n)] + [meta >> cfg.block_bits]
 
 
 def epoch(block):
