@@ -22,7 +22,8 @@ class SimulationError(Exception):
 
 
 class DeadBlockError(SimulationError):
-    """Raised when a write targets a block that has already worn out."""
+    """Raised when a write targets a block that has already worn out, or a
+    read finds its address's content worn out or lost."""
 
 
 class ConfigError(ValueError):
@@ -32,17 +33,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # bit helpers
 
-def rotate_right(x: int, r: int, width: int) -> int:
-    """Rotate the low `width` bits of x right by r (bit j moves to j-r mod width)."""
-    r %= width
-    if r == 0:
-        return x
-    mask = (1 << width) - 1
-    return ((x >> r) | (x << (width - r))) & mask
-
-
 def rotate_left(x: int, r: int, width: int) -> int:
-    """Rotate the low `width` bits of x left by r; inverse of rotate_right."""
+    """Rotate the low `width` bits of x left by r (bit j moves to j+r mod width)."""
     r %= width
     if r == 0:
         return x
@@ -167,36 +159,29 @@ class WriteOutcome:
         self.meta_flips_reset += other.meta_flips_reset
         return self
 
-    def count_meta_change(self, old: int, new: int) -> None:
-        """Charge the bit flips of a metadata field changing from old to new.
-
-        Both values must lie within the field; nothing is masked.
-        """
-        diff = old ^ new
-        if diff:
-            ones = (diff & new).bit_count()
-            self.meta_flips_set += ones
-            self.meta_flips_reset += diff.bit_count() - ones
-
 
 # ---------------------------------------------------------------------------
 # blocks and memory
 
 class PcmBlock:
-    """One data block: physical cell states plus encoding metadata.
+    """One line of cells: the data cells `bits` and the metadata cells `meta`.
 
-    Wear is bit-sliced: `wear_planes[k]` holds bit k of every cell's program
-    count (bit j of a plane = cell j), and `cell_writes` builds the per-cell
-    count row from the planes. `wear_bound` is an upper bound on the row
-    maximum (see `program_cells`). `meta` holds the metadata cells as one
-    int in a layout the scheme owns, charged as metadata flips when it
-    changes; `codebook_version`, `writes_since_bump` and `refs` (`wire`'s
+    Wear is bit-sliced: `wear_planes[k]` holds bit k of every data cell's
+    program count (bit j of a plane = cell j), and `cell_writes` builds the
+    per-cell count row from the planes. `wear_bound` is an upper bound on the
+    row maximum (see `program_cells`). `meta` holds the metadata cells as one
+    int in a layout the scheme owns; `program_cells` and `program_all_cells`
+    program it with the data and charge its changed bits as metadata flips.
+    `codebook_version`, `writes_since_bump` and `refs` (`wire`'s
     referenced-value mask) are uncharged tags. All of them describe the
-    stored image and move with it when wear leveling relocates it.
+    stored image and move with it when wear leveling relocates it. `lost`
+    marks a block whose image is not its address's content: a start-gap copy
+    into a failed block programs nothing, so the address's data is gone until
+    its next write.
     """
 
     __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "meta",
-                 "codebook_version", "writes_since_bump", "refs", "failed")
+                 "codebook_version", "writes_since_bump", "refs", "lost", "failed")
 
     def __init__(self, cfg: PcmConfig):
         self.bits = 0
@@ -207,15 +192,8 @@ class PcmBlock:
         self.codebook_version = 0
         self.writes_since_bump = 0
         self.refs = 0
+        self.lost = False
         self.failed = False
-
-    def take_meta(self, src: "PcmBlock", out: WriteOutcome) -> None:
-        """Copy src's metadata word, charging its flips to `out`, and its tags."""
-        out.count_meta_change(self.meta, src.meta)
-        self.meta = src.meta
-        self.codebook_version = src.codebook_version
-        self.writes_since_bump = src.writes_since_bump
-        self.refs = src.refs
 
     @property
     def cell_writes(self) -> np.ndarray:
@@ -277,12 +255,24 @@ def _wear(block: PcmBlock, cells: int, cfg: PcmConfig) -> None:
             block.failed = True
 
 
-def program_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOutcome:
-    """Differential program: update the cells whose stored bit differs.
+def _program_meta(block: PcmBlock, meta: int, out: WriteOutcome) -> None:
+    """Charge the changed bits of the metadata word to `out` and store it."""
+    diff = block.meta ^ meta
+    ones = (diff & meta).bit_count()
+    out.meta_flips_set = ones
+    out.meta_flips_reset = diff.bit_count() - ones
+    block.meta = meta
 
-    Only differing cells are touched; each one wears by 1 and is counted as a
-    SET (0->1) or RESET (1->0) flip. Marks the block failed once any cell
-    exceeds its endurance (a cell survives exactly `cell_endurance` programs).
+
+def program_cells(block: PcmBlock, new_bits: int, new_meta: int,
+                  cfg: PcmConfig) -> WriteOutcome:
+    """Differential program of the whole line: data cells and metadata word.
+
+    Only differing data cells are touched; each one wears by 1 and is counted
+    as a SET (0->1) or RESET (1->0) flip. The metadata word's changed bits
+    are counted the same way as metadata flips, and it is stored; metadata
+    cells do not wear. Marks the block failed once any data cell exceeds its
+    endurance (a cell survives exactly `cell_endurance` programs).
 
     The endurance test is lazy but exact. Invariant: `block.wear_bound` is
     at least `block.cell_writes.max()`. It holds at 0 for a fresh block, and
@@ -294,6 +284,8 @@ def program_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOutcom
     if block.failed:
         raise DeadBlockError("write to dead block")
     out = WriteOutcome()
+    if block.meta != new_meta:
+        _program_meta(block, new_meta, out)
     diff = block.bits ^ new_bits
     if diff == 0:
         return out
@@ -305,15 +297,19 @@ def program_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOutcom
     return out
 
 
-def program_all_cells(block: PcmBlock, new_bits: int, cfg: PcmConfig) -> WriteOutcome:
-    """Unconditional program of every cell, as a conventional PCM write does.
+def program_all_cells(block: PcmBlock, new_bits: int, new_meta: int,
+                      cfg: PcmConfig) -> WriteOutcome:
+    """Unconditional program of every data cell, as a conventional PCM write does.
 
-    Every cell wears by 1 regardless of the stored value; flips are counted
-    by target state (SET for 1s, RESET for 0s).
+    Every data cell wears by 1 regardless of the stored value; flips are
+    counted by target state (SET for 1s, RESET for 0s). The metadata word is
+    programmed as in `program_cells`: only its changed bits are charged.
     """
     if block.failed:
         raise DeadBlockError("write to dead block")
     out = WriteOutcome()
+    if block.meta != new_meta:
+        _program_meta(block, new_meta, out)
     out.flips_set = new_bits.bit_count()
     out.flips_reset = cfg.block_bits - out.flips_set
     _wear(block, (1 << cfg.block_bits) - 1, cfg)

@@ -98,10 +98,10 @@ def run_lifetime(sim, events, max_writes: int = 100_000_000) -> None:
     Works on any `Simulation` and leaves its results on it: `sim.writes`
     counts the writes actually serviced. A write to a failed block is dropped
     and counted in `sim.dropped_writes` (its page stays dead), and a read of
-    one is skipped; the other blocks of a dead page go on serving both. A
-    safety cap on write attempts keeps wear-free traces from looping forever;
-    `sim.capped` is set when the cap ends a run whose capacity is still at
-    one half or more.
+    one, or of content a start-gap copy lost, is skipped uncounted; the
+    other blocks of a dead page go on serving both. A safety cap on write
+    attempts keeps wear-free traces from looping forever; `sim.capped` is
+    set when the cap ends a run whose capacity is still at one half or more.
     """
     if not any(ev.op == "W" for ev in events):
         raise SimulationError("trace cannot wear memory: it contains no writes")
@@ -112,7 +112,7 @@ def run_lifetime(sim, events, max_writes: int = 100_000_000) -> None:
                 try:
                     sim.read(ev.addr)
                 except DeadBlockError:
-                    pass  # a failed block has nothing to read
+                    pass  # a failed or lost block has nothing to read
                 continue
             try:
                 sim.write(ev.addr, ev.payload)

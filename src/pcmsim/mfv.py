@@ -18,12 +18,6 @@ FV_COUNTER_MAX = 2**31 - 1
 
 
 @dataclass
-class FifoEntry:
-    value: int
-    sat_counter: int = 1
-
-
-@dataclass
 class FvEntry:
     counter: int = 0  # saturating access counter
     pointer: int = 0  # stored blocks relying on the value
@@ -58,12 +52,6 @@ class MfvFinder:
         self._shared = 0  # bit v: value v's entry has two or more references
 
     # -- observation ---------------------------------------------------------
-
-    @property
-    def fifo(self) -> list[FifoEntry]:
-        """The FIFO filter in order, with each entry's current saturation counter."""
-        return [FifoEntry(v, max(0, e - self._misses))
-                for v, e in zip(self._fifo_values, self._fifo_expiry)]
 
     def observe(self, value: int) -> int | None:
         """Feed one granule value; returns the value if promoted into the FV table.

@@ -3,9 +3,9 @@
 A scheme is an encoder. `encode(block, data)` returns the physical bits to
 store and the block's new metadata word (`PcmBlock.meta`, in a layout the
 scheme owns), and `read(block)` decodes the stored image. `WriteScheme.write`
-is the one write path: it programs the bits, charges the metadata word's
-flips and stores it. All schemes guarantee that a read returns exactly the
-last logical data written.
+is the one write path: it programs both into the block with `program_cells`
+or `program_all_cells`, which charge the metadata word's flips too. All
+schemes guarantee that a read returns exactly the last logical data written.
 """
 
 from __future__ import annotations
@@ -119,17 +119,13 @@ class WriteScheme:
         self.cfg = cfg
 
     def write(self, block: PcmBlock, data: bytes) -> WriteOutcome:
-        """Encode, program the data cells, then charge and store the metadata word."""
+        """Encode, then program the line: data cells and metadata word."""
         if len(data) != self.cfg.block_bytes:
             raise ConfigError(
                 f"payload must be {self.cfg.block_bytes} bytes, got {len(data)}")
         bits, meta = self.encode(block, data)
         program = program_all_cells if self.programs_all else program_cells
-        out = program(block, bits, self.cfg)
-        if meta != block.meta:
-            out.count_meta_change(block.meta, meta)
-            block.meta = meta
-        return out
+        return program(block, bits, meta, self.cfg)
 
     def encode(self, block: PcmBlock, data: bytes) -> tuple[int, int]:
         """(physical bits, metadata word) to store; may set the block's uncharged tags."""
@@ -240,12 +236,10 @@ class WireScheme(WriteScheme):
 
     scheme_id = "wire"
 
-    def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None,
-                 freeze_codebook: bool = False):
+    def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
         super().__init__(cfg)
         self.finder = MfvFinder()
         self.wear = wear
-        self.freeze_codebook = freeze_codebook  # keep version 0, the identity, for good
         # version k's codeword of every value, indexed by value
         self.versions: list[tuple[int, ...]] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
@@ -268,7 +262,7 @@ class WireScheme(WriteScheme):
     # -- codebook versioning --------------------------------------------------
 
     def current_version(self) -> int:
-        if not self.freeze_codebook and self.finder.generation != self._built_generation:
+        if self.finder.generation != self._built_generation:
             ranked = self.finder.ranked_values()
             self.versions.append(build_codebook(ranked, self.cfg.granule_bits))
             self._built_generation = self.finder.generation

@@ -16,8 +16,9 @@ from .wearlevel import StartGapLeveler, WearConfig
 class Simulation:
     """Replays trace events against one memory image under one scheme.
 
-    A write or read of a block that already failed raises `DeadBlockError`;
-    the write also marks its page dead. `replay` stops at the first such
+    A write or read of a block that already failed raises `DeadBlockError`,
+    and so does a read of content a start-gap copy lost (see `read`); the
+    write also marks its page dead. `replay` stops at the first such
     access and sets `truncated`; `run_lifetime` drops the write (counted in
     `dropped_writes`) or skips the read, goes on, and sets `capped` if its
     cap on write attempts ended the run.
@@ -54,6 +55,7 @@ class Simulation:
             self.memory.kill_page(addr)
             raise DeadBlockError("write to dead block")
         out = self.scheme.write(block, payload)
+        block.lost = False
         if self.metadata_cache is not None:
             self.metadata_cache.touch(addr)
         if block.failed:
@@ -70,14 +72,18 @@ class Simulation:
         return out
 
     def read(self, addr: int) -> bytes:
-        """Return the last data written to addr; a failed block raises.
+        """Return the last data written to addr; a failed or lost block raises.
 
         A start-gap step into a failed block still remaps the address, so the
-        mapped block may hold no copy of the content; it must not be read.
+        mapped block holds no copy of the content; the block is marked `lost`,
+        and the mark moves with its stale image when a later step copies it
+        into a healthy block. Neither may be read before the next write.
         """
         block = self.memory.blocks[self._physical(addr)]
         if block.failed:
             raise DeadBlockError("read of dead block")
+        if block.lost:
+            raise DeadBlockError("read of content lost to a start-gap copy into a dead block")
         self.reads += 1
         if self.metadata_cache is not None:
             self.metadata_cache.touch(addr)

@@ -43,8 +43,10 @@ class StartGapLeveler:
     """Start-gap address remapping over num_blocks logical + 1 spare block.
 
     Each step copies the block next to the gap into the gap (a full
-    unconditional program, wear included) and the gap advances; after
-    num_blocks+1 steps every block has shifted one slot.
+    unconditional program of the data cells, wear included, plus the changed
+    metadata cells) and the gap advances; after num_blocks+1 steps every
+    block has shifted one slot. A copy into a failed block programs nothing
+    and marks it `lost`, a mark that moves on with the block's image.
     """
 
     def __init__(self, num_blocks: int):
@@ -71,10 +73,16 @@ class StartGapLeveler:
         src = memory.blocks[src_i]
         dest = memory.blocks[dest_i]
 
-        out = WriteOutcome()
-        if not dest.failed:
-            out = program_all_cells(dest, src.bits, memory.cfg)
-        dest.take_meta(src, out)  # metadata moves with the content
+        if dest.failed:  # programs nothing: the address's content is lost
+            out = WriteOutcome()
+            dest.lost = True
+        else:
+            out = program_all_cells(dest, src.bits, src.meta, memory.cfg)
+            dest.lost = src.lost
+        # the uncharged tags move with the content
+        dest.codebook_version = src.codebook_version
+        dest.writes_since_bump = src.writes_since_bump
+        dest.refs = src.refs
 
         self.gap = src_i
         if wrapped:

@@ -18,6 +18,8 @@ from pcmsim import (MetadataCache, PcmBlock, PcmConfig, Simulation,
 from pcmsim.cli import ExperimentConfig, cmd_run
 from pcmsim.schemes import FnwScheme, WireScheme
 
+from helpers import freeze_codebook
+
 
 def check(n, desc, ok, detail=""):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {n:>2}: {desc}"
@@ -29,11 +31,6 @@ def check(n, desc, ok, detail=""):
 
 def hamming(a, b):
     return bin(a ^ b).count("1")
-
-
-def rot_right(x, r, w):
-    r %= w
-    return ((x >> r) | (x << (w - r))) & ((1 << w) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +80,7 @@ def test_criterion_1_round_trip_fidelity():
     wires = []
     for i in range(8):
         ranked = rng.sample(range(16), rng.randrange(17))
-        scheme = WireScheme(cfg, freeze_codebook=True)
+        scheme = freeze_codebook(WireScheme(cfg))
         scheme.versions.append(build_codebook(ranked, 4))
         wires.append(scheme)
     for _ in range(n):
@@ -106,7 +103,7 @@ def test_criterion_2_wire_degenerates_to_diffwrite():
     rng = random.Random(7)
     cfg = PcmConfig(rotation_max=0)
     wire = Simulation("wire", 8, cfg)
-    wire.scheme.freeze_codebook = True
+    freeze_codebook(wire.scheme)
     diff = Simulation("diffwrite", 8, cfg)
     ok = True
     for _ in range(10_000):
@@ -155,7 +152,7 @@ def test_criterion_4_rotation_conformance():
 
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
                     counter_bits=2, granule_bits=4, page_bytes=4096)
-    scheme = WireScheme(cfg, freeze_codebook=True)
+    scheme = freeze_codebook(WireScheme(cfg))
     block = PcmBlock(cfg)
     block.bits = 0b1000
     out = scheme.write(block, pack_granules([0b0010] + [0] * 7, 4))

@@ -15,7 +15,7 @@ CFG = PcmConfig()
 def test_program_identical_data_flips_nothing():
     b = PcmBlock(CFG)
     b.bits = 0b1001
-    out = program_cells(b, 0b1001, CFG)
+    out = program_cells(b, 0b1001, 0, CFG)
     assert out.flips == 0
     assert b.bits == 0b1001
 
@@ -23,7 +23,7 @@ def test_program_identical_data_flips_nothing():
 def test_program_single_bit_reset():
     b = PcmBlock(CFG)
     b.bits = 0b1001
-    out = program_cells(b, 0b1000, CFG)
+    out = program_cells(b, 0b1000, 0, CFG)
     assert out.flips_set == 0
     assert out.flips_reset == 1
     assert b.bits == 0b1000
@@ -31,7 +31,7 @@ def test_program_single_bit_reset():
 
 def test_program_complement_counts_sets():
     b = PcmBlock(CFG)
-    out = program_cells(b, 0b1111, CFG)
+    out = program_cells(b, 0b1111, 0, CFG)
     assert out.flips_set == 4
     assert out.flips_reset == 0
 
@@ -40,8 +40,8 @@ def test_program_is_idempotent_for_equal_data():
     rng = random.Random(7)
     b = PcmBlock(CFG)
     data = rng.getrandbits(CFG.block_bits)
-    program_cells(b, data, CFG)
-    assert program_cells(b, data, CFG).flips == 0
+    program_cells(b, data, 0, CFG)
+    assert program_cells(b, data, 0, CFG).flips == 0
 
 
 def test_wear_conservation():
@@ -50,19 +50,43 @@ def test_wear_conservation():
     b = PcmBlock(CFG)
     total = 0
     for _ in range(50):
-        out = program_cells(b, rng.getrandbits(CFG.block_bits), CFG)
+        out = program_cells(b, rng.getrandbits(CFG.block_bits), 0, CFG)
         total += out.flips
     assert int(b.cell_writes.sum()) == total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([program_cells, program_all_cells]), st.integers(1, 8),
+       st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**80 - 1)),
+                min_size=1, max_size=8))
+def test_program_charges_and_stores_the_metadata_word(program, nbytes, writes):
+    # the metadata word's changed bits are charged by target state and it is
+    # stored; only the data cells wear
+    cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
+                    counter_bits=1, granule_bits=1, page_bytes=nbytes,
+                    cell_endurance=10**6)
+    mem = PcmMemory(1, cfg)
+    b = mem.blocks[0]
+    data_flips = 0
+    for bits, meta in writes:
+        bits &= (1 << cfg.block_bits) - 1
+        changed = b.meta ^ meta
+        out = program(b, bits, meta, cfg)
+        assert out.meta_flips_set == (changed & meta).bit_count()
+        assert out.meta_flips_reset == changed.bit_count() - out.meta_flips_set
+        assert (b.bits, b.meta) == (bits, meta)
+        data_flips += out.flips
+        assert int(mem.wear_matrix().sum()) == data_flips
 
 
 def test_program_all_wears_every_cell():
     b = PcmBlock(CFG)
     data = (1 << 10) | 1
-    out = program_all_cells(b, data, CFG)
+    out = program_all_cells(b, data, 0, CFG)
     assert out.flips_set == 2
     assert out.flips_reset == CFG.block_bits - 2
     assert (b.cell_writes == 1).all()
-    out = program_all_cells(b, data, CFG)
+    out = program_all_cells(b, data, 0, CFG)
     assert out.flips == CFG.block_bits
     assert (b.cell_writes == 2).all()
 
@@ -71,27 +95,27 @@ def test_cell_survives_exactly_endurance_programs():
     cfg = PcmConfig(cell_endurance=3)
     b = PcmBlock(cfg)
     for i in range(3):
-        program_cells(b, (i + 1) % 2, cfg)  # toggle bit 0
+        program_cells(b, (i + 1) % 2, 0, cfg)  # toggle bit 0
     assert not b.failed
-    program_cells(b, 0, cfg)  # fourth program of cell 0
+    program_cells(b, 0, 0, cfg)  # fourth program of cell 0
     assert b.failed
     with pytest.raises(DeadBlockError):
-        program_cells(b, 0, cfg)
+        program_cells(b, 0, 0, cfg)
 
 
 def test_program_past_endurance_fails_block_and_keeps_other_counts():
     cfg = PcmConfig(cell_endurance=3)
     b = PcmBlock(cfg)
     for data in (0b100011, 0b100000, 0b100011):  # cells 0 and 1 reach endurance
-        program_cells(b, data, cfg)
+        program_cells(b, data, 0, cfg)
     assert not b.failed
-    program_cells(b, 0b10100010, cfg)  # fourth program of cell 0, first of 7
+    program_cells(b, 0b10100010, 0, cfg)  # fourth program of cell 0, first of 7
     assert b.failed
     expected = [0] * cfg.block_bits
     expected[0], expected[1], expected[5], expected[7] = 4, 3, 1, 1
     assert b.cell_writes.tolist() == expected
     with pytest.raises(DeadBlockError):
-        program_cells(b, 0, cfg)
+        program_cells(b, 0, 0, cfg)
     assert b.cell_writes.tolist() == expected
 
 
@@ -116,14 +140,14 @@ def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops
             before = block.cell_writes.copy()
             with pytest.raises(DeadBlockError):
                 if kind == "cells":
-                    program_cells(block, bits, cfg)
+                    program_cells(block, bits, 0, cfg)
                 else:
-                    program_all_cells(block, bits, cfg)
+                    program_all_cells(block, bits, 0, cfg)
             assert (block.cell_writes == before).all()
         elif kind == "cells":
-            program_cells(block, bits, cfg)
+            program_cells(block, bits, 0, cfg)
         else:
-            program_all_cells(block, bits, cfg)
+            program_all_cells(block, bits, 0, cfg)
         for b in mem.blocks:
             assert b.failed == (int(b.cell_writes.max()) > endurance)
             assert b.wear_bound >= int(b.cell_writes.max())
@@ -159,14 +183,14 @@ def _wear_reference_run(nbytes, endurance, ops):
             elif failed[i]:
                 with pytest.raises(DeadBlockError):
                     if kind == "cells":
-                        program_cells(mem.blocks[i], new_bits, cfg)
+                        program_cells(mem.blocks[i], new_bits, 0, cfg)
                     else:
-                        program_all_cells(mem.blocks[i], new_bits, cfg)
+                        program_all_cells(mem.blocks[i], new_bits, 0, cfg)
             elif kind == "cells":
-                program_cells(mem.blocks[i], new_bits, cfg)
+                program_cells(mem.blocks[i], new_bits, 0, cfg)
                 ref_program(i, new_bits)
             else:
-                program_all_cells(mem.blocks[i], new_bits, cfg)
+                program_all_cells(mem.blocks[i], new_bits, 0, cfg)
                 ref_program(i, new_bits, every_cell=True)
             assert (mem.wear_matrix() == rows).all()
             for b, row, f, stored in zip(mem.blocks, rows, failed, bits):

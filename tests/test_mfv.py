@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, MfvFinder, build_codebook, pack_granules,
                     unpack_granules)
-from pcmsim.mfv import FV_COUNTER_MAX, FifoEntry
+from pcmsim.mfv import FV_COUNTER_MAX
+
+from helpers import FifoEntry, fifo
 
 
 def hamming(a, b):
@@ -19,9 +21,9 @@ def hamming(a, b):
 def test_cold_start_inserts_with_counter_one():
     f = MfvFinder()
     assert f.observe(0xA) is None
-    assert len(f.fifo) == 1
-    assert f.fifo[0].value == 0xA
-    assert f.fifo[0].sat_counter == 1
+    assert len(fifo(f)) == 1
+    assert fifo(f)[0].value == 0xA
+    assert fifo(f)[0].sat_counter == 1
 
 
 def test_promotion_on_reaching_saturation():
@@ -30,7 +32,7 @@ def test_promotion_on_reaching_saturation():
     assert f.observe(5) is None   # hit, counter 2
     assert f.observe(5) == 5      # hit, counter 3 == sat_max -> promoted
     assert f.is_frequent(5)
-    assert all(e.value != 5 for e in f.fifo)
+    assert all(e.value != 5 for e in fifo(f))
 
 
 def test_full_fifo_high_counters_drops_newcomer():
@@ -40,10 +42,10 @@ def test_full_fifo_high_counters_drops_newcomer():
     for _ in range(3):
         for v in range(4):
             f.observe(v)
-    counters = {e.value: e.sat_counter for e in f.fifo}
+    counters = {e.value: e.sat_counter for e in fifo(f)}
     f.observe(9)  # unseen, all counters >= threshold after the decrement
-    assert all(e.value != 9 for e in f.fifo)
-    for e in f.fifo:
+    assert all(e.value != 9 for e in fifo(f))
+    for e in fifo(f):
         assert e.sat_counter == counters[e.value] - 1
 
 
@@ -52,8 +54,8 @@ def test_miss_decrements_floor_at_zero():
     f.observe(1)
     for v in (2, 3, 4, 5):
         f.observe(v)
-    assert all(e.sat_counter >= 0 for e in f.fifo)
-    assert all(e.sat_counter <= 10 for e in f.fifo)
+    assert all(e.sat_counter >= 0 for e in fifo(f))
+    assert all(e.sat_counter <= 10 for e in fifo(f))
 
 
 def test_below_threshold_entry_is_replaced():
@@ -61,8 +63,8 @@ def test_below_threshold_entry_is_replaced():
     f.observe(1)
     f.observe(2)           # both inserted, counters 1 and 1
     f.observe(3)           # miss: both decrement to 0; first slot replaced by 3
-    assert [e.value for e in f.fifo] == [3, 2]
-    assert f.fifo[0].sat_counter == 1
+    assert [e.value for e in fifo(f)] == [3, 2]
+    assert fifo(f)[0].sat_counter == 1
 
 
 def test_fv_table_has_no_duplicate_used_values():
@@ -100,11 +102,9 @@ def test_retire_decrements_pointer():
 class EagerFinder(MfvFinder):
     """Reference FIFO filter: every miss decrements every saturation counter."""
 
-    fifo = None  # a plain list here, in place of the lazily decayed view
-
     def __init__(self, **params):
         super().__init__(**params)
-        self.fifo = []
+        self.entries = []
 
     def observe(self, value):
         entry = self.fv.get(value)
@@ -113,22 +113,22 @@ class EagerFinder(MfvFinder):
                 entry.counter += 1
             return None
 
-        for i, f in enumerate(self.fifo):
+        for i, f in enumerate(self.entries):
             if f.value == value:
                 if f.sat_counter < self.sat_max:
                     f.sat_counter += 1
                 if f.sat_counter >= self.sat_max and self._install(value):
-                    del self.fifo[i]
+                    del self.entries[i]
                     return value
                 return None
 
-        for f in self.fifo:
+        for f in self.entries:
             if f.sat_counter > 0:
                 f.sat_counter -= 1
-        if len(self.fifo) < self.fifo_entries:
-            self.fifo.append(FifoEntry(value))
+        if len(self.entries) < self.fifo_entries:
+            self.entries.append(FifoEntry(value))
         else:
-            for f in self.fifo:
+            for f in self.entries:
                 if f.sat_counter < self.replace_threshold:
                     f.value = value
                     f.sat_counter = 1
@@ -172,7 +172,7 @@ def test_threshold_zero_never_replaces_an_entry():
     f = MfvFinder(fifo_entries=1, sat_max=2, replace_threshold=0)
     for v in (1, 2, 3):
         f.observe(v)
-    assert [(e.value, e.sat_counter) for e in f.fifo] == [(1, 0)]
+    assert [(e.value, e.sat_counter) for e in fifo(f)] == [(1, 0)]
 
 
 def test_retire_unknown_value_is_diagnosed_noop():
@@ -190,7 +190,7 @@ def test_full_fv_table_refuses_an_install_and_keeps_its_generation():
     assert sorted(f.fv) == [1, 2] and f.generation == 2
     assert f.observe(3) is None and f.observe(3) is None  # saturated, no free entry
     assert sorted(f.fv) == [1, 2] and f.generation == 2
-    assert [(e.value, e.sat_counter) for e in f.fifo] == [(3, 2)]
+    assert [(e.value, e.sat_counter) for e in fifo(f)] == [(3, 2)]
 
 
 def test_promotion_is_monotone_under_extra_occurrences():
@@ -215,7 +215,8 @@ def test_promotion_is_monotone_under_extra_occurrences():
 
 
 def finder_state(f):
-    return ([(e.value, e.sat_counter) for e in f.fifo],
+    entries = f.entries if isinstance(f, EagerFinder) else fifo(f)
+    return ([(e.value, e.sat_counter) for e in entries],
             {v: (e.counter, e.pointer) for v, e in f.fv.items()},
             f.generation, f.retire_misses)
 

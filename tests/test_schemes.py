@@ -6,22 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
-                    WriteOutcome, build_codebook, optimal_rotation, pack_granules,
+                    build_codebook, optimal_rotation, pack_granules, program_cells,
                     unpack_granules)
-from pcmsim.core import rotate_left, rotate_right
+from pcmsim.core import rotate_left
 from pcmsim.schemes import FnwScheme, WireScheme
+
+from helpers import freeze_codebook, rotate_right
 
 CFG = PcmConfig()
 
 
 def hamming(a, b):
     return bin(a ^ b).count("1")
-
-
-def rot_right(x, r, w):
-    r %= w
-    mask = (1 << w) - 1
-    return ((x >> r) | (x << (w - r))) & mask
 
 
 def random_payload(rng, nbytes=64):
@@ -236,9 +232,9 @@ def test_rotation_brute_force_oracle():
         stored = rng.getrandbits(width)
         incumbent = rng.randrange(width)
         r, flips = one_partition(enc, stored, width, rmax, incumbent)
-        best = min(hamming(rot_right(enc, k, width), stored) for k in range(rmax + 1))
+        best = min(hamming(rotate_right(enc, k, width), stored) for k in range(rmax + 1))
         assert flips == best
-        assert hamming(rot_right(enc, r, width), stored) == best
+        assert hamming(rotate_right(enc, r, width), stored) == best
         assert 0 <= r <= rmax
 
 
@@ -364,7 +360,7 @@ def test_wire_rotation_conformance_small_partition():
     # 0010 by a 2-bit rotation with zero data flips
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
                     counter_bits=2, granule_bits=4, page_bytes=4096)
-    scheme = WireScheme(cfg, freeze_codebook=True)
+    scheme = freeze_codebook(WireScheme(cfg))
     block = PcmBlock(cfg)
     block.bits = 0b1000
     payload = pack_granules([0b0010] + [0] * 7, 4)
@@ -376,7 +372,7 @@ def test_wire_rotation_conformance_small_partition():
 
 def test_wire_identity_write_costs_nothing():
     sim = Simulation("wire", 2)
-    sim.scheme.freeze_codebook = True
+    freeze_codebook(sim.scheme)
     payload = pack_granules([0b0010] + [0] * 127, 4)
     sim.write(0, payload)
     meta_before = sim.totals.meta_flips
@@ -389,7 +385,7 @@ def test_wire_identity_write_costs_nothing():
 def test_wire_per_partition_flips_match_brute_force():
     rng = random.Random(31)
     cfg = PcmConfig()
-    scheme = WireScheme(cfg, freeze_codebook=True)
+    scheme = freeze_codebook(WireScheme(cfg))
     block = PcmBlock(cfg)
     block.bits = rng.getrandbits(512)
     width = cfg.partition_bits
@@ -401,7 +397,7 @@ def test_wire_per_partition_flips_match_brute_force():
         for i in range(cfg.partitions_per_block):
             e = (enc >> (i * width)) & mask
             s = (block.bits >> (i * width)) & mask
-            expect += min(hamming(rot_right(e, k, width), s)
+            expect += min(hamming(rotate_right(e, k, width), s)
                           for k in range(cfg.rotation_max + 1))
         out = scheme.write(block, payload)
         assert out.flips == expect
@@ -411,7 +407,7 @@ def test_wire_degenerates_to_diffwrite():
     cfg = PcmConfig(rotation_max=0)
     rng = random.Random(37)
     wire = Simulation("wire", 4, cfg)
-    wire.scheme.freeze_codebook = True
+    freeze_codebook(wire.scheme)
     diff = Simulation("diffwrite", 4, cfg)
     for _ in range(300):
         addr = rng.randrange(4)
@@ -430,7 +426,7 @@ def test_wire_translate_tables_equal_per_granule_path(g, data):
     ranked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=16))
     payloads = data.draw(st.lists(st.binary(min_size=64, max_size=64),
                                   min_size=1, max_size=4))
-    scheme = WireScheme(PcmConfig(granule_bits=g), freeze_codebook=True)
+    scheme = freeze_codebook(WireScheme(PcmConfig(granule_bits=g)))
     scheme.versions.append(build_codebook(ranked, g))
     book = scheme.versions[1]
     for epoch in range(g):
@@ -484,7 +480,7 @@ def per_partition_read(scheme, block):
 def test_wire_read_matches_per_partition_loop(geometry, data):
     cfg, counters, epoch = geometry
     g = cfg.granule_bits
-    scheme = WireScheme(cfg, freeze_codebook=True)
+    scheme = freeze_codebook(WireScheme(cfg))
     ranked = data.draw(st.lists(st.integers(0, (1 << g) - 1), unique=True, max_size=16))
     scheme.versions.append(build_codebook(ranked, g))
     block = PcmBlock(cfg)
@@ -509,13 +505,13 @@ def test_wire_meta_charge_is_the_same_in_lane_and_packed_form(old, data):
     def word(counters, epoch, spacing, epoch_shift):
         return sum(c << (i * spacing) for i, c in enumerate(counters)) | epoch << epoch_shift
 
-    packed, lanes = WriteOutcome(), WriteOutcome()
-    packed.count_meta_change(word(old_counters, old_epoch, cb, cb * n),
-                             word(new_counters, new_epoch, cb, cb * n))
-    lanes.count_meta_change(word(old_counters, old_epoch, w, cfg.block_bits),
-                            word(new_counters, new_epoch, w, cfg.block_bits))
-    assert (lanes.meta_flips_set, lanes.meta_flips_reset) == \
-        (packed.meta_flips_set, packed.meta_flips_reset)
+    def charge(spacing, epoch_shift):
+        block = PcmBlock(cfg)
+        block.meta = word(old_counters, old_epoch, spacing, epoch_shift)
+        out = program_cells(block, 0, word(new_counters, new_epoch, spacing, epoch_shift), cfg)
+        return out.meta_flips_set, out.meta_flips_reset
+
+    assert charge(w, cfg.block_bits) == charge(cb, cb * n)
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])

@@ -6,6 +6,8 @@ from pcmsim import (DeadBlockError, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, preset_spec,
                     generate, run_lifetime)
 
+from helpers import fifo
+
 
 def test_data_flip_counts_conserve_cell_wear():
     # every counted data flip wears exactly one cell, including remap copies
@@ -52,6 +54,36 @@ def test_read_after_start_gap_move_into_failed_block_raises():
     assert sim.reads == 0
 
 
+def stale_copy_sim():
+    """Address 3's content is lost: the gap step after its write skips the
+    copy into the failed spare block 4, and the fourth later step copies
+    block 4's stale image into block 0, where address 3 then lives."""
+    sim = Simulation("diffwrite", 4, PcmConfig(page_bytes=64),
+                     WearConfig(enabled=True, remap_period=1))
+    sim.memory.blocks[4].failed = True
+    events = [TraceEvent("W", 3, b"\xaa" * 64)]
+    events += [TraceEvent("W", addr, bytes(64)) for addr in (0, 1, 2, 0)]
+    return sim, events
+
+
+def test_read_of_a_stale_image_copied_out_of_a_failed_block_raises():
+    sim, events = stale_copy_sim()
+    sim.replay(events)
+    assert sim.leveler.map(3) == 0 and not sim.memory.blocks[0].failed
+    with pytest.raises(DeadBlockError):
+        sim.read(3)  # block 0 holds zeros, not the 0xAA written to address 3
+    assert sim.reads == 0
+    sim.write(3, b"\x55" * 64)  # a serviced write restores the address
+    assert sim.read(3) == b"\x55" * 64
+
+
+def test_lifetime_replay_skips_reads_of_lost_content():
+    sim, events = stale_copy_sim()
+    run_lifetime(sim, events + [TraceEvent("R", 3), TraceEvent("W", 1, bytes(64))],
+                 max_writes=6)
+    assert (sim.writes, sim.dropped_writes, sim.reads, sim.capped) == (6, 0, 0, True)
+
+
 def test_lifetime_replay_skips_reads_of_dead_blocks():
     # block 0 dies on its third write; half the pages stay live, so replay
     # runs to the cap and every later read of block 0 is skipped
@@ -90,9 +122,9 @@ def test_fifo_counters_stay_bounded_under_fuzz():
     f = MfvFinder(fifo_entries=6, sat_max=5, fv_entries=4)
     for _ in range(20_000):
         f.observe(rng.randrange(32))
-        assert len(f.fifo) <= 6
-        values = [e.value for e in f.fifo]
+        assert len(fifo(f)) <= 6
+        values = [e.value for e in fifo(f)]
         assert len(values) == len(set(values))
-        assert all(0 <= e.sat_counter <= 5 for e in f.fifo)
+        assert all(0 <= e.sat_counter <= 5 for e in fifo(f))
         ranked = f.ranked_values()
         assert len(ranked) == len(set(ranked))

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from pcmsim import (DeadBlockError, PcmConfig, PcmMemory, Simulation,
-                    StartGapLeveler, WearConfig, pack_granules)
-from pcmsim.core import rotate_left, rotate_right
+                    StartGapLeveler, WearConfig, WriteOutcome, pack_granules)
+from pcmsim.core import rotate_left
+
+from helpers import rotate_right
 
 # An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
 # tables); decoding rotates them back right.
@@ -118,6 +120,22 @@ def test_remap_copy_wears_the_destination():
     assert out.flips == 512
     assert (mem.blocks[2].cell_writes == 1).all()
     assert mem.blocks[2].bits == mem.blocks[1].bits
+
+
+def test_start_gap_copy_into_a_failed_block_programs_nothing():
+    # the tags still move and the block is marked lost; its cells and
+    # metadata word keep their stale image and nothing is charged
+    cfg = PcmConfig()
+    mem = PcmMemory(2, cfg, extra_blocks=1)
+    lev = StartGapLeveler(2)
+    src, dest = mem.blocks[1], mem.blocks[2]
+    src.bits, src.meta, src.codebook_version, src.refs = (1 << 512) - 1, 0b101, 3, 0b11
+    dest.bits, dest.meta, dest.failed = 0b1010, 0b110, True
+    out = lev.step(mem)
+    assert out == WriteOutcome()
+    assert (dest.bits, dest.meta, int(dest.cell_writes.sum())) == (0b1010, 0b110, 0)
+    assert dest.lost and (dest.codebook_version, dest.refs) == (3, 0b11)
+    assert lev.map(1) == 2
 
 
 def test_gap_steps_after_every_remap_period_serviced_writes():
