@@ -107,22 +107,23 @@ def run_lifetime(sim, events, max_writes: int = 100_000_000) -> None:
         raise SimulationError("trace cannot wear memory: it contains no writes")
     attempts = 0
     while True:
-        for ev in events:
-            if ev.op != "W":
+        for window in sim.windows(events):
+            for ev in window:
+                if ev.op != "W":
+                    try:
+                        sim.read(ev.addr)
+                    except DeadBlockError:
+                        pass  # a failed or lost block has nothing to read
+                    continue
                 try:
-                    sim.read(ev.addr)
+                    sim.write(ev.addr, ev.payload)
                 except DeadBlockError:
-                    pass  # a failed or lost block has nothing to read
-                continue
-            try:
-                sim.write(ev.addr, ev.payload)
-            except DeadBlockError:
-                sim.dropped_writes += 1
-            attempts += 1
-            capacity = sim.memory.live_capacity()
-            if capacity < 0.5 or attempts >= max_writes:
-                sim.capped = capacity >= 0.5
-                return
+                    sim.dropped_writes += 1
+                attempts += 1
+                capacity = sim.memory.live_capacity()
+                if capacity < 0.5 or attempts >= max_writes:
+                    sim.capped = capacity >= 0.5
+                    return
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ schemes guarantee that a read returns exactly the last logical data written.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -49,15 +48,11 @@ def _rotation_plan(width: int, rotation_max: int, partitions: int):
     # lane-wise rotate_right(x, r) = ((x >> r) & low) | ((x << (width - r)) & high)
     rotations = [(r, lanes * ((1 << (width - r)) - 1), width - r,
                   lanes * (((1 << r) - 1) << (width - r))) for r in range(rotation_max + 1)]
-    # period p | width iff x >> p is x's low bits; each p divides the lcm probe
-    periods = [(p, lanes * ((1 << (width - p)) - 1))
-               for p in range(1, rotation_max + 1) if width % p == 0]
-    lcm = math.lcm(*(p for p, _ in periods)) % width
     steps = _popcount_steps(width, lanes * sum(1 << (r * width * partitions)
                                                for r in range(rotation_max + 1)))
     fields = [(i * width, ((1 << width) - 1) << (i * width), slice(i, None, partitions))
               for i in range(partitions)]
-    return rotations, (lcm, lanes * ((1 << (width - lcm)) - 1)), periods, steps, fields
+    return rotations, steps, fields
 
 
 def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
@@ -73,40 +68,72 @@ def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
     rotations in that lane form, their total flips and the rotated partitions.
 
     The rotated copies of the block, XORed with the stored bits, are
-    concatenated and every (copy, partition) lane popcounted at once. If every
-    partition has period p, r and r mod p flip the same cells: only r < p is
-    searched.
+    concatenated and every (copy, partition) lane popcounted at once.
     """
-    rotations, (lcm, keep), periods, steps, fields = \
-        _rotation_plan(width, rotation_max, partitions)
+    rotations, steps, fields = _rotation_plan(width, rotation_max, partitions)
     bits = width * partitions
-    span = rotation_max + 1
-    if (encoded >> lcm) & keep == encoded & keep:  # most blocks fail this one compare
-        span = next((p for p, m in periods if (encoded >> p) & m == encoded & m), span)
     copies = [((encoded >> r) & low) | ((encoded << back) & high)
-              for r, low, back, high in rotations[:span]]
+              for r, low, back, high in rotations]
     c = 0
     for copy in reversed(copies):
         c = (c << bits) | (copy ^ stored)
     for f, lo, hi in steps:
         c = (c & lo) + ((c & hi) >> f)
     if width % 8 or width > 255:  # lane (r, i) holds its count in its low bits ...
-        counts = [(c >> k) & ((1 << width) - 1) for k in range(0, span * bits, width)]
+        counts = [(c >> k) & ((1 << width) - 1) for k in range(0, len(copies) * bits, width)]
     else:  # ... and, in a lane of whole bytes, in its low byte
-        counts = c.to_bytes(span * bits // 8, "little")[::width // 8]
+        counts = c.to_bytes(len(copies) * bits // 8, "little")[::width // 8]
 
     chosen = flips = rotated = 0
     for shift, lane, column in fields:
         per_r = counts[column]
         best = min(per_r)
         r = (incumbent & lane) >> shift
-        t = r % span  # under period p the incumbent ties as incumbent mod p
-        if r > rotation_max or per_r[t] != best:
-            r = t = per_r.index(best)
+        if r > rotation_max or per_r[r] != best:
+            r = per_r.index(best)
         chosen |= r << shift
         flips += best
-        rotated |= copies[t] & lane
+        rotated |= copies[r] & lane
     return chosen, flips, rotated
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_rotations(rotation_max: int):
+    """r, 64 - r and r | 64 for every rotation r of `optimal_rotations`, as
+    (rotation_max + 1, 1, 1) uint64 arrays."""
+    r = np.arange(rotation_max + 1, dtype=np.uint64)[:, None, None]
+    return r, 64 - r, r | 64
+
+
+def optimal_rotations(encoded: bytes, stored: bytes, incumbent: bytes, rotation_max: int,
+                      block_bytes: int) -> list[tuple[int, int]]:
+    """`optimal_rotation` of many blocks of 64-bit partitions in one numpy pass.
+
+    Each argument joins the blocks' little-endian images, `block_bytes` each:
+    the encoded bits, the stored bits and the incumbent counters in lane form
+    (without the bits above the lanes). Returns each block's (rotations,
+    rotated), equal to `optimal_rotation`'s first and last results.
+
+    Every rotation r of every (block, partition) lane is built, as a
+    (rotation_max + 1, blocks, partitions) uint64 array, and its flips are
+    counted with `np.bitwise_count`. Each lane takes the r of the smallest
+    key flips << 7 | (r != incumbent) << 6 | r: the tie rule of
+    `optimal_rotation`.
+    """
+    r, back, r_other = _lane_rotations(rotation_max)
+    source, stored, incumbent = np.frombuffer(encoded + stored + incumbent, dtype="<u8") \
+        .reshape(3, -1, block_bytes // 8)
+    # numpy shifts a uint64 by 64 to 0, so r = 0 leaves the lane as it is
+    copies = source >> r | source << back
+    keys = np.left_shift(np.bitwise_count(copies ^ stored), 7, dtype=np.uint64)
+    keys |= np.where(r == incumbent, r, r_other)
+    chosen = keys.min(axis=0)
+    chosen &= 63
+    rotated = source >> chosen | source << (64 - chosen)
+    chosen, rotated = chosen.tobytes(), rotated.tobytes()
+    return [(int.from_bytes(chosen[k:k + block_bytes], "little"),
+             int.from_bytes(rotated[k:k + block_bytes], "little"))
+            for k in range(0, len(chosen), block_bytes)]
 
 
 class WriteScheme:
@@ -114,6 +141,9 @@ class WriteScheme:
 
     scheme_id = "base"
     programs_all = False  # program every cell on a write, not only changed ones
+    # look_ahead(writes), if set, prepares a window of (block, data) writes
+    # to distinct blocks just before they run (see `Simulation.windows`)
+    look_ahead = None
 
     def __init__(self, cfg: PcmConfig):
         self.cfg = cfg
@@ -232,6 +262,17 @@ class WireScheme(WriteScheme):
     i * partition_bits, the epoch at bit block_bits. Bit k of every counter
     lines up with its lane, so a read undoes all rotations at once: step k
     rotates left by 2^k the lanes whose counter has bit k set.
+
+    With 64-bit partitions the rotation search runs ahead in batches.
+    `look_ahead` encodes a window of writes to distinct blocks with the newest
+    codebook version built so far and each block's current epoch, searches
+    them in one `optimal_rotations` call and keeps each result under the
+    inputs it was searched from: (payload, version, epoch, stored bits,
+    metadata word). `encode` takes a kept result only when all five equal the
+    write's own, so it is `optimal_rotation`'s result for those inputs. A new
+    codebook version, an epoch bump, a start-gap step or a dead block can
+    only make it search for itself. The look-ahead builds no version, bumps no
+    epoch and feeds nothing to the finder, and it keeps one window's results.
     """
 
     scheme_id = "wire"
@@ -255,6 +296,10 @@ class WireScheme(WriteScheme):
         # rotate_left(x, s) = ((x << s) & high) | ((x >> (w - s)) & low)
         self._unrotate = [(s, lanes * (part_mask & part_mask << s), w - s, lanes * ((1 << s) - 1))
                           for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
+        # block -> ((data, version, epoch, stored bits, meta), (rotations, rotated))
+        self._ahead: dict[PcmBlock, tuple] = {}
+        if w == 64:  # a partition is one uint64 lane of `optimal_rotations`
+            self.look_ahead = self._look_ahead
 
     def overhead_bits_per_block(self) -> int:
         return self.cfg.counter_bits * self.cfg.partitions_per_block
@@ -298,15 +343,40 @@ class WireScheme(WriteScheme):
         meta = block.meta
         epoch, bumped = next_epoch(meta >> self._epoch_shift, block.writes_since_bump,
                                    self.wear, self._granule_bits)
-        encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
-
-        rotations, _, phys = optimal_rotation(
-            encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
+        inputs = (data, version, epoch, block.bits, meta)
+        ahead = self._ahead.get(block)
+        if ahead is not None and ahead[0] == inputs:
+            rotations, phys = ahead[1]
+        else:
+            encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
+            rotations, _, phys = optimal_rotation(
+                encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
         block.codebook_version = version
         block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
         # the previous content no longer pins its values
         block.refs = self.finder.rereference(block.refs, resident)
         return phys, epoch << self._epoch_shift | rotations
+
+    def _look_ahead(self, writes) -> None:
+        """Search the rotations of a window of (block, data) writes to
+        distinct blocks in one batch; see the class docstring."""
+        version = len(self.versions) - 1
+        shift, nbytes = self._epoch_shift, self.cfg.block_bytes
+        lane_mask = (1 << shift) - 1
+        inputs, encoded, stored, incumbent = [], [], [], []
+        for block, data in writes:
+            if not isinstance(data, (bytes, bytearray)) or len(data) != nbytes:
+                continue  # not a payload: the write raises
+            meta = block.meta
+            epoch = meta >> shift
+            inputs.append((block, (data, version, epoch, block.bits, meta)))
+            encoded.append(data.translate(self._codec(version, epoch)[0]))
+            stored.append(block.bits.to_bytes(nbytes, "little"))
+            incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
+        # a batch of one costs more than `optimal_rotation`, which encode calls instead
+        results = optimal_rotations(b"".join(encoded), b"".join(stored), b"".join(incumbent),
+                                    self._rotation_max, nbytes) if len(inputs) > 1 else []
+        self._ahead = {block: (key, result) for (block, key), result in zip(inputs, results)}
 
     def read(self, block):
         image, counters = block.bits, block.meta

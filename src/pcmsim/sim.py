@@ -12,6 +12,9 @@ from .core import (DeadBlockError, MetadataCache, PcmConfig, PcmMemory,
 from .schemes import WriteScheme, make_scheme
 from .wearlevel import StartGapLeveler, WearConfig
 
+# writes a look-ahead window holds at most (see `Simulation.windows`)
+LOOK_AHEAD_WRITES = 64
+
 
 class Simulation:
     """Replays trace events against one memory image under one scheme.
@@ -89,14 +92,47 @@ class Simulation:
             self.metadata_cache.touch(addr)
         return self.scheme.read(block)
 
+    def windows(self, events):
+        """Yield the trace in the pieces the replay loops run one after another.
+
+        That is the whole trace, unless the scheme has a `look_ahead`. Then a
+        window runs until it holds LOOK_AHEAD_WRITES writes or meets a second
+        write to one address, and just before it runs the scheme's look-ahead
+        gets its writes, as (block, data) in order. Writes that will raise, to
+        an address outside memory or to a failed block, are left out. A
+        window is scanned after the one before it has run, so its blocks are
+        found as its writes will find them, bar start-gap steps inside it.
+        """
+        look_ahead = self.scheme.look_ahead
+        if look_ahead is None:
+            yield events
+            return
+        n, blocks, physical = self.num_blocks, self.memory.blocks, self._physical
+        window, writes = [], {}
+        for ev in events:
+            if ev.op == "W":
+                addr = ev.addr
+                if addr in writes or len(writes) == LOOK_AHEAD_WRITES:
+                    look_ahead(writes.values())
+                    yield window
+                    window, writes = [], {}
+                if 0 <= addr < n:
+                    block = blocks[physical(addr)]
+                    if not block.failed:
+                        writes[addr] = block, ev.payload
+            window.append(ev)
+        look_ahead(writes.values())
+        yield window
+
     def replay(self, events) -> None:
         """Run a whole trace; the first dead-block access truncates it."""
         try:
-            for op, addr, payload in events:
-                if op == "W":
-                    self.write(addr, payload)
-                else:
-                    self.read(addr)
+            for window in self.windows(events):
+                for op, addr, payload in window:
+                    if op == "W":
+                        self.write(addr, payload)
+                    else:
+                        self.read(addr)
         except DeadBlockError:
             self.truncated = True
 

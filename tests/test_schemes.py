@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
                     build_codebook, optimal_rotation, pack_granules, program_cells,
-                    unpack_granules)
+                    schemes, unpack_granules)
 from pcmsim.core import rotate_left
-from pcmsim.schemes import FnwScheme, WireScheme
+from pcmsim.schemes import FnwScheme, WireScheme, optimal_rotations
 
 from helpers import freeze_codebook, rotate_right
 
@@ -292,19 +293,22 @@ def test_rotation_monotone_in_rotation_max():
 
 
 @st.composite
-def block_rotation_cases(draw):
-    """A block geometry PcmConfig accepts, partitions periodic or not, and
-    incumbent counters in lane form that may lie above rotation_max, with an
-    epoch above the lanes."""
-    width = draw(st.sampled_from([4, 8, 16, 24, 32, 64]))
-    partitions = draw(st.sampled_from([n for n in range(1, 9) if width * n % 8 == 0]))
-    rmax = draw(st.one_of(st.sampled_from([0, 1, 8 % width, width - 1]),
-                          st.integers(0, width - 1)))
-    counter_bits = max(1, rmax.bit_length()) + draw(st.integers(0, 2))
-    block_bytes = width * partitions // 8
-    cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
-                    rotation_max=rmax, counter_bits=counter_bits, granule_bits=4,
-                    page_bytes=block_bytes)
+def block_rotation_cases(draw, widths=(4, 8, 16, 24, 32, 64), cfg=None):
+    """A block geometry PcmConfig accepts (`cfg` if given), partitions periodic
+    or not, and incumbent counters in lane form that may lie above
+    rotation_max, with an epoch above the lanes."""
+    if cfg is None:
+        width = draw(st.sampled_from(widths))
+        partitions = draw(st.sampled_from([n for n in range(1, 9) if width * n % 8 == 0]))
+        rmax = draw(st.one_of(st.sampled_from([0, 1, 8 % width, width - 1]),
+                              st.integers(0, width - 1)))
+        counter_bits = max(1, rmax.bit_length()) + draw(st.integers(0, 2))
+        block_bytes = width * partitions // 8
+        cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
+                        rotation_max=rmax, counter_bits=counter_bits, granule_bits=4,
+                        page_bytes=block_bytes)
+    width, partitions = cfg.partition_bits, cfg.partitions_per_block
+    counter_bits = cfg.counter_bits
     # a short period makes every rotation r tie with r mod p
     periods = [p for p in (1, 2, 3, 4, 8) if width % p == 0] + [width]
     shape = draw(st.sampled_from(["all periodic", "some periodic", "random"]))
@@ -350,6 +354,106 @@ def test_block_rotation_matches_per_partition_naive_search(case):
         rotated |= rotate_right(part, r, width) << (i * width)
     assert optimal_rotation(encoded, stored, width, cfg.rotation_max, incumbent,
                             cfg.partitions_per_block) == (rotations, flips, rotated)
+
+
+@st.composite
+def rotation_batches(draw, min_size=1):
+    """`min_size` to 64 `block_rotation_cases` of one geometry with 64-bit
+    partitions."""
+    first = draw(block_rotation_cases(widths=(64,)))
+    cfg = first[0]
+    return [first] + draw(st.lists(block_rotation_cases(cfg=cfg),
+                                   min_size=min_size - 1, max_size=63))
+
+
+def lane_period(lane):
+    """The smallest p dividing 64 with lane equal to itself rotated by p."""
+    return next(p for p in (1, 2, 4, 8, 16, 32, 64) if rotate_right(lane, p, 64) == lane)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_batches())
+@example_cases([LIFETIME_BLOCK_CASES])
+def test_batched_rotation_search_matches_optimal_rotation(batch):
+    cfg = batch[0][0]
+    nbytes, rmax, partitions = cfg.block_bytes, cfg.rotation_max, cfg.partitions_per_block
+    lanes_only = (1 << cfg.block_bits) - 1
+    results = optimal_rotations(
+        b"".join(encoded.to_bytes(nbytes, "little") for _, encoded, _, _ in batch),
+        b"".join(stored.to_bytes(nbytes, "little") for _, _, stored, _ in batch),
+        b"".join((incumbent & lanes_only).to_bytes(nbytes, "little")
+                 for _, _, _, incumbent in batch),
+        rmax, nbytes)
+    assert len(results) == len(batch)
+    for (_, encoded, stored, incumbent), (rotations, rotated) in zip(batch, results):
+        chosen, _, expected = optimal_rotation(encoded, stored, 64, rmax, incumbent, partitions)
+        assert (rotations, rotated) == (chosen, expected)
+        # the batch tries every r: a p-periodic lane flips the same cells at r
+        # and r mod p, so unless the incumbent ties, its first best r is below p
+        for i in range(partitions):
+            lane, r = (encoded >> (64 * i)) & ONES, (rotations >> (64 * i)) & ONES
+            if r != (incumbent >> (64 * i)) & ONES:
+                assert r < lane_period(lane)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rotation_batches(min_size=2), st.integers(0, 7))
+def test_wire_encode_takes_the_looked_ahead_rotations(batch, epoch):
+    """After `look_ahead` of two or more writes, each block's write encodes to
+    `optimal_rotation`'s result without calling it, the epoch bits above the
+    lanes included."""
+    cfg = batch[0][0]
+    scheme = freeze_codebook(WireScheme(cfg))
+    writes, expected = [], []
+    for _, data, stored, incumbent in batch:
+        block = PcmBlock(cfg)
+        block.bits = stored
+        block.meta = incumbent & ((1 << cfg.block_bits) - 1) | epoch << cfg.block_bits
+        payload = data.to_bytes(cfg.block_bytes, "little")
+        encoded = int.from_bytes(payload.translate(scheme._codec(0, epoch)[0]), "little")
+        rotations, _, phys = optimal_rotation(encoded, stored, 64, cfg.rotation_max,
+                                              block.meta, cfg.partitions_per_block)
+        writes.append((block, payload))
+        expected.append((phys, epoch << cfg.block_bits | rotations))
+    scheme.look_ahead(writes)
+    with mock.patch.object(schemes, "optimal_rotation", side_effect=AssertionError):
+        assert [scheme.encode(block, payload) for block, payload in writes] == expected
+
+
+@pytest.mark.parametrize("change", ["payload", "stored bits", "counters", "epoch", "version"])
+def test_wire_encode_searches_again_when_an_input_changed(change):
+    """A looked-ahead result is taken only while every input it was searched
+    from still holds; after any one changes, encode searches for itself."""
+    rng = random.Random(71)
+    scheme = freeze_codebook(WireScheme(CFG, WearConfig(enabled=True, epoch_writes=4)))
+    block = PcmBlock(CFG)
+    block.bits = rng.getrandbits(512)
+    block.meta = sum(rng.randrange(9) << (64 * i) for i in range(1, 8)) | 3 | 1 << 512
+    # every rotation of the zero partition 0 ties, so its incumbent counter 3 wins
+    data = bytes(8) + random_payload(rng, 56)
+
+    def expected(version, epoch):
+        encoded = int.from_bytes(data.translate(scheme._codec(version, epoch)[0]), "little")
+        rotations, _, phys = optimal_rotation(encoded, block.bits, 64, 8, block.meta, 8)
+        return phys, epoch << 512 | rotations
+
+    scheme.look_ahead([(block, data), (PcmBlock(CFG), data)])
+    stale = expected(0, 1)
+    version, epoch = 0, 1
+    if change == "payload":
+        data = random_payload(rng)
+    elif change == "stored bits":
+        block.bits = rng.getrandbits(512)
+    elif change == "counters":
+        block.meta ^= 7  # partition 0's counter 3 -> 4
+    elif change == "epoch":
+        block.writes_since_bump, epoch = 4, 2
+    else:
+        scheme.versions.append(build_codebook(list(range(15, -1, -1)), 4))
+        version = 1
+    fresh = expected(version, epoch)
+    assert fresh != stale
+    assert scheme.encode(block, data) == fresh
 
 
 # ---------------------------------------------------------------------------
