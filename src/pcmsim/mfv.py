@@ -15,11 +15,13 @@ import numpy as np
 from .core import ConfigError
 
 FV_COUNTER_MAX = 2**31 - 1
+# pending granules past which `observe_write` credits them at once
+PENDING_FLUSH_BYTES = 32 * 1024
 
 
 @dataclass
 class FvEntry:
-    counter: int = 0  # saturating access counter
+    counter: int = 0  # saturating access counter; `flush` adds pending credit
     pointer: int = 0  # stored blocks relying on the value
 
 
@@ -29,6 +31,13 @@ class MfvFinder:
     The FV table `fv` maps at most `fv_entries` values to their entries.
     `generation` increments whenever its set of values changes, which is the
     signal for consumers to rebuild their codebook.
+
+    `observe_write` credits FV-resident values in bulk: it appends each
+    write's granules to a pending buffer, and `flush` adds their counts to the
+    values in the table at that moment. Every install flushes first, so a
+    value in the table at a flush has been resident through all its pending
+    granules, and a value that was not is not credited: the counters equal
+    per-granule `observe`'s whenever `ranked_values` reads them.
     """
 
     def __init__(self, fifo_entries: int = 16, sat_max: int = 7,
@@ -50,6 +59,10 @@ class MfvFinder:
         self.generation = 0
         self.retire_misses = 0  # diagnostics: retire of an untracked value
         self._shared = 0  # bit v: value v's entry has two or more references
+        self._pending = bytearray()  # granules whose FV credit `flush` adds
+        self._keys_generation = -1  # `generation` of the cached keys below
+        self._keys = b""  # the FV values, a byte each
+        self._key_mask = 0  # bit v: value v is in `_keys`
 
     # -- observation ---------------------------------------------------------
 
@@ -95,40 +108,62 @@ class MfvFinder:
                     break
         return None
 
-    def observe_write(self, granules: bytes) -> int:
-        """Feed one write's granules, a byte each in write order; same end state
-        as `observe` on each in order. Returns the write's values resident at
-        its end, bit v for value v. A value that is FV-resident when the write
-        starts gets all its occurrences in one saturating counter update; only
-        the other values go through `observe`, in order.
+    def observe_write(self, data: bytes, granule_bits: int = 8) -> int:
+        """Feed one write's payload, split into `granule_bits` granules (see
+        `split_granules`); same end state as `observe` on each granule in
+        write order, once `flush` has run. Returns the write's values resident
+        at its end, bit v for value v.
 
-        This is exact because, for a resident value, `observe` only bumps that
-        entry's saturating counter, which no other step of `observe` reads,
-        and leaves the FIFO and FV membership alone. Nothing retires an entry
-        while the write is observed, so a resident value stays resident to
-        the end of the write and its occurrences commute with every other
-        call. A value promoted partway through the write is not in the
-        resident set; `observe` itself credits its later occurrences.
+        Values resident when the write starts go to the pending buffer only:
+        for them `observe` would just bump a saturating counter, and nothing
+        retires an entry during a write. The other granules go through
+        `observe` in write order, after the buffer took the whole write, so a
+        flush made by a promotion partway through drops the promoted value's
+        granules and `observe` counts its later ones. Counting needs no order:
+        below 8 bits the granules are one translate per granule position,
+        joined, and the ordered split is made only for a granule not resident.
         """
-        index, count = self.fv, granules.count
-        resident = 0
-        for v, entry in index.items():
-            n = count(v)
-            if n:
-                c = entry.counter + n
-                entry.counter = c if c < FV_COUNTER_MAX else FV_COUNTER_MAX
-                resident |= 1 << v
-        late = granules.translate(None, bytes(index))
+        if self._keys_generation != self.generation:
+            self._keys = bytes(self.fv)
+            self._key_mask = sum(1 << v for v in self._keys)
+            self._keys_generation = self.generation
+        keys = self._keys
+        granules = data if granule_bits == 8 else b"".join(
+            [data.translate(table) for table in _split_tables(granule_bits)])
+        pending = self._pending
+        pending += granules
+        resident = self._key_mask
+        for v in keys.translate(None, granules):  # resident values the write lacks
+            resident ^= 1 << v
+        late = granules.translate(None, keys)
         if late:
+            if granule_bits != 8:
+                late = split_granules(data, granule_bits).translate(None, keys)
             observe = self.observe
             for v in late:
                 if observe(v) is not None:  # promoted, so resident to the end
                     resident |= 1 << v
+        if len(pending) > PENDING_FLUSH_BYTES:
+            self.flush()
         return resident
+
+    def flush(self) -> None:
+        """Credit the pending granules to the values in the FV table now."""
+        pending = self._pending
+        if not pending:
+            return
+        counts = np.bincount(np.frombuffer(pending, dtype=np.uint8), minlength=256).tolist()
+        pending.clear()
+        for v, entry in self.fv.items():
+            n = counts[v]
+            if n:
+                c = entry.counter + n
+                entry.counter = c if c < FV_COUNTER_MAX else FV_COUNTER_MAX
 
     def _install(self, value: int) -> bool:
         if len(self.fv) >= self.fv_entries:
             return False
+        self.flush()  # before `value` joins the table: its pending granules are not credited
         self.fv[value] = FvEntry()
         self.generation += 1
         return True
@@ -186,6 +221,7 @@ class MfvFinder:
 
     def ranked_values(self) -> list[int]:
         """FV values ordered by access counter (descending, value tiebreak)."""
+        self.flush()
         return sorted(self.fv, key=lambda v: (-self.fv[v].counter, v))
 
 
@@ -228,14 +264,19 @@ _SPLIT_TABLES = {g: [bytes((b >> k) & ((1 << g) - 1) for b in range(256))
                      for k in range(0, 8, g)] for g in (1, 2, 4)}
 
 
+def _split_tables(granule_bits: int) -> list[bytes]:
+    tables = _SPLIT_TABLES.get(granule_bits)
+    if tables is None:
+        raise ConfigError(f"unsupported granule width {granule_bits}")
+    return tables
+
+
 def split_granules(data: bytes, granule_bits: int) -> bytes:
     """Split payload bytes into granule values, a byte each, low-order granules
     first: granule i of byte j lands at j * k + i, k = 8 // granule_bits."""
     if granule_bits == 8:
         return data
-    tables = _SPLIT_TABLES.get(granule_bits)
-    if tables is None:
-        raise ConfigError(f"unsupported granule width {granule_bits}")
+    tables = _split_tables(granule_bits)
     k = len(tables)
     granules = bytearray(len(data) * k)
     for i, table in enumerate(tables):

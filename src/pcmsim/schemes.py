@@ -17,8 +17,7 @@ import numpy as np
 from .core import (ConfigError, PcmBlock, PcmConfig, WriteOutcome,
                    bits_to_bytes, bytes_to_bits, program_all_cells,
                    program_cells, rotate_left)
-from .mfv import (MfvFinder, build_codebook, pack_granules, split_granules,
-                  unpack_granules)
+from .mfv import MfvFinder, build_codebook, pack_granules, unpack_granules
 from .wearlevel import WearConfig, next_epoch
 
 SCHEME_IDS = ("plain", "diffwrite", "fnw", "wire")
@@ -337,7 +336,7 @@ class WireScheme(WriteScheme):
     # -- write/read paths ------------------------------------------------------
 
     def encode(self, block, data):
-        resident = self.finder.observe_write(split_granules(data, self._granule_bits))
+        resident = self.finder.observe_write(data, self._granule_bits)
 
         version = self.current_version()
         meta = block.meta

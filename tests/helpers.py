@@ -2,6 +2,9 @@
 
 from dataclasses import dataclass
 
+from pcmsim import MfvFinder
+from pcmsim.mfv import split_granules
+
 
 def rotate_right(x, r, width):
     """Rotate the low `width` bits of x right by r (bit j moves to j-r mod width);
@@ -21,6 +24,17 @@ def fifo(finder):
     counter (the finder keeps them lazily decayed)."""
     return [FifoEntry(v, max(0, e - finder._misses))
             for v, e in zip(finder._fifo_values, finder._fifo_expiry)]
+
+
+class PerGranuleFinder(MfvFinder):
+    """A finder whose `observe_write` feeds every granule to `observe` in write
+    order: the reference that `MfvFinder`'s bulk FV credit must match."""
+
+    def observe_write(self, data, granule_bits=8):
+        granules = split_granules(data, granule_bits)
+        for v in granules:
+            self.observe(v)
+        return sum(1 << v for v in set(granules) if self.is_frequent(v))
 
 
 def freeze_codebook(scheme):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (ConfigError, MfvFinder, build_codebook, pack_granules,
+from pcmsim import (ConfigError, MfvFinder, build_codebook, mfv, pack_granules,
                     unpack_granules)
-from pcmsim.mfv import FV_COUNTER_MAX
+from pcmsim.mfv import FV_COUNTER_MAX, PENDING_FLUSH_BYTES, split_granules
 
-from helpers import FifoEntry, fifo
+from helpers import FifoEntry, PerGranuleFinder, fifo
 
 
 def hamming(a, b):
@@ -215,7 +215,11 @@ def test_promotion_is_monotone_under_extra_occurrences():
 
 
 def finder_state(f):
-    entries = f.entries if isinstance(f, EagerFinder) else fifo(f)
+    if isinstance(f, EagerFinder):
+        entries = f.entries
+    else:
+        f.flush()  # credit the pending granules before reading the counters
+        entries = fifo(f)
     return ([(e.value, e.sat_counter) for e in entries],
             {v: (e.counter, e.pointer) for v, e in f.fv.items()},
             f.generation, f.retire_misses)
@@ -243,7 +247,7 @@ def finder_runs(draw):
 
 def replay_finder(params, seeded, writes, batched):
     """Drive a finder the way WireScheme.write does, block references included."""
-    f = MfvFinder(**params)
+    f = (MfvFinder if batched else PerGranuleFinder)(**params)
     refs = {}
     for v, below_max, addr in seeded:
         f._install(v)
@@ -251,11 +255,7 @@ def replay_finder(params, seeded, writes, batched):
         f.add_reference(v)
         refs.setdefault(addr, []).append(v)
     for addr, vals in writes:
-        if batched:
-            f.observe_write(bytes(vals))
-        else:
-            for v in vals:
-                f.observe(v)
+        f.observe_write(bytes(vals))
         for v in refs.get(addr, ()):
             f.retire_reference(v)
         refs[addr] = [v for v in sorted(set(vals)) if f.add_reference(v)]
@@ -275,6 +275,73 @@ def test_observe_write_credits_occurrences_after_midwrite_promotion():
     f.observe_write(bytes([5, 5, 5, 5]))
     assert f.is_frequent(5)
     assert f.fv[5].counter == 2   # promoted by the second, bumped twice
+
+
+def test_value_promoted_again_gets_no_credit_for_its_granules_before():
+    fast, slow = MfvFinder(fifo_entries=2, sat_max=2), PerGranuleFinder(fifo_entries=2, sat_max=2)
+    for f in (fast, slow):
+        f.observe_write(bytes([5, 5]))      # promoted by the second granule
+        f.add_reference(5)
+        f.observe_write(bytes([5] * 10))    # resident: pending credit only
+        f.retire_reference(5)               # a Gap now; no flush in between
+        f.observe_write(bytes([5, 5, 5]))   # promoted again by the second granule
+    assert finder_state(fast) == finder_state(slow)
+    assert fast.fv[5].counter == 1   # only the granule after the promotion counts
+
+
+def test_size_triggered_flush_keeps_the_counters_exact():
+    rng = random.Random(7)
+    fast, slow = MfvFinder(fv_entries=4), PerGranuleFinder(fv_entries=4)
+    for f in (fast, slow):
+        for v in range(4):
+            f._install(v)
+        f.fv[0].counter = FV_COUNTER_MAX - 5_000   # saturates across flushes
+    # full table: value 9 goes through the FIFO and never installs, so only
+    # the buffer's size can make a flush
+    writes = [bytes(rng.choice([0, 0, 1, 2, 3, 9]) for _ in range(64)) for _ in range(1_200)]
+    assert sum(map(len, writes)) > 2 * PENDING_FLUSH_BYTES
+    for data in writes:
+        assert fast.observe_write(data) == slow.observe_write(data)
+        assert len(fast._pending) <= PENDING_FLUSH_BYTES
+    assert 0 < fast.fv[1].counter < slow.fv[1].counter   # flushed by size, then pending
+    assert finder_state(fast) == finder_state(slow)
+    assert fast.fv[0].counter == FV_COUNTER_MAX
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.sampled_from([1, 2, 4]), data=st.data())
+def test_observe_write_splits_like_split_granules(g, data):
+    params = {"fifo_entries": data.draw(st.integers(1, 3)), "sat_max": data.draw(st.integers(1, 3)),
+              "fv_entries": data.draw(st.integers(1, 4))}
+    installs = data.draw(st.lists(st.integers(0, (1 << g) - 1), unique=True,
+                                  max_size=params["fv_entries"]))
+    # a few payload bytes, so granules repeat and often all are resident
+    alphabet = data.draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    writes = data.draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=1, max_size=12),
+                                min_size=1, max_size=8))
+    whole, split = MfvFinder(**params), MfvFinder(**params)
+    for f in (whole, split):
+        for v in installs:
+            f._install(v)
+    for payload in map(bytes, writes):
+        assert whole.observe_write(payload, g) == split.observe_write(split_granules(payload, g))
+    assert finder_state(whole) == finder_state(split)
+
+
+@pytest.mark.parametrize("installs, ordered_splits", [((0, 1, 2, 3), 0), ((0, 1, 2), 1)])
+def test_observe_write_splits_in_write_order_only_for_a_value_not_resident(
+        monkeypatch, installs, ordered_splits):
+    calls = []
+    monkeypatch.setattr(mfv, "split_granules",
+                        lambda data, g: calls.append(g) or split_granules(data, g))
+    fast, slow = MfvFinder(fifo_entries=2, sat_max=2), PerGranuleFinder(fifo_entries=2, sat_max=2)
+    for f in (fast, slow):
+        for v in installs:
+            f._install(v)
+    payload = bytes([0b11_10_01_00, 0b00_11_11_11])   # 2-bit granules 0, 1, 2, 3, 3, 3, 3, 0
+    assert fast.observe_write(payload, 2) == slow.observe_write(payload, 2) == 0b1111
+    assert len(calls) == ordered_splits
+    assert finder_state(fast) == finder_state(slow)
 
 
 def test_observe_write_observes_only_values_not_resident():

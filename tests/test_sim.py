@@ -7,7 +7,7 @@ from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, preset_spec,
                     generate, run_lifetime, schemes)
 
-from helpers import fifo
+from helpers import PerGranuleFinder, fifo
 
 
 def test_data_flip_counts_conserve_cell_wear():
@@ -274,3 +274,33 @@ def test_wire_searches_rotations_ahead_for_almost_every_write():
                            wraps=schemes.optimal_rotation) as search:
         sim.replay(events)
     assert 0 < search.call_count < 0.05 * sim.writes
+
+
+# ---------------------------------------------------------------------------
+# bulk FV credit: the codebook versions of per-granule counting
+
+def balanced_seed_1():
+    events = generate(preset_spec("balanced", events=4_000, seed=1), num_blocks=256)
+    return Simulation("wire", 256), events
+
+
+@pytest.mark.parametrize("make", [balanced_seed_1, churn_g8], ids=["balanced", "churn-g8"])
+def test_bulk_fv_credit_builds_the_per_granule_codebook_versions(make):
+    def run(finder):
+        sim, events = make()
+        sim.scheme.finder = finder
+        promoted = []
+        install = finder._install
+        finder._install = lambda v: install(v) and (promoted.append(v) or True)
+        sim.replay(events)
+        finder.flush()
+        return sim, promoted, {v: (e.counter, e.pointer) for v, e in finder.fv.items()}
+
+    sim, promoted, entries = run(MfvFinder())
+    reference, reference_promoted, reference_entries = run(PerGranuleFinder())
+    assert sim.scheme.versions == reference.scheme.versions
+    assert (promoted, entries) == (reference_promoted, reference_entries)
+    assert sim.totals == reference.totals
+    assert len(sim.scheme.versions) > 4
+    if make is churn_g8:  # entries retire and values come back
+        assert len(promoted) > len(set(promoted)) > sim.scheme.finder.fv_entries
