@@ -103,6 +103,7 @@ def run_lifetime(sim, events, max_writes: int = 100_000_000) -> None:
     attempts keeps wear-free traces from looping forever; `sim.capped` is
     set when the cap ends a run whose capacity is still at one half or more.
     """
+    events = tuple(events)  # replayed cyclically, so an iterator must not be used up
     if not any(ev.op == "W" for ev in events):
         raise SimulationError("trace cannot wear memory: it contains no writes")
     attempts = 0

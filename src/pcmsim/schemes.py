@@ -40,20 +40,6 @@ def _popcount_steps(width: int, lanes: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-@functools.lru_cache(maxsize=64)
-def _rotation_plan(width: int, rotation_max: int, partitions: int):
-    """Masks of `optimal_rotation` for one block geometry."""
-    lanes = sum(1 << (i * width) for i in range(partitions))
-    # lane-wise rotate_right(x, r) = ((x >> r) & low) | ((x << (width - r)) & high)
-    rotations = [(r, lanes * ((1 << (width - r)) - 1), width - r,
-                  lanes * (((1 << r) - 1) << (width - r))) for r in range(rotation_max + 1)]
-    steps = _popcount_steps(width, lanes * sum(1 << (r * width * partitions)
-                                               for r in range(rotation_max + 1)))
-    fields = [(i * width, ((1 << width) - 1) << (i * width), slice(i, None, partitions))
-              for i in range(partitions)]
-    return rotations, steps, fields
-
-
 def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
                      incumbent: int, partitions: int) -> tuple[int, int, int]:
     """Exhaustively pick each partition's rotation minimizing flips against the stored bits.
@@ -65,34 +51,20 @@ def optimal_rotation(encoded: int, stored: int, width: int, rotation_max: int,
     lane at bit i * width of `incumbent` (lane form, as `WireScheme` stores
     it; higher bits are ignored). Returns (rotations, flips, rotated): the
     rotations in that lane form, their total flips and the rotated partitions.
-
-    The rotated copies of the block, XORed with the stored bits, are
-    concatenated and every (copy, partition) lane popcounted at once.
     """
-    rotations, steps, fields = _rotation_plan(width, rotation_max, partitions)
-    bits = width * partitions
-    copies = [((encoded >> r) & low) | ((encoded << back) & high)
-              for r, low, back, high in rotations]
-    c = 0
-    for copy in reversed(copies):
-        c = (c << bits) | (copy ^ stored)
-    for f, lo, hi in steps:
-        c = (c & lo) + ((c & hi) >> f)
-    if width % 8 or width > 255:  # lane (r, i) holds its count in its low bits ...
-        counts = [(c >> k) & ((1 << width) - 1) for k in range(0, len(copies) * bits, width)]
-    else:  # ... and, in a lane of whole bytes, in its low byte
-        counts = c.to_bytes(len(copies) * bits // 8, "little")[::width // 8]
-
+    mask = (1 << width) - 1
     chosen = flips = rotated = 0
-    for shift, lane, column in fields:
-        per_r = counts[column]
-        best = min(per_r)
-        r = (incumbent & lane) >> shift
-        if r > rotation_max or per_r[r] != best:
-            r = per_r.index(best)
+    for shift in range(0, width * partitions, width):
+        part, old = (encoded >> shift) & mask, (stored >> shift) & mask
+        copies = [(part >> r | part << (width - r)) & mask for r in range(rotation_max + 1)]
+        counts = [(copy ^ old).bit_count() for copy in copies]
+        best = min(counts)
+        r = (incumbent >> shift) & mask
+        if r > rotation_max or counts[r] != best:
+            r = counts.index(best)
         chosen |= r << shift
         flips += best
-        rotated |= copies[r] & lane
+        rotated |= copies[r] << shift
     return chosen, flips, rotated
 
 
@@ -372,9 +344,8 @@ class WireScheme(WriteScheme):
             encoded.append(data.translate(self._codec(version, epoch)[0]))
             stored.append(block.bits.to_bytes(nbytes, "little"))
             incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
-        # a batch of one costs more than `optimal_rotation`, which encode calls instead
         results = optimal_rotations(b"".join(encoded), b"".join(stored), b"".join(incumbent),
-                                    self._rotation_max, nbytes) if len(inputs) > 1 else []
+                                    self._rotation_max, nbytes) if inputs else []
         self._ahead = {block: (key, result) for (block, key), result in zip(inputs, results)}
 
     def read(self, block):

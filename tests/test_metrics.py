@@ -7,7 +7,7 @@ import pytest
 
 from pcmsim import (PcmConfig, SimulationError, Simulation, TraceEvent,
                     build_report, intrav, mfv_coverage, run_lifetime, top_k_coverage,
-                    GenSpec, generate)
+                    GenSpec, generate, preset_spec)
 from pcmsim.metrics import REPORT_CHUNK
 
 
@@ -126,6 +126,36 @@ def test_trace_without_writes_is_rejected():
     sim = Simulation("plain", 1, one_block_cfg(5))
     with pytest.raises(SimulationError):
         run_lifetime(sim, [TraceEvent("R", 0)])
+
+
+class OneShot:
+    """An iterator that fails, rather than yielding nothing, once used up."""
+
+    def __init__(self, items):
+        self._items, self._ended = iter(items), False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        try:
+            return next(self._items)
+        except StopIteration:
+            assert not self._ended, "iterated again after it was used up"
+            self._ended = True
+            raise
+
+
+@pytest.mark.parametrize("scheme_id", ["diffwrite", "wire"])
+def test_lifetime_of_an_iterator_equals_that_of_the_list(scheme_id):
+    events = generate(preset_spec("balanced", events=200, seed=1), num_blocks=16)
+    results = []
+    for trace in (events, OneShot(events)):
+        sim = Simulation(scheme_id, 16)
+        run_lifetime(sim, trace, max_writes=1000)
+        results.append((sim.writes, sim.dropped_writes, sim.capped, sim.totals))
+    assert results[0] == results[1]
+    assert results[0][:3] == (1000, 0, True)  # the cap ended both runs
 
 
 def test_lifetime_proportional_to_endurance():

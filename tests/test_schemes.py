@@ -618,13 +618,17 @@ def test_wire_meta_charge_is_the_same_in_lane_and_packed_form(old, data):
     assert charge(w, cfg.block_bits) == charge(cb, cb * n)
 
 
-@pytest.mark.parametrize("g", [1, 2, 4, 8])
+# 128-, 64- and 32-bit partitions; the default 64-bit geometry keeps the bare id
+@pytest.mark.parametrize("g, partitions", [
+    pytest.param(g, p, id=str(g) if p == 8 else f"{g}-{512 // p}bit")
+    for p in (8, 4, 16) for g in (1, 2, 4, 8)])
 @settings(max_examples=10, deadline=None)
 @given(writes=st.lists(st.tuples(st.integers(0, 3), st.binary(min_size=64, max_size=64)),
                        min_size=1, max_size=30))
-def test_wire_random_payloads_read_back_exactly(g, writes):
-    # epoch bumps every other write and a live codebook exercise many tables
-    sim = Simulation("wire", 4, PcmConfig(granule_bits=g),
+def test_wire_random_payloads_read_back_exactly(g, partitions, writes):
+    # epoch bumps every other write and a live codebook exercise many tables;
+    # every write runs `optimal_rotation`, since `sim.write` looks nothing ahead
+    sim = Simulation("wire", 4, PcmConfig(granule_bits=g, partitions_per_block=partitions),
                      WearConfig(enabled=True, epoch_writes=2, remap_period=7))
     stored = {}
     for addr, payload in writes:
