@@ -81,6 +81,8 @@ class ExperimentConfig:
         cfg.lifetime = d.get("lifetime", cfg.lifetime)
         cfg.max_writes = d.get("max_writes", cfg.max_writes)
         if "gen" in d:
+            if cfg.trace_path is not None:
+                raise ConfigError("config sets both 'trace' and 'gen'; give one event source")
             g = dict(d["gen"])
             try:
                 g["values"] = {int(k, 16): v for k, v in g.get("values", {}).items()}
@@ -231,14 +233,18 @@ def cmd_analyze(trace_path: str, granule_bits: int, block_bytes: int,
     return 0
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _config(args) -> ExperimentConfig:
+    """The config file's experiment, or the balanced preset's, with the flags applied."""
+    cfg = ExperimentConfig(gen=preset_spec("balanced")) if args.config is None \
+        else ExperimentConfig.load(args.config)
     if args.trace is not None:
-        cfg.trace_path = args.trace
-        cfg.gen = None
-    if args.preset is not None:
-        cfg.gen = preset_spec(args.preset, events=args.events,
-                              seed=args.seed if args.seed is not None else 0)
-        cfg.trace_path = None
+        cfg.trace_path, cfg.gen = args.trace, None
+    if args.preset is not None:  # load_events gives it cfg.seed, if set
+        cfg.trace_path, cfg.gen = None, preset_spec(args.preset)
+    if args.events is not None:
+        if cfg.gen is None:
+            raise ConfigError("--events sets a generated trace's length, not a trace file's")
+        cfg.gen = dataclasses.replace(cfg.gen, events=args.events)
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "schemes", None):
@@ -250,15 +256,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _base_config(args) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = ExperimentConfig.load(args.config)
-    else:
-        cfg = ExperimentConfig()
-        cfg.gen = preset_spec("balanced", events=args.events)
-    return _apply_overrides(cfg, args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pcmsim",
@@ -267,13 +264,14 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--trace", type=str, default=None, help="input trace file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--trace", type=str, default=None, help="input trace file")
+        source.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                            help="built-in read/write mix")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="generator seed")
-        p.add_argument("--events", type=int, default=10_000,
-                       help="event count for generated traces")
-        p.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                       help="built-in read/write mix")
+        p.add_argument("--events", type=int, default=None,
+                       help="event count of a generated trace (a preset's: 10000)")
 
     p_run = sub.add_parser("run", help="replay a trace under the configured schemes")
     common(p_run)
@@ -297,9 +295,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(_base_config(args))
+            return cmd_run(_config(args))
         if args.command == "gen":
-            return cmd_gen(_base_config(args), args.path)
+            return cmd_gen(_config(args), args.path)
         if args.command == "analyze":
             return cmd_analyze(args.trace, args.granule_bits, args.block_bytes,
                                args.out)

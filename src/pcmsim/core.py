@@ -172,16 +172,16 @@ class PcmBlock:
     row maximum (see `program_cells`). `meta` holds the metadata cells as one
     int in a layout the scheme owns; `program_cells` and `program_all_cells`
     program it with the data and charge its changed bits as metadata flips.
-    `codebook_version`, `writes_since_bump` and `refs` (`wire`'s
-    referenced-value mask) are uncharged tags. All of them describe the
+    `tags` is the uncharged state a scheme keeps per block, in a form the
+    scheme owns, `None` until a scheme stores one. All of them describe the
     stored image and move with it when wear leveling relocates it. `lost`
     marks a block whose image is not its address's content: a start-gap copy
     into a failed block programs nothing, so the address's data is gone until
     its next write.
     """
 
-    __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "meta",
-                 "codebook_version", "writes_since_bump", "refs", "lost", "failed")
+    __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "meta", "tags",
+                 "lost", "failed")
 
     def __init__(self, cfg: PcmConfig):
         self.bits = 0
@@ -189,9 +189,7 @@ class PcmBlock:
         self.wear_planes: list[int] = []
         self.wear_bound = 0
         self.meta = 0
-        self.codebook_version = 0
-        self.writes_since_bump = 0
-        self.refs = 0
+        self.tags = None
         self.lost = False
         self.failed = False
 

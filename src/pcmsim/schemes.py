@@ -1,11 +1,11 @@
 """Pluggable write-encoding schemes: encoders behind one write path.
 
-A scheme is an encoder. `encode(block, data)` returns the physical bits to
-store and the block's new metadata word (`PcmBlock.meta`, in a layout the
-scheme owns), and `read(block)` decodes the stored image. `WriteScheme.write`
-is the one write path: it programs both into the block with `program_cells`
-or `program_all_cells`, which charge the metadata word's flips too. All
-schemes guarantee that a read returns exactly the last logical data written.
+A scheme is an encoder. `encode(block, data)` returns the physical bits, the
+metadata word (`PcmBlock.meta`) and the uncharged tags (`PcmBlock.tags`) to
+store, the last two in forms the scheme owns; `read(block)` decodes the stored
+image. `WriteScheme.write`, the one write path, stores the tags and programs
+bits and word with `program_cells` or `program_all_cells`, which charge the
+word's flips too. A read returns exactly the last logical data written.
 """
 
 from __future__ import annotations
@@ -120,17 +120,19 @@ class WriteScheme:
         self.cfg = cfg
 
     def write(self, block: PcmBlock, data: bytes) -> WriteOutcome:
-        """Encode, then program the line: data cells and metadata word."""
+        """Encode, store the tags, then program the line: data cells and metadata word."""
         if len(data) != self.cfg.block_bytes:
             raise ConfigError(
                 f"payload must be {self.cfg.block_bytes} bytes, got {len(data)}")
-        bits, meta = self.encode(block, data)
+        # tags first: if programming a failed block raises, they still hold
+        # the references encode moved in `wire`'s finder
+        bits, meta, block.tags = self.encode(block, data)
         program = program_all_cells if self.programs_all else program_cells
         return program(block, bits, meta, self.cfg)
 
-    def encode(self, block: PcmBlock, data: bytes) -> tuple[int, int]:
-        """(physical bits, metadata word) to store; may set the block's uncharged tags."""
-        return bytes_to_bits(data), 0  # the identity encoder
+    def encode(self, block: PcmBlock, data: bytes) -> tuple[int, int, object]:
+        """(physical bits, metadata word, tags) to store; changes no block state."""
+        return bytes_to_bits(data), 0, None  # the identity encoder
 
     def read(self, block: PcmBlock) -> bytes:
         return bits_to_bytes(block.bits, self.cfg.block_bytes)
@@ -212,7 +214,7 @@ class FnwScheme(WriteScheme):
         for pass_words, pass_lanes, bias in self._passes:
             invert |= ((((c & pass_words) << 1) + 3 * (flips & pass_lanes) + bias)
                        >> k) & pass_lanes
-        return logical ^ invert * self._word_mask, invert
+        return logical ^ invert * self._word_mask, invert, None
 
     def read(self, block):
         return bits_to_bytes(block.bits ^ block.meta * self._word_mask, self.cfg.block_bytes)
@@ -223,10 +225,14 @@ class WireScheme(WriteScheme):
 
     Writes feed granules to the frequent-value finder, encode them through
     the current codebook version (bit-rotated by the block's wear epoch),
-    then rotate each partition to best match the stored cells. Blocks also
-    record the codebook version they were encoded with so older content
-    stays decodable after the ranking evolves. Encoding and decoding are one
-    `bytes.translate` each, through 256-byte tables cached per (version, epoch).
+    then rotate each partition to best match the stored cells. Encoding and
+    decoding are one `bytes.translate` each, through 256-byte tables cached
+    per (version, epoch).
+
+    A block's tags are (codebook version, writes since the last epoch bump,
+    referenced-value mask), (0, 0, 0) until written: the version keeps older
+    content decodable as the ranking evolves, the count drives `next_epoch`,
+    and the mask holds the frequent values the content pins in the finder.
 
     The metadata word, reached through the simulation's metadata cache, is in
     lane form like `fnw`'s: partition i's rotation counter at bit
@@ -237,13 +243,13 @@ class WireScheme(WriteScheme):
     With 64-bit partitions the rotation search runs ahead in batches.
     `look_ahead` encodes a window of writes to distinct blocks with the newest
     codebook version built so far and each block's current epoch, searches
-    them in one `optimal_rotations` call and keeps each result under the
-    inputs it was searched from: (payload, version, epoch, stored bits,
-    metadata word). `encode` takes a kept result only when all five equal the
-    write's own, so it is `optimal_rotation`'s result for those inputs. A new
-    codebook version, an epoch bump, a start-gap step or a dead block can
-    only make it search for itself. The look-ahead builds no version, bumps no
-    epoch and feeds nothing to the finder, and it keeps one window's results.
+    them in one `optimal_rotations` call and keys each result by the five
+    values it depends on: (payload, version, epoch, stored bits, metadata
+    word). `encode` takes the one kept under its own five, whichever block
+    holds them, so content a start-gap step moved still finds it; a new
+    codebook version, an epoch bump or a dead block can only make it search
+    for itself. The look-ahead builds no version, bumps no epoch and feeds
+    nothing to the finder, and it keeps one window's results.
     """
 
     scheme_id = "wire"
@@ -251,7 +257,7 @@ class WireScheme(WriteScheme):
     def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
         super().__init__(cfg)
         self.finder = MfvFinder()
-        self.wear = wear
+        self.wear = wear if wear is not None else WearConfig()
         # version k's codeword of every value, indexed by value
         self.versions: list[tuple[int, ...]] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
@@ -267,8 +273,8 @@ class WireScheme(WriteScheme):
         # rotate_left(x, s) = ((x << s) & high) | ((x >> (w - s)) & low)
         self._unrotate = [(s, lanes * (part_mask & part_mask << s), w - s, lanes * ((1 << s) - 1))
                           for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
-        # block -> ((data, version, epoch, stored bits, meta), (rotations, rotated))
-        self._ahead: dict[PcmBlock, tuple] = {}
+        # (data, version, epoch, stored bits, meta) -> (rotations, rotated)
+        self._ahead: dict[tuple, tuple[int, int]] = {}
         if w == 64:  # a partition is one uint64 lane of `optimal_rotations`
             self.look_ahead = self._look_ahead
 
@@ -311,22 +317,21 @@ class WireScheme(WriteScheme):
         resident = self.finder.observe_write(data, self._granule_bits)
 
         version = self.current_version()
+        _, writes, refs = block.tags or (0, 0, 0)
         meta = block.meta
-        epoch, bumped = next_epoch(meta >> self._epoch_shift, block.writes_since_bump,
-                                   self.wear, self._granule_bits)
-        inputs = (data, version, epoch, block.bits, meta)
-        ahead = self._ahead.get(block)
-        if ahead is not None and ahead[0] == inputs:
-            rotations, phys = ahead[1]
+        epoch, bumped = next_epoch(meta >> self._epoch_shift, writes, self.wear,
+                                   self._granule_bits)
+        key = (data, version, epoch, block.bits, meta)
+        ahead = self._ahead.get(key) if isinstance(data, bytes) else None  # bytearray: unhashable
+        if ahead is not None:
+            rotations, phys = ahead
         else:
             encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
             rotations, _, phys = optimal_rotation(
                 encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
-        block.codebook_version = version
-        block.writes_since_bump = 1 if bumped else block.writes_since_bump + 1
         # the previous content no longer pins its values
-        block.refs = self.finder.rereference(block.refs, resident)
-        return phys, epoch << self._epoch_shift | rotations
+        tags = (version, 1 if bumped else writes + 1, self.finder.rereference(refs, resident))
+        return phys, epoch << self._epoch_shift | rotations, tags
 
     def _look_ahead(self, writes) -> None:
         """Search the rotations of a window of (block, data) writes to
@@ -336,17 +341,17 @@ class WireScheme(WriteScheme):
         lane_mask = (1 << shift) - 1
         inputs, encoded, stored, incumbent = [], [], [], []
         for block, data in writes:
-            if not isinstance(data, (bytes, bytearray)) or len(data) != nbytes:
-                continue  # not a payload: the write raises
+            if not isinstance(data, bytes) or len(data) != nbytes:
+                continue  # searched by its write (a bytearray, unhashable), or the write raises
             meta = block.meta
             epoch = meta >> shift
-            inputs.append((block, (data, version, epoch, block.bits, meta)))
+            inputs.append((data, version, epoch, block.bits, meta))
             encoded.append(data.translate(self._codec(version, epoch)[0]))
             stored.append(block.bits.to_bytes(nbytes, "little"))
             incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
         results = optimal_rotations(b"".join(encoded), b"".join(stored), b"".join(incumbent),
                                     self._rotation_max, nbytes) if inputs else []
-        self._ahead = {block: (key, result) for (block, key), result in zip(inputs, results)}
+        self._ahead = dict(zip(inputs, results))
 
     def read(self, block):
         image, counters = block.bits, block.meta
@@ -357,7 +362,7 @@ class WireScheme(WriteScheme):
             if turn:
                 image ^= (image ^ ((image << s) & high | (image >> back) & low)) & turn * part_mask
         return bits_to_bytes(image, self.cfg.block_bytes).translate(
-            self._codec(block.codebook_version, block.meta >> self._epoch_shift)[1])
+            self._codec(block.tags[0] if block.tags else 0, block.meta >> self._epoch_shift)[1])
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,

@@ -100,8 +100,8 @@ class Simulation:
         write to one address, and just before it runs the scheme's look-ahead
         gets its writes, as (block, data) in order. Writes that will raise, to
         an address outside memory or to a failed block, are left out. A
-        window is scanned after the one before it has run, so its blocks are
-        found as its writes will find them, bar start-gap steps inside it.
+        window is scanned after the one before it has run, so its blocks hold
+        the content its writes will find, wherever start-gap steps move it.
         """
         look_ahead = self.scheme.look_ahead
         if look_ahead is None:

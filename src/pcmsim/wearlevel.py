@@ -25,16 +25,16 @@ class WearConfig:
             raise ConfigError("wear-leveling periods must be positive")
 
 
-def next_epoch(epoch: int, writes_since_bump: int, wear: WearConfig | None,
-               granule_bits: int) -> tuple[int, bool]:
-    """Epoch to encode a block's next write with; bumps once enough writes accrued.
+def next_epoch(epoch: int, writes: int, wear: WearConfig, granule_bits: int) -> tuple[int, bool]:
+    """Epoch to encode a block's next write with, given the `writes` it took
+    since its last bump; bumps once they reach `wear.epoch_writes`.
 
     The bump is deferred: nothing is rewritten eagerly, the new epoch simply
     applies to the next freshly encoded image.
     """
-    if wear is None or not wear.enabled:
+    if not wear.enabled:
         return epoch, False
-    if writes_since_bump >= wear.epoch_writes:
+    if writes >= wear.epoch_writes:
         return (epoch + 1) % granule_bits, True
     return epoch, False
 
@@ -79,10 +79,7 @@ class StartGapLeveler:
         else:
             out = program_all_cells(dest, src.bits, src.meta, memory.cfg)
             dest.lost = src.lost
-        # the uncharged tags move with the content
-        dest.codebook_version = src.codebook_version
-        dest.writes_since_bump = src.writes_since_bump
-        dest.refs = src.refs
+        dest.tags = src.tags  # the uncharged tags move with the content
 
         self.gap = src_i
         if wrapped:

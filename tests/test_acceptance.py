@@ -44,7 +44,7 @@ def _random_block_state(rng, cfg, scheme=None, n_versions=1):
     counters = [rng.randint(0, cfg.rotation_max) for _ in range(cfg.partitions_per_block)]
     block.meta = sum(r << (i * cfg.partition_bits) for i, r in enumerate(counters))
     block.meta |= rng.randrange(cfg.granule_bits) << cfg.block_bits
-    block.codebook_version = rng.randrange(n_versions)
+    block.tags = (rng.randrange(n_versions), 0, 0)
     return block
 
 

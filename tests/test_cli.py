@@ -328,3 +328,59 @@ def test_non_finite_number_in_config_exits_2(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not a finite number" in err
+
+
+# ---------------------------------------------------------------------------
+# one event source per run, and --events sets its length
+
+def small_trace(tmp_path):
+    path = tmp_path / "a.trace"
+    assert main(["gen", str(path), "--preset", "balanced", "--events", "300",
+                 "--seed", "6"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_trace_and_preset_together_exit_2(tmp_path, capsys, command):
+    trace_path = small_trace(tmp_path)
+    argv = [command, "--trace", str(trace_path), "--preset", "balanced", "--events", "500",
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path / "b.trace")] if command == "gen" else argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "b.trace").exists()
+
+
+def test_events_flag_sets_the_length_of_a_config_gen(tmp_path, capsys):
+    config = tmp_path / "g.json"
+    config.write_text(json.dumps({"memory_blocks": 16, "schemes": ["diffwrite"],
+                                  "gen": {"events": 300, "seed": 2}}))
+    assert main(["run", "--config", str(config), "--events", "50",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "events: 50\n" in (tmp_path / "out" / "report.txt").read_text()
+    assert main(["gen", "--config", str(config), "--events", "50",
+                 str(tmp_path / "b.trace")]) == 0
+    assert len(parse_trace_file(tmp_path / "b.trace")) == 50
+    # without the flag, a preset keeps its 10,000 events
+    assert main(["gen", "--preset", "balanced", str(tmp_path / "c.trace")]) == 0
+    assert len(parse_trace_file(tmp_path / "c.trace")) == 10_000
+    capsys.readouterr()
+    # a trace file has its own length
+    rc = main(["run", "--trace", str(small_trace(tmp_path)), "--events", "50",
+               "--out", str(tmp_path / "out2")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --events")
+    assert not (tmp_path / "out2").exists()
+
+
+def test_config_with_trace_and_gen_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"memory_blocks": 16, "trace": str(small_trace(tmp_path)),
+                                  "gen": {"events": 100}}))
+    with pytest.raises(ConfigError, match="'trace' and 'gen'"):
+        ExperimentConfig.load(config)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "'trace' and 'gen'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

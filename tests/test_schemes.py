@@ -417,7 +417,7 @@ def test_wire_encode_takes_the_looked_ahead_rotations(batch, epoch):
         expected.append((phys, epoch << cfg.block_bits | rotations))
     scheme.look_ahead(writes)
     with mock.patch.object(schemes, "optimal_rotation", side_effect=AssertionError):
-        assert [scheme.encode(block, payload) for block, payload in writes] == expected
+        assert [scheme.encode(block, payload)[:2] for block, payload in writes] == expected
 
 
 @pytest.mark.parametrize("change", ["payload", "stored bits", "counters", "epoch", "version"])
@@ -447,13 +447,13 @@ def test_wire_encode_searches_again_when_an_input_changed(change):
     elif change == "counters":
         block.meta ^= 7  # partition 0's counter 3 -> 4
     elif change == "epoch":
-        block.writes_since_bump, epoch = 4, 2
+        block.tags, epoch = (0, 4, 0), 2
     else:
         scheme.versions.append(build_codebook(list(range(15, -1, -1)), 4))
         version = 1
     fresh = expected(version, epoch)
     assert fresh != stale
-    assert scheme.encode(block, data) == fresh
+    assert scheme.encode(block, data)[:2] == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +576,7 @@ def per_partition_read(scheme, block):
             stored = ((stored << r) | (stored >> (width - r))) & mask
         image |= stored << (i * width)
     return image.to_bytes(cfg.block_bytes, "little").translate(
-        scheme._codec(block.codebook_version, block.meta >> cfg.block_bits)[1])
+        scheme._codec(block.tags[0], block.meta >> cfg.block_bits)[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -591,7 +591,7 @@ def test_wire_read_matches_per_partition_loop(geometry, data):
     block.bits = data.draw(st.integers(0, (1 << cfg.block_bits) - 1))
     block.meta = sum(r << (i * cfg.partition_bits) for i, r in enumerate(counters))
     block.meta |= epoch << cfg.block_bits
-    block.codebook_version = data.draw(st.integers(0, 1))
+    block.tags = (data.draw(st.integers(0, 1)), 0, 0)
     assert scheme.read(block) == per_partition_read(scheme, block)
 
 
@@ -717,6 +717,23 @@ def test_dead_block_accesses_touch_no_metadata_line():
         sim.read(2)
     cache = sim.metadata_cache
     assert (cache.hits, cache.misses, sim.meta_extra_reads()) == (0, 0, 0)
+
+
+def test_wire_write_to_a_failed_block_leaves_tags_agreeing_with_the_finder():
+    """Every finder reference is held by some block's tags, also after a write
+    whose programming raised on a failed block."""
+    cfg = PcmConfig()
+    scheme = WireScheme(cfg)
+    blocks = [PcmBlock(cfg) for _ in range(2)]
+    for k in range(60):
+        scheme.write(blocks[k % 2], bytes([0x77 if k % 4 < 2 else 0x00]) * 64)
+    blocks[0].failed = True
+    with pytest.raises(DeadBlockError):
+        scheme.write(blocks[0], bytes([0x7F]) * 64)
+    held = {v: sum(b.tags[2] >> v & 1 for b in blocks) for v in range(16)}
+    assert {v: e.pointer for v, e in scheme.finder.fv.items()} \
+        == {v: held[v] for v in scheme.finder.fv}
+    assert any(held.values())
 
 
 def test_wire_overhead_is_48_bits_with_defaults():

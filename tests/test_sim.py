@@ -7,7 +7,7 @@ from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, preset_spec,
                     generate, run_lifetime, schemes)
 
-from helpers import PerGranuleFinder, fifo
+from helpers import PerGranuleFinder, fifo, freeze_codebook
 
 
 def test_data_flip_counts_conserve_cell_wear():
@@ -223,8 +223,7 @@ def recorded_run(make, lifetime: bool, look_ahead: bool):
         "wear": sim.memory.wear_matrix().tolist(), "dead_pages": sim.memory.dead_pages,
         "dropped_writes": sim.dropped_writes, "truncated": sim.truncated,
         "capped": sim.capped, "meta_extra_reads": sim.meta_extra_reads(),
-        "blocks": [(b.bits, b.meta, b.codebook_version, b.writes_since_bump, b.refs,
-                    b.lost, b.failed) for b in sim.memory.blocks],
+        "blocks": [(b.bits, b.meta, b.tags, b.lost, b.failed) for b in sim.memory.blocks],
     }
     return sim, state, search.call_count
 
@@ -274,6 +273,33 @@ def test_wire_searches_rotations_ahead_for_almost_every_write():
                            wraps=schemes.optimal_rotation) as search:
         sim.replay(events)
     assert 0 < search.call_count < 0.05 * sim.writes
+
+
+def test_wire_look_ahead_follows_content_a_start_gap_step_moved():
+    """A start-gap step after every write moves the content of the window's
+    later addresses; their writes still find the results searched for it."""
+    sim = Simulation("wire", 4, PcmConfig(),
+                     WearConfig(enabled=True, epoch_writes=10**6, remap_period=1))
+    freeze_codebook(sim.scheme)
+    rng = random.Random(5)
+    payloads = [rng.randbytes(64) for _ in range(4)]
+    # four writes to distinct addresses: one look-ahead window
+    events = [TraceEvent("W", addr, payload) for addr, payload in enumerate(payloads)]
+    with mock.patch.object(schemes, "optimal_rotation",
+                           wraps=schemes.optimal_rotation) as search:
+        sim.replay(events)
+    assert search.call_count == 0
+    assert sim.leveler.gap < 4  # the steps moved content
+    assert [sim.read(addr) for addr in range(4)] == payloads
+
+
+def test_wire_replays_bytearray_payloads():
+    # a bytearray cannot key a looked-ahead result; its write searches for itself
+    rng = random.Random(6)
+    payloads = [bytearray(rng.randbytes(64)) for _ in range(4)]
+    sim = Simulation("wire", 4)
+    sim.replay([TraceEvent("W", addr, payload) for addr, payload in enumerate(payloads)] * 2)
+    assert [sim.read(addr) for addr in range(4)] == payloads
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,12 @@ def test_start_gap_copy_into_a_failed_block_programs_nothing():
     mem = PcmMemory(2, cfg, extra_blocks=1)
     lev = StartGapLeveler(2)
     src, dest = mem.blocks[1], mem.blocks[2]
-    src.bits, src.meta, src.codebook_version, src.refs = (1 << 512) - 1, 0b101, 3, 0b11
+    src.bits, src.meta, src.tags = (1 << 512) - 1, 0b101, (3, 0, 0b11)
     dest.bits, dest.meta, dest.failed = 0b1010, 0b110, True
     out = lev.step(mem)
     assert out == WriteOutcome()
     assert (dest.bits, dest.meta, int(dest.cell_writes.sum())) == (0b1010, 0b110, 0)
-    assert dest.lost and (dest.codebook_version, dest.refs) == (3, 0b11)
+    assert dest.lost and dest.tags == (3, 0, 0b11)
     assert lev.map(1) == 2
 
 
