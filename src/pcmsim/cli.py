@@ -44,7 +44,6 @@ class ExperimentConfig:
     fnw_word_bits: int = 16
     trace_path: str | None = None
     gen: GenSpec | None = None
-    seed: int | None = None
     out_dir: str = "."
     lifetime: bool = False
     max_writes: int = 100_000_000
@@ -76,7 +75,6 @@ class ExperimentConfig:
         cfg.schemes = list(d.get("schemes", cfg.schemes))
         cfg.fnw_word_bits = d.get("fnw", {}).get("word_bits", cfg.fnw_word_bits)
         cfg.trace_path = d.get("trace")
-        cfg.seed = d.get("seed")
         cfg.out_dir = d.get("out", cfg.out_dir)
         cfg.lifetime = d.get("lifetime", cfg.lifetime)
         cfg.max_writes = d.get("max_writes", cfg.max_writes)
@@ -102,7 +100,7 @@ class ExperimentConfig:
 
 # each config key's type (an annotation, or its section's), and each annotation's JSON form
 _CONFIG_KEYS = {"memory_blocks": "int", "schemes": "list", "trace": "str | None",
-                "seed": "int | None", "out": "str", "lifetime": "bool", "max_writes": "int",
+                "out": "str", "lifetime": "bool", "max_writes": "int",
                 "pcm": PcmConfig.__annotations__, "wear": WearConfig.__annotations__,
                 "gen": GenSpec.__annotations__, "fnw": {"word_bits": "int"},
                 "wire": {"rotation_max": "int"}}
@@ -145,10 +143,7 @@ def _check_keys(kw, types, where: str = "") -> None:
 def load_events(cfg: ExperimentConfig):
     if cfg.trace_path is not None:
         return parse_trace_file(cfg.trace_path, cfg.pcm.block_bytes)
-    gen = dataclasses.replace(cfg.gen)
-    if cfg.seed is not None:
-        gen.seed = cfg.seed
-    return generate(gen, num_blocks=cfg.memory_blocks,
+    return generate(cfg.gen, num_blocks=cfg.memory_blocks,
                     block_bytes=cfg.pcm.block_bytes,
                     granule_bits=cfg.pcm.granule_bits)
 
@@ -239,15 +234,17 @@ def _config(args) -> ExperimentConfig:
         else ExperimentConfig.load(args.config)
     if args.trace is not None:
         cfg.trace_path, cfg.gen = args.trace, None
-    if args.preset is not None:  # load_events gives it cfg.seed, if set
+    if args.preset is not None:
         cfg.trace_path, cfg.gen = None, preset_spec(args.preset)
     if args.events is not None:
         if cfg.gen is None:
             raise ConfigError("--events sets a generated trace's length, not a trace file's")
         cfg.gen = dataclasses.replace(cfg.gen, events=args.events)
     if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "schemes", None):
+        if cfg.gen is None:
+            raise ConfigError("--seed seeds a generated trace, not a trace file")
+        cfg.gen = dataclasses.replace(cfg.gen, seed=args.seed)
+    if getattr(args, "schemes", None) is not None:
         cfg.schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if args.out is not None:
         cfg.out_dir = args.out

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .core import (ConfigError, PcmBlock, PcmConfig, WriteOutcome,
+from .core import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, WriteOutcome,
                    bits_to_bytes, bytes_to_bits, program_all_cells,
                    program_cells, rotate_left)
 from .mfv import MfvFinder, build_codebook, pack_granules, unpack_granules
@@ -120,12 +120,14 @@ class WriteScheme:
         self.cfg = cfg
 
     def write(self, block: PcmBlock, data: bytes) -> WriteOutcome:
-        """Encode, store the tags, then program the line: data cells and metadata word."""
+        """Encode, store the tags, then program the line: data cells and metadata word.
+
+        A write to a failed block raises before `encode`, so it moves nothing."""
         if len(data) != self.cfg.block_bytes:
             raise ConfigError(
                 f"payload must be {self.cfg.block_bytes} bytes, got {len(data)}")
-        # tags first: if programming a failed block raises, they still hold
-        # the references encode moved in `wire`'s finder
+        if block.failed:
+            raise DeadBlockError("write to dead block")
         bits, meta, block.tags = self.encode(block, data)
         program = program_all_cells if self.programs_all else program_cells
         return program(block, bits, meta, self.cfg)
@@ -168,13 +170,12 @@ class FnwScheme(WriteScheme):
     invert iff 2c + 3f > W + 1 (for f = 0 nothing changes; for f = 1 it
     reads 2c + 2 >= W + 1, the strict case plus the tie).
 
-    Lane layout. All words are decided at once on the block's int. A word's
-    popcount c is summed in place by SWAR steps whose masks never cross a
-    word boundary. The compare adds 2^k - W - 2 to 2c + 3f, with 2^k the
-    smallest power of two above W + 1, so bit k of the sum is the decision;
-    the sum needs k + 1 bits, so each word's lane is widened over the next
-    m - 1 words, m = ceil((k + 1) / W), and the words are decided in m passes
-    of every m-th word (m = 1 for W >= 4). The block's metadata word holds
+    Lane layout. All words are decided in one pass on the block's int, so W
+    is at least 4. A word's popcount c is summed in place by SWAR steps whose
+    masks never cross a word boundary. The compare adds 2^k - W - 2 to
+    2c + 3f, with 2^k the smallest power of two above W + 1, so bit k of the
+    sum is the decision. The sum stays below 2^(k+1) <= 2^W for W >= 4, so it
+    never carries into the next word's lane. The block's metadata word holds
     its flip bits in this lane form: word i's flip bit is bit i * W, the
     lowest cell of the word, so the decision reads them as they are and its
     result is stored as it is.
@@ -186,19 +187,16 @@ class FnwScheme(WriteScheme):
         super().__init__(cfg)
         if word_bits <= 0 or cfg.block_bits % word_bits != 0:
             raise ConfigError(f"fnw word width {word_bits} must divide the block")
+        if word_bits < 4:
+            raise ConfigError(f"fnw word width {word_bits} must be at least 4")
         self.word_bits = w = word_bits
         self.words = n = cfg.block_bits // w
         self._word_mask = (1 << w) - 1
 
-        lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
+        self._lanes = lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
         self._popcount_steps = _popcount_steps(w, lanes)
         self._k = k = (w + 1).bit_length()
-        m = -(-(k + 1) // w)
-        self._passes = []
-        for j in range(m):
-            pass_lanes = sum(1 << (i * w) for i in range(j, n, m))
-            self._passes.append((pass_lanes * self._word_mask, pass_lanes,
-                                 ((1 << k) - w - 2) * pass_lanes))
+        self._bias = ((1 << k) - w - 2) * lanes
 
     def overhead_bits_per_block(self) -> int:
         return self.words
@@ -209,11 +207,8 @@ class FnwScheme(WriteScheme):
         c = block.bits ^ logical
         for f, lo, hi in self._popcount_steps:
             c = (c & lo) + ((c & hi) >> f)
-        k = self._k
-        invert = 0
-        for pass_words, pass_lanes, bias in self._passes:
-            invert |= ((((c & pass_words) << 1) + 3 * (flips & pass_lanes) + bias)
-                       >> k) & pass_lanes
+        lanes = self._lanes
+        invert = (((c << 1) + 3 * (flips & lanes) + self._bias) >> self._k) & lanes
         return logical ^ invert * self._word_mask, invert, None
 
     def read(self, block):

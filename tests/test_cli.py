@@ -108,12 +108,13 @@ def test_bad_fnw_word_width_exits_2_before_any_scheme_runs(tmp_path, capsys, mon
         pytest.fail("a scheme ran before the config was checked")
     monkeypatch.setattr(cli, "Simulation", no_run)
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"memory_blocks": 16, "fnw": {"word_bits": 7},
-                                  "schemes": schemes}))
-    rc = main(["run", "--config", str(config), "--preset", "balanced", "--events", "200",
-               "--seed", "1", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "fnw word width 7 must divide the block" in capsys.readouterr().err
+    for word_bits, message in [(7, "must divide the block"), (2, "must be at least 4")]:
+        config.write_text(json.dumps({"memory_blocks": 16, "fnw": {"word_bits": word_bits},
+                                      "schemes": schemes}))
+        rc = main(["run", "--config", str(config), "--preset", "balanced", "--events", "200",
+                   "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"fnw word width {word_bits} {message}" in capsys.readouterr().err
 
 
 def test_truncated_report_on_dead_block(tmp_path, capsys):
@@ -172,6 +173,14 @@ def test_main_cli_rejects_bad_scheme(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_cli_rejects_an_empty_scheme_list(tmp_path, capsys):
+    rc = main(["run", "--preset", "balanced", "--events", "200", "--seed", "1",
+               "--schemes", "", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: at least one scheme is required")
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_cli_rejects_bad_trace(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("W 0 12\n")
@@ -220,6 +229,8 @@ BAD_CONFIGS = [
     ('{"pcm": {"counter_bits": 65}}', "counter_bits"),  # wider than a 64-bit partition
     # 4-bit partitions and the default 6-bit counter: counter_bits must be set
     ('{"pcm": {"partitions_per_block": 128, "rotation_max": 3}}', "4], the partition width, not 6"),
+    # a generated trace's seed is `gen.seed`, with no second home
+    ('{"seed": 3, "gen": {"events": 100}}', "unknown config key 'seed'"),
     ('[1, 2]', "must be a JSON object"),
     ('{"memory_blocks": 16,', "not valid JSON"),
 ]
@@ -278,7 +289,7 @@ def test_gen_with_no_memory_blocks_exits_2(tmp_path, capsys, blocks):
 
 @pytest.mark.parametrize("argv,config", [
     (["run", "--seed", "-1", "--events", "100"], None),
-    (["gen", "--preset", "balanced", "--events", "100"], {"seed": -3}),
+    (["gen", "--preset", "balanced", "--events", "100", "--seed", "-3"], None),
     (["gen"], {"gen": {"events": 100, "seed": -3}}),
 ])
 def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
@@ -331,7 +342,7 @@ def test_non_finite_number_in_config_exits_2(tmp_path, capsys, text):
 
 
 # ---------------------------------------------------------------------------
-# one event source per run, and --events sets its length
+# one event source per run; --events and --seed set a generated one's length and seed
 
 def small_trace(tmp_path):
     path = tmp_path / "a.trace"
@@ -372,6 +383,20 @@ def test_events_flag_sets_the_length_of_a_config_gen(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --events")
     assert not (tmp_path / "out2").exists()
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_seed_with_a_trace_file_exits_2(tmp_path, capsys, from_config):
+    trace_path = tmp_path / "t.trace"
+    trace_path.write_text(f"W 0 {'00' * 64}\n")
+    source = ["--trace", str(trace_path)]
+    if from_config:
+        (tmp_path / "cfg.json").write_text(json.dumps({"trace": str(trace_path)}))
+        source = ["--config", str(tmp_path / "cfg.json")]
+    rc = main(["run", *source, "--seed", "5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --seed")
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_with_trace_and_gen_exits_2(tmp_path, capsys):

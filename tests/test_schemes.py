@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (DeadBlockError, PcmBlock, PcmConfig, Simulation, WearConfig,
-                    build_codebook, optimal_rotation, pack_granules, program_cells,
-                    schemes, unpack_granules)
+from pcmsim import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, Simulation,
+                    WearConfig, build_codebook, optimal_rotation, pack_granules,
+                    program_cells, schemes, unpack_granules)
 from pcmsim.core import rotate_left
 from pcmsim.schemes import FnwScheme, WireScheme, optimal_rotations
 
@@ -120,6 +120,15 @@ def test_fnw_data_flips_never_exceed_diffwrite_on_shared_trace():
         assert out_f.flips <= out_d.flips
 
 
+@pytest.mark.parametrize("word_bits", [1, 2, 3])
+def test_fnw_rejects_words_under_4_bits(word_bits):
+    # 24-bit blocks, so each width divides the block
+    cfg = PcmConfig(block_bytes=3, partitions_per_block=1, rotation_max=0,
+                    counter_bits=1, granule_bits=1, page_bytes=3)
+    with pytest.raises(ConfigError, match=f"fnw word width {word_bits} must be at least 4"):
+        FnwScheme(cfg, word_bits)
+
+
 def test_fnw_overhead_bits():
     sim = Simulation("fnw", 1)
     assert sim.scheme.overhead_bits_per_block() == 512 // 16
@@ -150,7 +159,7 @@ def _fnw_loop_reference(stored, flips, logical, word_bits, words):
 def fnw_cases(draw):
     nbytes = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]))
     bits = nbytes * 8
-    word_bits = draw(st.sampled_from([w for w in range(1, bits + 1) if bits % w == 0]))
+    word_bits = draw(st.sampled_from([w for w in range(4, bits + 1) if bits % w == 0]))
     stored = draw(st.integers(0, (1 << bits) - 1))
     words = bits // word_bits
     compact = draw(st.integers(0, (1 << words) - 1))
@@ -734,6 +743,25 @@ def test_wire_write_to_a_failed_block_leaves_tags_agreeing_with_the_finder():
     assert {v: e.pointer for v, e in scheme.finder.fv.items()} \
         == {v: held[v] for v in scheme.finder.fv}
     assert any(held.values())
+
+
+def test_wire_write_to_a_failed_block_changes_nothing():
+    cfg = PcmConfig()
+    scheme = WireScheme(cfg)
+    block = PcmBlock(cfg)
+    for _ in range(40):
+        scheme.write(block, bytes(64))
+    block.failed = True
+
+    def state():
+        scheme.finder.flush()
+        fv = {v: (e.counter, e.pointer) for v, e in scheme.finder.fv.items()}
+        return fv, scheme.finder.generation, block.tags
+
+    before = state()
+    with pytest.raises(DeadBlockError):
+        scheme.write(block, bytes([0x77]) * 64)
+    assert state() == before
 
 
 def test_wire_overhead_is_48_bits_with_defaults():
