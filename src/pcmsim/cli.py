@@ -7,7 +7,7 @@ Subcommands:
     analyze  print the granule-value frequency table of a trace
 
 Config files are JSON with the section/key names used throughout the library
-(`pcm.*`, `wear.*`, `fnw.word_bits`, `gen.*`). Flags override config values.
+(`pcm.*`, `wear.*`, `gen.*`). Flags override config values.
 Identical config and seed reproduce identical output bytes.
 """
 
@@ -34,17 +34,17 @@ from .wearlevel import WearConfig
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one experiment, read from JSON by `load`; a key
-    the JSON leaves out keeps its field default."""
+    """Full description of one experiment, read from JSON by `load`. Each
+    field is a top-level JSON key, and a key the JSON leaves out keeps its
+    field default."""
 
     memory_blocks: int = 256
     pcm: PcmConfig = field(default_factory=PcmConfig)
     wear: WearConfig = field(default_factory=WearConfig)
     schemes: list[str] = field(default_factory=lambda: ["diffwrite", "wire"])
-    fnw_word_bits: int = 16
-    trace_path: str | None = None
+    trace: str | None = None
     gen: GenSpec | None = None
-    out_dir: str = "."
+    out: str = "."
     lifetime: bool = False
     max_writes: int = 100_000_000
 
@@ -56,8 +56,9 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEME_IDS:
                 raise ConfigError(f"unknown scheme '{s}'")
-        FnwScheme(self.pcm, self.fnw_word_bits)  # checks the word width, run or not
-        if self.trace_path is None and self.gen is None:
+        if "fnw" in self.schemes:
+            FnwScheme(self.pcm)  # checks the word width before any scheme runs
+        if self.trace is None and self.gen is None:
             raise ConfigError("either a trace path or a generator spec is required")
         if self.max_writes <= 0:
             raise ConfigError("max_writes must be positive")
@@ -65,29 +66,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_keys(d, _CONFIG_KEYS)
-        cfg = cls()
-        if "rotation_max" in d.get("wire", {}):
-            raise ConfigError("wire.rotation_max is not a config key; "
-                              "set pcm.rotation_max instead")
-        cfg.pcm = PcmConfig(**dict(d.get("pcm", {})))
-        cfg.wear = WearConfig(**d.get("wear", {}))
-        cfg.memory_blocks = d.get("memory_blocks", cfg.memory_blocks)
-        cfg.schemes = list(d.get("schemes", cfg.schemes))
-        cfg.fnw_word_bits = d.get("fnw", {}).get("word_bits", cfg.fnw_word_bits)
-        cfg.trace_path = d.get("trace")
-        cfg.out_dir = d.get("out", cfg.out_dir)
-        cfg.lifetime = d.get("lifetime", cfg.lifetime)
-        cfg.max_writes = d.get("max_writes", cfg.max_writes)
-        if "gen" in d:
-            if cfg.trace_path is not None:
-                raise ConfigError("config sets both 'trace' and 'gen'; give one event source")
-            g = dict(d["gen"])
+        if d.get("trace") is not None and "gen" in d:
+            raise ConfigError("config sets both 'trace' and 'gen'; give one event source")
+        kw = dict(d)
+        if "values" in d.get("gen", {}):
             try:
-                g["values"] = {int(k, 16): v for k, v in g.get("values", {}).items()}
+                values = {int(k, 16): v for k, v in d["gen"]["values"].items()}
             except ValueError:
                 raise ConfigError("gen.values keys must be hex granule values") from None
-            cfg.gen = GenSpec(**g)
-        return cfg
+            kw["gen"] = {**d["gen"], "values": values}
+        for key, section in _SECTIONS.items():
+            if key in kw:
+                kw[key] = section(**kw[key])
+        return cls(**kw)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -98,12 +89,11 @@ class ExperimentConfig:
         return cls.from_dict(d)
 
 
+# the config sections, each built from the JSON object under its key
+_SECTIONS = {"pcm": PcmConfig, "wear": WearConfig, "gen": GenSpec}
 # each config key's type (an annotation, or its section's), and each annotation's JSON form
-_CONFIG_KEYS = {"memory_blocks": "int", "schemes": "list", "trace": "str | None",
-                "out": "str", "lifetime": "bool", "max_writes": "int",
-                "pcm": PcmConfig.__annotations__, "wear": WearConfig.__annotations__,
-                "gen": GenSpec.__annotations__, "fnw": {"word_bits": "int"},
-                "wire": {"rotation_max": "int"}}
+_CONFIG_KEYS = {key: _SECTIONS[key].__annotations__ if key in _SECTIONS else hint
+                for key, hint in ExperimentConfig.__annotations__.items()}
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
                "bool": ((bool,), "true or false"), "str": ((str,), "a string"),
                "dict": ((dict,), "a JSON object"), "list": ((list,), "a JSON list of names")}
@@ -141,8 +131,8 @@ def _check_keys(kw, types, where: str = "") -> None:
 
 
 def load_events(cfg: ExperimentConfig):
-    if cfg.trace_path is not None:
-        return parse_trace_file(cfg.trace_path, cfg.pcm.block_bytes)
+    if cfg.trace is not None:
+        return parse_trace_file(cfg.trace, cfg.pcm.block_bytes)
     return generate(cfg.gen, num_blocks=cfg.memory_blocks,
                     block_bytes=cfg.pcm.block_bytes,
                     granule_bits=cfg.pcm.granule_bits)
@@ -169,15 +159,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
     reports = []
     for scheme_id in cfg.schemes:
-        sim = Simulation(scheme_id, cfg.memory_blocks, cfg.pcm, cfg.wear,
-                         fnw_word_bits=cfg.fnw_word_bits)
+        sim = Simulation(scheme_id, cfg.memory_blocks, cfg.pcm, cfg.wear)
         if cfg.lifetime:
             run_lifetime(sim, events, cfg.max_writes)
         else:
             sim.replay(events)
         reports.append(build_report(sim, coverage, cfg.lifetime))
 
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(reports_to_csv(reports), encoding="ascii")
     header = [
@@ -233,9 +222,9 @@ def _config(args) -> ExperimentConfig:
     cfg = ExperimentConfig(gen=preset_spec("balanced")) if args.config is None \
         else ExperimentConfig.load(args.config)
     if args.trace is not None:
-        cfg.trace_path, cfg.gen = args.trace, None
+        cfg.trace, cfg.gen = args.trace, None
     if args.preset is not None:
-        cfg.trace_path, cfg.gen = None, preset_spec(args.preset)
+        cfg.trace, cfg.gen = None, preset_spec(args.preset)
     if args.events is not None:
         if cfg.gen is None:
             raise ConfigError("--events sets a generated trace's length, not a trace file's")
@@ -247,7 +236,7 @@ def _config(args) -> ExperimentConfig:
     if getattr(args, "schemes", None) is not None:
         cfg.schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg.out = args.out
     if getattr(args, "lifetime", False):
         cfg.lifetime = True
     return cfg

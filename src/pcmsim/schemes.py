@@ -123,11 +123,11 @@ class WriteScheme:
         """Encode, store the tags, then program the line: data cells and metadata word.
 
         A write to a failed block raises before `encode`, so it moves nothing."""
+        if block.failed:
+            raise DeadBlockError("write to dead block")
         if len(data) != self.cfg.block_bytes:
             raise ConfigError(
                 f"payload must be {self.cfg.block_bytes} bytes, got {len(data)}")
-        if block.failed:
-            raise DeadBlockError("write to dead block")
         bits, meta, block.tags = self.encode(block, data)
         program = program_all_cells if self.programs_all else program_cells
         return program(block, bits, meta, self.cfg)
@@ -360,14 +360,13 @@ class WireScheme(WriteScheme):
             self._codec(block.tags[0] if block.tags else 0, block.meta >> self._epoch_shift)[1])
 
 
-def make_scheme(scheme_id: str, cfg: PcmConfig, *, fnw_word_bits: int = 16,
-                wear: WearConfig | None = None) -> WriteScheme:
+def make_scheme(scheme_id: str, cfg: PcmConfig, wear: WearConfig | None = None) -> WriteScheme:
     if scheme_id == "plain":
         return PlainScheme(cfg)
     if scheme_id == "diffwrite":
         return DiffScheme(cfg)
     if scheme_id == "fnw":
-        return FnwScheme(cfg, fnw_word_bits)
+        return FnwScheme(cfg)
     if scheme_id == "wire":
         return WireScheme(cfg, wear)
     raise ConfigError(f"unknown scheme '{scheme_id}' (choose from {', '.join(SCHEME_IDS)})")

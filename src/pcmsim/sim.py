@@ -28,7 +28,7 @@ class Simulation:
     """
 
     def __init__(self, scheme_id: str, num_blocks: int, cfg: PcmConfig | None = None,
-                 wear: WearConfig | None = None, *, fnw_word_bits: int = 16):
+                 wear: WearConfig | None = None):
         self.cfg = cfg if cfg is not None else PcmConfig()
         self.num_blocks = num_blocks
         self.wear = wear if wear is not None else WearConfig()
@@ -37,8 +37,7 @@ class Simulation:
         self.memory = PcmMemory(num_blocks, self.cfg, extra_blocks=extra)
         self.leveler = StartGapLeveler(num_blocks) if self.wear.enabled else None
         self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
-        self.scheme: WriteScheme = make_scheme(
-            scheme_id, self.cfg, fnw_word_bits=fnw_word_bits, wear=self.wear)
+        self.scheme: WriteScheme = make_scheme(scheme_id, self.cfg, self.wear)
 
         self.totals = WriteOutcome()
         self.writes = 0
@@ -54,15 +53,14 @@ class Simulation:
 
     def write(self, addr: int, payload: bytes) -> WriteOutcome:
         block = self.memory.blocks[self._physical(addr)]
-        if block.failed:
-            self.memory.kill_page(addr)
-            raise DeadBlockError("write to dead block")
-        out = self.scheme.write(block, payload)
+        try:
+            out = self.scheme.write(block, payload)
+        finally:
+            if block.failed:
+                self.memory.kill_page(addr)
         block.lost = False
         if self.metadata_cache is not None:
             self.metadata_cache.touch(addr)
-        if block.failed:
-            self.memory.kill_page(addr)
         self.writes += 1
         self.totals.add(out)
         if self.leveler and self.writes % self.wear.remap_period == 0:

@@ -292,7 +292,7 @@ def test_criterion_10_determinism(tmp_path):
         cfg.memory_blocks = 32
         cfg.schemes = ["plain", "diffwrite", "fnw", "wire"]
         cfg.gen = preset_spec("balanced", events=3_000, seed=42)
-        cfg.out_dir = str(tmp_path / name)
+        cfg.out = str(tmp_path / name)
         assert cmd_run(cfg) == 0
         outputs.append((tmp_path / name / "report.csv").read_bytes())
     ok = outputs[0] == outputs[1]

@@ -13,7 +13,7 @@ def small_config(tmp_path, **kw):
     cfg = ExperimentConfig()
     cfg.memory_blocks = 16
     cfg.gen = preset_spec("balanced", events=800, seed=4)
-    cfg.out_dir = str(tmp_path / "out")
+    cfg.out = str(tmp_path / "out")
     cfg.schemes = ["diffwrite", "wire"]
     for k, v in kw.items():
         setattr(cfg, k, v)
@@ -48,7 +48,7 @@ def test_identical_config_and_seed_reproduce_csv_bytes(tmp_path, capsys):
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
         cfg = small_config(tmp_path)
-        cfg.out_dir = str(out)
+        cfg.out = str(out)
         assert cmd_run(cfg) == 0
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
@@ -61,7 +61,7 @@ def test_gen_then_run_from_file(tmp_path, capsys):
     assert len(events) == 800
     cfg2 = small_config(tmp_path)
     cfg2.gen = None
-    cfg2.trace_path = str(trace_path)
+    cfg2.trace = str(trace_path)
     assert cmd_run(cfg2) == 0
 
 
@@ -71,7 +71,6 @@ def test_config_loads_from_literal_json(tmp_path):
         "memory_blocks": 32,
         "pcm": {"cell_endurance": 500, "rotation_max": 4, "counter_bits": 3},
         "schemes": ["plain", "fnw"],
-        "fnw": {"word_bits": 8},
         "gen": {"events": 123, "read_fraction": 0.25, "values": {"0": 0.5, "f": 0.25},
                 "seed": 99},
         "lifetime": True,
@@ -81,7 +80,6 @@ def test_config_loads_from_literal_json(tmp_path):
         memory_blocks=32,
         pcm=PcmConfig(cell_endurance=500, rotation_max=4, counter_bits=3),
         schemes=["plain", "fnw"],
-        fnw_word_bits=8,
         gen=GenSpec(events=123, read_fraction=0.25, values={0: 0.5, 15: 0.25},
                     seed=99),
         lifetime=True,
@@ -101,20 +99,30 @@ def test_readme_config_examples_load():
         ExperimentConfig.from_dict(json.loads(text)).validate()
 
 
-@pytest.mark.parametrize("schemes", [["wire"], ["diffwrite", "fnw"]])
+# 3-byte blocks: FNW's 16-bit words do not divide their 24 bits
+THREE_BYTE_BLOCKS = {"memory_blocks": 8, "gen": {"events": 200, "seed": 1},
+                     "pcm": {"block_bytes": 3, "partitions_per_block": 1, "rotation_max": 4,
+                             "page_bytes": 24}}
+
+
+def test_run_without_fnw_does_not_check_the_fnw_word_width(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**THREE_BYTE_BLOCKS, "schemes": ["wire", "diffwrite"]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "report.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("schemes", [["fnw"], ["diffwrite", "fnw"]])
 def test_bad_fnw_word_width_exits_2_before_any_scheme_runs(tmp_path, capsys, monkeypatch,
                                                             schemes):
     def no_run(*_, **__):
         pytest.fail("a scheme ran before the config was checked")
     monkeypatch.setattr(cli, "Simulation", no_run)
     config = tmp_path / "cfg.json"
-    for word_bits, message in [(7, "must divide the block"), (2, "must be at least 4")]:
-        config.write_text(json.dumps({"memory_blocks": 16, "fnw": {"word_bits": word_bits},
-                                      "schemes": schemes}))
-        rc = main(["run", "--config", str(config), "--preset", "balanced", "--events", "200",
-                   "--seed", "1", "--out", str(tmp_path)])
-        assert rc == 2
-        assert f"fnw word width {word_bits} {message}" in capsys.readouterr().err
+    config.write_text(json.dumps({**THREE_BYTE_BLOCKS, "schemes": schemes}))
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "fnw word width 16 must divide the block" in capsys.readouterr().err
 
 
 def test_truncated_report_on_dead_block(tmp_path, capsys):
@@ -213,14 +221,15 @@ def test_main_cli_rejects_wire_rotation_max(tmp_path, capsys):
                "--events", "100", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "pcm.rotation_max" in err
+    assert err.startswith("error: unknown config key 'wire'")
 
 
 BAD_CONFIGS = [
     ('{"pcm": {"bogus": 1}}', "pcm.bogus"),
     ('{"gen": {"nope": 1}}', "gen.nope"),
     ('{"pcm": {"count_metadata_flips": true}}', "pcm.count_metadata_flips"),
-    ('{"wire": {"freeze_codebook": false}}', "wire.freeze_codebook"),
+    ('{"wire": {"freeze_codebook": false}}', "unknown config key 'wire'"),
+    ('{"fnw": {"word_bits": 8}}', "unknown config key 'fnw'"),
     ('{"memory_blocks": "x"}', "memory_blocks"),
     ('{"wear": {"epoch_writes": "a"}}', "wear.epoch_writes"),
     ('{"memory_blocks": true}', "memory_blocks"),
