@@ -30,7 +30,9 @@ class MfvFinder:
 
     The FV table `fv` maps at most `fv_entries` values to their entries.
     `generation` increments whenever its set of values changes, which is the
-    signal for consumers to rebuild their codebook.
+    signal for consumers to rebuild their codebook. An entry's `pointer`
+    counts the stored blocks whose value mask holds it: `rereference` moves
+    one block's mask, and an entry no block holds any more is retired.
 
     `observe_write` credits FV-resident values in bulk: it appends each
     write's granules to a pending buffer, and `flush` adds their counts to the
@@ -57,8 +59,6 @@ class MfvFinder:
         self._misses = 0
         self.fv: dict[int, FvEntry] = {}
         self.generation = 0
-        self.retire_misses = 0  # diagnostics: retire of an untracked value
-        self._shared = 0  # bit v: value v's entry has two or more references
         self._pending = bytearray()  # granules whose FV credit `flush` adds
         self._keys_generation = -1  # `generation` of the cached keys below
         self._keys = b""  # the FV values, a byte each
@@ -170,49 +170,26 @@ class MfvFinder:
 
     # -- reference counting --------------------------------------------------
 
-    def add_reference(self, value: int) -> bool:
-        """Record one more stored block relying on `value`; False if untracked."""
-        entry = self.fv.get(value)
-        if entry is None:
-            return False
-        entry.pointer += 1
-        if entry.pointer == 2:
-            self._shared |= 1 << value
-        return True
-
-    def retire_reference(self, value: int) -> None:
-        """Drop one block reference; the entry becomes a Gap at pointer zero."""
-        entry = self.fv.get(value)
-        if entry is None or entry.pointer <= 0:
-            self.retire_misses += 1
-            return
-        if entry.pointer == 2:
-            self._shared &= ~(1 << value)
-        entry.pointer -= 1
-        if entry.pointer == 0:
-            del self.fv[value]
-            self.generation += 1
-
-    def rereference(self, old: int, new: int) -> int:
-        """Move a block's references from value mask `old` to `new`; returns
-        the mask it now holds. Same end state and result as `retire_reference`
-        on each value of `old`, then `add_reference` on each of `new`: every
-        call touches only its own entry, so a value in both whose entry has
-        two or more references (`_shared`) is a no-op pair, and a kept value
-        with one reference is still freed by its retire before its add misses.
-        """
-        held = old & new & self._shared
-        retire, add = old ^ held, new ^ held
-        while retire:
-            low = retire & -retire
-            self.retire_reference(low.bit_length() - 1)
-            retire ^= low
+    def rereference(self, old: int, new: int) -> None:
+        """Move a block's references from value mask `old` to `new`, bit v
+        for value v. A value in both keeps its reference, one only in `new`
+        gains one, and one only in `old` loses one; at zero its entry becomes
+        a Gap. Every value of either mask must have an entry (`KeyError`)."""
+        fv = self.fv
+        add, retire = new & ~old, old & ~new
         while add:
             low = add & -add
-            if self.add_reference(low.bit_length() - 1):
-                held |= low
+            fv[low.bit_length() - 1].pointer += 1
             add ^= low
-        return held
+        while retire:
+            low = retire & -retire
+            value = low.bit_length() - 1
+            entry = fv[value]
+            entry.pointer -= 1
+            if not entry.pointer:
+                del fv[value]
+                self.generation += 1
+            retire ^= low
 
     # -- queries ---------------------------------------------------------------
 

@@ -324,8 +324,8 @@ class WireScheme(WriteScheme):
             encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
             rotations, _, phys = optimal_rotation(
                 encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
-        # the previous content no longer pins its values
-        tags = (version, 1 if bumped else writes + 1, self.finder.rereference(refs, resident))
+        self.finder.rereference(refs, resident)  # the block's references follow its content
+        tags = (version, 1 if bumped else writes + 1, resident)
         return phys, epoch << self._epoch_shift | rotations, tags
 
     def _look_ahead(self, writes) -> None:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (ConfigError, MfvFinder, build_codebook, mfv, pack_granules,
@@ -81,19 +81,19 @@ def test_retire_boundary_makes_gap():
     f.observe(7)
     f.observe(7)
     assert f.is_frequent(7)
-    assert f.add_reference(7)
-    f.retire_reference(7)
+    f.rereference(0, 1 << 7)
+    f.rereference(1 << 7, 0)
     assert not f.is_frequent(7)          # pointer hit zero -> Gap line
-    assert f.retire_misses == 0
+    assert f.generation == 2
 
 
 def test_retire_decrements_pointer():
     f = MfvFinder(sat_max=2)
     f.observe(7)
     f.observe(7)
-    for _ in range(5):
-        f.add_reference(7)
-    f.retire_reference(7)
+    for _ in range(5):  # five blocks hold 7
+        f.rereference(0, 1 << 7)
+    f.rereference(1 << 7, 0)
     assert f.is_frequent(7)
     assert list(f.fv) == [7]
     assert f.fv[7].pointer == 4
@@ -144,9 +144,8 @@ def fifo_runs(draw):
     params = {"fifo_entries": draw(st.integers(1, 4)), "sat_max": sat_max,
               "replace_threshold": draw(st.integers(0, sat_max + 1)),
               "fv_entries": draw(st.integers(1, 2))}
-    value = st.integers(0, 6)
-    steps = draw(st.lists(st.one_of(st.tuples(st.just("observe"), value),
-                                    st.tuples(st.sampled_from(["add", "retire"]), value)),
+    steps = draw(st.lists(st.tuples(st.sampled_from(["observe", "add", "retire"]),
+                                    st.integers(0, 2), st.integers(0, 6)),
                           max_size=60))
     return params, steps
 
@@ -156,14 +155,19 @@ def fifo_runs(draw):
 def test_lazy_fifo_decay_matches_eager_reference(run):
     params, steps = run
     lazy, eager = MfvFinder(**params), EagerFinder(**params)
-    for op, v in steps:
+    masks = {lazy: [0] * 3, eager: [0] * 3}  # each holder's value mask
+    for op, holder, v in steps:
         for f in (lazy, eager):
             if op == "observe":
                 f.observe(v)
-            elif op == "add":
-                f.add_reference(v)
-            else:
-                f.retire_reference(v)
+                continue
+            old = masks[f][holder]
+            if op == "retire":
+                new = old & ~(1 << v)
+            else:  # a mask holds only FV values
+                new = old | 1 << v if f.is_frequent(v) else old
+            f.rereference(old, new)
+            masks[f][holder] = new
         assert finder_state(lazy) == finder_state(eager)
 
 
@@ -175,12 +179,12 @@ def test_threshold_zero_never_replaces_an_entry():
     assert [(e.value, e.sat_counter) for e in fifo(f)] == [(1, 0)]
 
 
-def test_retire_unknown_value_is_diagnosed_noop():
+def test_mask_naming_a_value_without_an_entry_raises():
     f = MfvFinder()
-    before = list(f.fv)
-    f.retire_reference(0xC)
-    assert f.retire_misses == 1
-    assert list(f.fv) == before
+    with pytest.raises(KeyError):
+        f.rereference(1 << 0xC, 0)
+    with pytest.raises(KeyError):
+        f.rereference(0, 1 << 0xC)
 
 
 def test_full_fv_table_refuses_an_install_and_keeps_its_generation():
@@ -222,7 +226,7 @@ def finder_state(f):
         entries = fifo(f)
     return ([(e.value, e.sat_counter) for e in entries],
             {v: (e.counter, e.pointer) for v, e in f.fv.items()},
-            f.generation, f.retire_misses)
+            f.generation)
 
 
 @st.composite
@@ -248,17 +252,17 @@ def finder_runs(draw):
 def replay_finder(params, seeded, writes, batched):
     """Drive a finder the way WireScheme.write does, block references included."""
     f = (MfvFinder if batched else PerGranuleFinder)(**params)
-    refs = {}
+    refs = {}  # address -> value mask
     for v, below_max, addr in seeded:
         f._install(v)
         f.fv[v].counter = FV_COUNTER_MAX - below_max
-        f.add_reference(v)
-        refs.setdefault(addr, []).append(v)
+        old = refs.get(addr, 0)
+        refs[addr] = old | 1 << v
+        f.rereference(old, refs[addr])
     for addr, vals in writes:
-        f.observe_write(bytes(vals))
-        for v in refs.get(addr, ()):
-            f.retire_reference(v)
-        refs[addr] = [v for v in sorted(set(vals)) if f.add_reference(v)]
+        resident = f.observe_write(bytes(vals))
+        f.rereference(refs.get(addr, 0), resident)
+        refs[addr] = resident
     return f
 
 
@@ -281,9 +285,9 @@ def test_value_promoted_again_gets_no_credit_for_its_granules_before():
     fast, slow = MfvFinder(fifo_entries=2, sat_max=2), PerGranuleFinder(fifo_entries=2, sat_max=2)
     for f in (fast, slow):
         f.observe_write(bytes([5, 5]))      # promoted by the second granule
-        f.add_reference(5)
+        f.rereference(0, 1 << 5)
         f.observe_write(bytes([5] * 10))    # resident: pending credit only
-        f.retire_reference(5)               # a Gap now; no flush in between
+        f.rereference(1 << 5, 0)            # a Gap now; no flush in between
         f.observe_write(bytes([5, 5, 5]))   # promoted again by the second granule
     assert finder_state(fast) == finder_state(slow)
     assert fast.fv[5].counter == 1   # only the granule after the promotion counts
@@ -367,71 +371,39 @@ def test_observe_write_returns_the_values_resident_at_its_end(run):
         assert resident == sum(1 << v for v in set(vals) if f.is_frequent(v))
 
 
-def retire_then_add(f, old, new):
-    """Reference bookkeeping as a rewrite used to do it: retire every value of
-    the old mask, then add every value of the new one."""
-    for v in range(old.bit_length()):
-        if old >> v & 1:
-            f.retire_reference(v)
-    return sum(1 << v for v in range(new.bit_length()) if new >> v & 1 and f.add_reference(v))
-
-
-def replay_rereference(fv_entries, installs, holders, steps):
-    """Drive `rereference` and `retire_then_add` side by side on equal finders;
-    returns how often each case of the old loop occurred."""
-    fast, slow = MfvFinder(fv_entries=fv_entries), MfvFinder(fv_entries=fv_entries)
-    for f in (fast, slow):
-        for v in installs:
-            f._install(v)
-    held = [fast.rereference(0, m) for m in holders]
-    assert held == [retire_then_add(slow, 0, m) for m in holders]
-    seen = dict.fromkeys(["eviction", "kept single holder", "untracked add",
-                          "retire miss"], 0)
-    for holder, new, stale, promote in steps:
-        i = holder % len(holders)
-        for f in (fast, slow):
-            for v in promote:
-                if not f.is_frequent(v):
-                    f._install(v)
-        old = held[i] if stale is None else stale
-        generation, misses = slow.generation, slow.retire_misses
-        pointers = {v: e.pointer for v, e in slow.fv.items()}
-        seen["kept single holder"] += sum(pointers.get(v) == 1 for v in range(6)
-                                          if (old & new) >> v & 1)
-        seen["untracked add"] += sum(v not in pointers for v in range(6) if new >> v & 1)
-        held[i] = fast.rereference(old, new)
-        assert held[i] == retire_then_add(slow, old, new)
-        assert finder_state(fast) == finder_state(slow)
-        assert fast._shared == sum(1 << v for v, e in fast.fv.items()
-                                   if e.pointer >= 2)
-        seen["eviction"] += slow.generation - generation
-        seen["retire miss"] += slow.retire_misses - misses
-    return seen
-
-
 mask6 = st.integers(0, 63)  # values 0-5
 
 
+# holder 0 keeps 0 while it alone holds it, then holders 0 and 1 share 1 and
+# drop it in turn
+@example(fv_entries=3, installs=[0, 1], steps=[
+    (0, 0b01, []), (0, 0b11, []), (1, 0b10, []), (0, 0b101, [2]), (1, 0, [])])
 @settings(max_examples=400, deadline=None)
 @given(fv_entries=st.integers(1, 4),
        installs=st.lists(st.integers(0, 5), max_size=4, unique=True),
-       holders=st.lists(mask6, min_size=1, max_size=4),
-       steps=st.lists(st.tuples(st.integers(0, 3), mask6, st.none() | mask6,
+       steps=st.lists(st.tuples(st.integers(0, 3), mask6,
                                 st.lists(st.integers(0, 5), max_size=2)),
                       min_size=1, max_size=12))
-def test_rereference_equals_retire_then_add(fv_entries, installs, holders, steps):
-    replay_rereference(fv_entries, installs[:fv_entries], holders, steps)
-
-
-def test_rereference_example_covers_every_case():
-    # values 0 and 1 tracked; two holders share 0, holder 1 alone holds 1
-    seen = replay_rereference(2, [0, 1], [0b01, 0b11], [
-        (0, 0b101, None, []),  # keep 0 (shared), add 2 while untracked
-        (1, 0b11, None, []),   # keep 0 and the single-holder 1: 1 is freed, not re-added
-        (0, 0b01, 0b10, []),   # stale mask: retire of the untracked 1 misses
-        (1, 0b100, None, [2]),  # 2 promoted, then held
-    ])
-    assert all(seen.values()), seen
+def test_rereference_counts_the_holders_of_each_value(fv_entries, installs, steps):
+    """A value's pointer is the number of holders whose mask has it, and its
+    entry retires when the last of them drops it."""
+    f = MfvFinder(fv_entries=fv_entries)
+    for v in installs[:fv_entries]:
+        f._install(v)
+    masks = [0] * 4
+    for holder, wanted, promote in steps:
+        for v in promote:
+            if not f.is_frequent(v):
+                f._install(v)
+        old, new = masks[holder], wanted & sum(1 << v for v in f.fv)  # FV values only
+        entries, generation = set(f.fv), f.generation
+        f.rereference(old, new)
+        masks[holder] = new
+        held = [sum(m >> v & 1 for m in masks) for v in range(6)]
+        retired = {v for v in range(6) if (old & ~new) >> v & 1 and not held[v]}
+        assert set(f.fv) == entries - retired
+        assert f.generation == generation + len(retired)
+        assert {v: e.pointer for v, e in f.fv.items()} == {v: held[v] for v in f.fv}
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from unittest import mock
 import pytest
 
 from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
-                    SimulationError, TraceEvent, WearConfig, preset_spec,
-                    generate, run_lifetime, schemes)
+                    SimulationError, TraceEvent, WearConfig, build_report, preset_spec,
+                    generate, mfv_coverage, run_lifetime, schemes)
 
 from helpers import PerGranuleFinder, fifo, freeze_codebook
 
@@ -134,16 +134,20 @@ def test_fifo_counters_stay_bounded_under_fuzz():
 # ---------------------------------------------------------------------------
 # wire's look-ahead: the same run with and without it
 
-def churn_g8():
+def churn_events(phase_events: int, num_blocks: int):
     """FV churn at g8: three phases of 20 equally likely values (0-19, then
-    100-119, then 0-19), more than the 16-entry FV table holds, so entries
-    retire and codebook versions are built all along the replay."""
+    100-119, then 0-19), 50% reads, more than the 16-entry FV table holds,
+    so entries retire and codebook versions are built all along the replay."""
     events = []
     for phase, base in enumerate((0, 100, 0)):
-        spec = GenSpec(events=1_500, read_fraction=0.5, seed=phase,
+        spec = GenSpec(events=phase_events, read_fraction=0.5, seed=phase,
                        values={base + v: 0.05 for v in range(20)})
-        events += generate(spec, num_blocks=32, granule_bits=8)
-    return Simulation("wire", 32, PcmConfig(granule_bits=8)), events
+        events += generate(spec, num_blocks=num_blocks, granule_bits=8)
+    return events
+
+
+def churn_g8():
+    return Simulation("wire", 32, PcmConfig(granule_bits=8)), churn_events(1_500, 32)
 
 
 def zipf_lifetime(wear: bool):
@@ -300,6 +304,48 @@ def test_wire_replays_bytearray_payloads():
     sim = Simulation("wire", 4)
     sim.replay([TraceEvent("W", addr, payload) for addr, payload in enumerate(payloads)] * 2)
     assert [sim.read(addr) for addr in range(4)] == payloads
+
+
+# ---------------------------------------------------------------------------
+# a block's references follow its content
+
+@pytest.mark.parametrize("scenario", sorted(LOOK_AHEAD_SCENARIOS))
+def test_finder_pointers_count_the_addresses_holding_each_value(scenario):
+    """Through churn, start-gap copies, dead pages and lost blocks, each FV
+    entry's pointer is the number of addresses whose block's tags hold it."""
+    make, lifetime, _ = LOOK_AHEAD_SCENARIOS[scenario]
+    sim, _, _ = recorded_run(make, lifetime, look_ahead=True)
+    masks = [(sim.memory.blocks[sim._physical(addr)].tags or (0, 0, 0))[2]
+             for addr in range(sim.num_blocks)]
+    pointers = {v: e.pointer for v, e in sim.scheme.finder.fv.items()}
+    assert pointers == {v: sum(m >> v & 1 for m in masks) for v in pointers}
+    assert all(pointers.values())
+
+
+def test_a_block_rewriting_the_value_only_it_holds_keeps_its_entry():
+    sim = Simulation("wire", 1)
+    for _ in range(40):
+        sim.write(0, bytes(64))
+    assert len(sim.scheme.versions) == 2
+    assert {v: e.pointer for v, e in sim.scheme.finder.fv.items()} == {0: 1}
+
+
+def test_churn_retires_only_the_values_no_block_holds():
+    """`churn_events` at 6,000 events a phase over 64 blocks: the finder's
+    promotions and retirements under `wire`, and its report row."""
+    events = churn_events(6_000, 64)
+    sim = Simulation("wire", 64, PcmConfig(granule_bits=8))
+    finder = sim.scheme.finder
+    installs = []
+    install = finder._install
+    finder._install = lambda v: installs.append(install(v)) or installs[-1]
+    sim.replay(events)
+    promotions = sum(installs)
+    assert (promotions, finder.generation - promotions) == (49, 33)
+    coverage = mfv_coverage((ev.payload for ev in events if ev.op == "W"), 8)
+    assert ",".join(build_report(sim, coverage).csv_row()) == (
+        "wire,9010,8990,661761,653665,49653,22294135.500000,0.271073314361,0,0.000000000,"
+        "64,0.033650,0.067264,0.100825,0.134346,0.167857,48")
 
 
 # ---------------------------------------------------------------------------
