@@ -42,15 +42,13 @@ class MfvFinder:
     per-granule `observe`'s whenever `ranked_values` reads them.
     """
 
-    def __init__(self, fifo_entries: int = 16, sat_max: int = 7,
-                 replace_threshold: int = 1, fv_entries: int = 16):
+    def __init__(self, fifo_entries: int = 16, sat_max: int = 7, fv_entries: int = 16):
         if fifo_entries <= 0 or fv_entries <= 0:
             raise ConfigError("finder tables need at least one entry")
-        if sat_max <= 0 or replace_threshold < 0:
-            raise ConfigError("bad finder thresholds")
+        if sat_max <= 0:
+            raise ConfigError("the saturation threshold must be positive")
         self.fifo_entries = fifo_entries
         self.sat_max = sat_max
-        self.replace_threshold = replace_threshold
         self.fv_entries = fv_entries
         # FIFO entry k: _fifo_values[k], counter max(0, _fifo_expiry[k] - _misses)
         self._fifo_values: list[int] = []
@@ -72,7 +70,7 @@ class MfvFinder:
         FV-resident values just bump their access counter. A FIFO hit bumps
         the saturation counter and promotes at saturation if a Gap line is
         free; a miss decrements every counter, by counting one more miss, and
-        replaces the first entry below the threshold (or drops the value).
+        replaces the first entry whose counter is 0 (or drops the value).
         """
         entry = self.fv.get(value)
         if entry is not None:
@@ -99,10 +97,9 @@ class MfvFinder:
             slot[value] = len(values)
             values.append(value)
             expiry.append(misses + 1)
-        elif self.replace_threshold:  # counter max(0, e - misses) < threshold
-            limit = misses + self.replace_threshold
+        else:
             for k, e in enumerate(expiry):
-                if e < limit:
+                if e <= misses:  # counter max(0, e - misses) is 0
                     del slot[values[k]]
                     slot[value], values[k], expiry[k] = k, value, misses + 1
                     break
@@ -262,9 +259,8 @@ def split_granules(data: bytes, granule_bits: int) -> bytes:
 
 
 def unpack_granules(data: bytes, granule_bits: int) -> np.ndarray:
-    """`split_granules` as a uint8 array."""
-    values = np.frombuffer(split_granules(data, granule_bits), dtype=np.uint8)
-    return values if values.flags.writeable else values.copy()
+    """`split_granules` as a uint8 array, a view that may be read-only."""
+    return np.frombuffer(split_granules(data, granule_bits), dtype=np.uint8)
 
 
 def pack_granules(values: np.ndarray, granule_bits: int) -> bytes:

@@ -285,25 +285,19 @@ class WireScheme(WriteScheme):
             self._built_generation = self.finder.generation
         return len(self.versions) - 1
 
-    def _byte_table(self, granule_table: list[int]) -> bytes:
-        """256-byte translate table applying a granule table to every granule
-        of a byte; exact because the granule width divides 8."""
-        g = self.cfg.granule_bits
-        table = np.array(granule_table, dtype=np.uint8)
-        return pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
-
     def _codec(self, version: int, epoch: int) -> tuple[bytes, bytes]:
         """(encode, decode) translate tables of a codebook version whose
-        codewords are rotated left by `epoch`; decode inverts encode."""
+        codewords are rotated left by `epoch`. The granule width divides 8,
+        so encode applies the codebook to every granule of a byte and is a
+        permutation of the 256 bytes; decode is its inverse."""
         key = (version, epoch)
         codec = self._codecs.get(key)
         if codec is None:
             g = self.cfg.granule_bits
-            encode = [rotate_left(cw, epoch, g) for cw in self.versions[version]]
-            decode = [0] * (1 << g)
-            for v, cw in enumerate(encode):
-                decode[cw] = v
-            codec = self._codecs[key] = (self._byte_table(encode), self._byte_table(decode))
+            table = np.array([rotate_left(cw, epoch, g) for cw in self.versions[version]],
+                             dtype=np.uint8)
+            encode = pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
+            codec = self._codecs[key] = (encode, bytes.maketrans(encode, bytes(range(256))))
         return codec
 
     # -- write/read paths ------------------------------------------------------

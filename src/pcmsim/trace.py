@@ -84,13 +84,13 @@ class GenSpec:
 
     `values` assigns explicit probabilities to granule values; the remaining
     probability mass is spread uniformly over the unnamed values. Setting
-    `value_zipf_s` instead ranks the whole value space by a zipf law.
+    `value_zipf_s` instead ranks the whole value space by a zipf law, as
+    setting `address_zipf_s` ranks the blocks; unset, addresses are uniform.
     """
 
     events: int = 10_000
     read_fraction: float = 0.5
-    address_model: str = "uniform"       # "uniform" | "zipf"
-    address_zipf_s: float = 1.0
+    address_zipf_s: float | None = None
     values: dict[int, float] = field(default_factory=dict)
     value_zipf_s: float | None = None
     seed: int = 0
@@ -102,11 +102,10 @@ class GenSpec:
             raise ConfigError(f"seed must be non-negative, not {self.seed}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigError("read_fraction must lie in [0, 1]")
-        if self.address_model not in ("uniform", "zipf"):
-            raise ConfigError(f"unknown address model {self.address_model!r}")
-        if (self.address_model == "zipf" and self.address_zipf_s <= 0
-                or self.value_zipf_s is not None and self.value_zipf_s <= 0):
-            raise ConfigError("zipf exponent must be positive")
+        for key in ("address_zipf_s", "value_zipf_s"):
+            s = getattr(self, key)
+            if s is not None and s <= 0:
+                raise ConfigError(f"gen.{key} must be positive, not {s}")
         if self.values and self.value_zipf_s is not None:
             raise ConfigError("gen.values and gen.value_zipf_s are exclusive: set one")
         n = 1 << granule_bits
@@ -123,12 +122,17 @@ class GenSpec:
             raise ConfigError("no tail values left to absorb the remaining mass")
 
 
+def _zipf(n: int, s: float) -> np.ndarray:
+    """Probability of ranks 1..n under a zipf law of exponent `s`."""
+    p = 1.0 / np.arange(1, n + 1, dtype=float) ** s
+    return p / p.sum()
+
+
 def value_probabilities(spec: GenSpec, granule_bits: int) -> np.ndarray:
     """Full probability vector over the 2^g granule values."""
     n = 1 << granule_bits
     if spec.value_zipf_s is not None:
-        p = 1.0 / np.arange(1, n + 1, dtype=float) ** spec.value_zipf_s
-        return p / p.sum()
+        return _zipf(n, spec.value_zipf_s)
     p = np.zeros(n)
     p[list(spec.values)] = list(spec.values.values())
     tail = [v for v in range(n) if v not in spec.values]
@@ -139,11 +143,9 @@ def value_probabilities(spec: GenSpec, granule_bits: int) -> np.ndarray:
 
 def _sample_addresses(rng: np.random.Generator, spec: GenSpec,
                       num_blocks: int, n: int) -> np.ndarray:
-    if spec.address_model == "uniform":
+    if spec.address_zipf_s is None:
         return rng.integers(0, num_blocks, size=n)
-    ranks = np.arange(1, num_blocks + 1, dtype=float)
-    p = 1.0 / ranks ** spec.address_zipf_s
-    return rng.choice(num_blocks, size=n, p=p / p.sum())
+    return rng.choice(num_blocks, size=n, p=_zipf(num_blocks, spec.address_zipf_s))
 
 
 # granules drawn per `rng.random` call while sampling values (whole rows, at

@@ -240,6 +240,8 @@ BAD_CONFIGS = [
     ('{"pcm": {"partitions_per_block": 128, "rotation_max": 3}}', "4], the partition width, not 6"),
     # a generated trace's seed is `gen.seed`, with no second home
     ('{"seed": 3, "gen": {"events": 100}}', "unknown config key 'seed'"),
+    # `gen.address_zipf_s` alone selects zipf addresses
+    ('{"gen": {"address_model": "zipf"}}', "gen.address_model"),
     ('[1, 2]', "must be a JSON object"),
     ('{"memory_blocks": 16,', "not valid JSON"),
 ]
@@ -313,6 +315,17 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
     assert err.startswith("error: seed must be non-negative")
 
 
+@pytest.mark.parametrize("key", ["address_zipf_s", "value_zipf_s"])
+def test_non_positive_zipf_exponent_exits_2_naming_its_key(tmp_path, capsys, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gen": {key: -3.0}}))
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"gen.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_value_zipf_with_explicit_values_exits_2(tmp_path, capsys):
     # value_zipf_s ranks every value, so explicit values would be ignored
     config = tmp_path / "cfg.json"
@@ -329,7 +342,7 @@ def test_value_zipf_with_explicit_values_exits_2(tmp_path, capsys):
 NON_FINITE_CONFIGS = [
     '{"gen": {"events": 100, "values": {"0": NaN}}}',
     '{"gen": {"events": 100}, "pcm": {"e_set": NaN}}',
-    '{"gen": {"events": 100, "address_model": "zipf", "address_zipf_s": NaN}}',
+    '{"gen": {"events": 100, "address_zipf_s": NaN}}',
     '{"gen": {"events": 100}, "pcm": {"e_reset": Infinity}}',
     '{"gen": {"events": 100, "read_fraction": -Infinity}}',
     '{"gen": {"events": 100}, "pcm": {"e_set": 1e999}}',  # overflows to inf
@@ -418,3 +431,36 @@ def test_config_with_trace_and_gen_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "'trace' and 'gen'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# a lifetime run on zipf addresses: start-gap steps copy into dead blocks
+
+ZIPF_LIFETIME = {
+    "memory_blocks": 64, "pcm": {"cell_endurance": 200, "page_bytes": 256},
+    "wear": {"enabled": True, "epoch_writes": 64, "remap_period": 97},
+    "gen": {"events": 4000, "read_fraction": 0.25, "address_zipf_s": 1.2,
+            "values": {"0": 0.5, "f": 0.5}, "seed": 3},
+    "schemes": ["plain", "diffwrite", "fnw", "wire"], "lifetime": True, "max_writes": 200000}
+
+
+def test_zipf_lifetime_report_is_pinned(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(ZIPF_LIFETIME))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "report.csv").read_text(encoding="ascii").splitlines()[1:] == [
+        "plain,9637,3498,2496804,2482908,0,81378687.600000,0,9637,0.002409250,0,"
+        "0.500632,1.000000,1.000000,1.000000,1.000000,0",
+        "diffwrite,14629,5248,1919360,1902700,0,62443200.000000,0.14967697203,14629,"
+        "0.003657250,0,0.500632,1.000000,1.000000,1.000000,1.000000,0",
+        "fnw,23642,8505,1949248,1939064,238069,67434571.800000,0.185416143252,23642,"
+        "0.005910500,0,0.500632,1.000000,1.000000,1.000000,1.000000,32",
+        "wire,17677,6339,487994,542888,69715,18148595.400000,1.63017395378,17677,"
+        "0.004419250,64,0.500632,1.000000,1.000000,1.000000,1.000000,48",
+    ]
+    dropped = [line.split(": ")[1] for line in
+               (out / "report.txt").read_text(encoding="ascii").splitlines()
+               if line.startswith("  dropped_writes:")]
+    assert dropped == ["26141", "36735", "66833", "45988"]

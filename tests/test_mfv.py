@@ -43,7 +43,7 @@ def test_full_fifo_high_counters_drops_newcomer():
         for v in range(4):
             f.observe(v)
     counters = {e.value: e.sat_counter for e in fifo(f)}
-    f.observe(9)  # unseen, all counters >= threshold after the decrement
+    f.observe(9)  # unseen, all counters above 0 after the decrement
     assert all(e.value != 9 for e in fifo(f))
     for e in fifo(f):
         assert e.sat_counter == counters[e.value] - 1
@@ -59,7 +59,7 @@ def test_miss_decrements_floor_at_zero():
 
 
 def test_below_threshold_entry_is_replaced():
-    f = MfvFinder(fifo_entries=2, sat_max=10, replace_threshold=1)
+    f = MfvFinder(fifo_entries=2, sat_max=10)
     f.observe(1)
     f.observe(2)           # both inserted, counters 1 and 1
     f.observe(3)           # miss: both decrement to 0; first slot replaced by 3
@@ -129,7 +129,7 @@ class EagerFinder(MfvFinder):
             self.entries.append(FifoEntry(value))
         else:
             for f in self.entries:
-                if f.sat_counter < self.replace_threshold:
+                if f.sat_counter == 0:
                     f.value = value
                     f.sat_counter = 1
                     break
@@ -142,7 +142,6 @@ def fifo_runs(draw):
     one or two FV entries, so the table is often full and installs fail."""
     sat_max = draw(st.integers(1, 4))
     params = {"fifo_entries": draw(st.integers(1, 4)), "sat_max": sat_max,
-              "replace_threshold": draw(st.integers(0, sat_max + 1)),
               "fv_entries": draw(st.integers(1, 2))}
     steps = draw(st.lists(st.tuples(st.sampled_from(["observe", "add", "retire"]),
                                     st.integers(0, 2), st.integers(0, 6)),
@@ -169,14 +168,6 @@ def test_lazy_fifo_decay_matches_eager_reference(run):
             f.rereference(old, new)
             masks[f][holder] = new
         assert finder_state(lazy) == finder_state(eager)
-
-
-def test_threshold_zero_never_replaces_an_entry():
-    # a lazy `expiry < misses + threshold` would replace the entry at counter 0
-    f = MfvFinder(fifo_entries=1, sat_max=2, replace_threshold=0)
-    for v in (1, 2, 3):
-        f.observe(v)
-    assert [(e.value, e.sat_counter) for e in fifo(f)] == [(1, 0)]
 
 
 def test_mask_naming_a_value_without_an_entry_raises():
@@ -235,7 +226,6 @@ def finder_runs(draw):
     g = draw(st.sampled_from([1, 2, 4, 8]))
     params = {"fifo_entries": draw(st.integers(1, 3)),
               "sat_max": draw(st.integers(1, 4)),
-              "replace_threshold": draw(st.integers(0, 1)),
               "fv_entries": draw(st.integers(1, 3))}
     # a few distinct values, so values repeat even at 8-bit granules
     alphabet = draw(st.lists(st.integers(0, (1 << g) - 1), min_size=1, max_size=5,

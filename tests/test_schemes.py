@@ -539,6 +539,7 @@ def test_wire_translate_tables_equal_per_granule_path(g, data):
     ranked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=16))
     payloads = data.draw(st.lists(st.binary(min_size=64, max_size=64),
                                   min_size=1, max_size=4))
+    payloads.append(bytes(range(256)))  # decode inverts encode on every byte
     scheme = freeze_codebook(WireScheme(PcmConfig(granule_bits=g)))
     scheme.versions.append(build_codebook(ranked, g))
     book = scheme.versions[1]

@@ -154,8 +154,8 @@ def zipf_lifetime(wear: bool):
     """A lifetime run on zipf addresses to half capacity, with dead pages and
     dropped writes; with wear leveling, start-gap steps every 7 writes and
     epoch bumps every 8 writes per block."""
-    spec = GenSpec(events=400, read_fraction=0.25, address_model="zipf",
-                   address_zipf_s=1.2, values={0x0: 0.5, 0xF: 0.5}, seed=3)
+    spec = GenSpec(events=400, read_fraction=0.25, address_zipf_s=1.2,
+                   values={0x0: 0.5, 0xF: 0.5}, seed=3)
     sim = Simulation("wire", 32, PcmConfig(cell_endurance=200, page_bytes=256),
                      WearConfig(enabled=wear, epoch_writes=8, remap_period=7))
     return sim, generate(spec, num_blocks=32)

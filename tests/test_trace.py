@@ -79,8 +79,7 @@ def test_preset_top5_coverage_is_at_least_80_percent():
 
 
 def test_zipf_addresses_favor_low_blocks():
-    spec = GenSpec(events=5_000, read_fraction=0.0, address_model="zipf",
-                   address_zipf_s=1.2, seed=13)
+    spec = GenSpec(events=5_000, read_fraction=0.0, address_zipf_s=1.2, seed=13)
     events = generate(spec, num_blocks=64)
     first = sum(1 for ev in events if ev.addr == 0)
     last = sum(1 for ev in events if ev.addr == 63)
@@ -89,8 +88,7 @@ def test_zipf_addresses_favor_low_blocks():
 
 def test_bad_specs_rejected():
     with pytest.raises(ConfigError):
-        generate(GenSpec(events=10, address_model="zipf", address_zipf_s=0.0),
-                 num_blocks=4)
+        generate(GenSpec(events=10, address_zipf_s=0.0), num_blocks=4)
     with pytest.raises(ConfigError):
         generate(GenSpec(events=10, value_zipf_s=-1.0), num_blocks=4)
     with pytest.raises(ConfigError):
@@ -212,9 +210,10 @@ def reference_generate(spec, num_blocks, block_bytes, granule_bits):
 def test_generate_equals_per_event_reference(granule_bits, block_bytes):
     values = {} if granule_bits == 1 else {0: 0.5, 1: 0.25}
     for read_fraction in (0, 0.5, 1):
-        for model in ("uniform", "zipf"):
-            spec = GenSpec(events=300, read_fraction=read_fraction, address_model=model,
-                           values=values, seed=granule_bits * 100 + block_bytes)
+        for address_zipf_s in (None, 1.0):
+            spec = GenSpec(events=300, read_fraction=read_fraction,
+                           address_zipf_s=address_zipf_s, values=values,
+                           seed=granule_bits * 100 + block_bytes)
             got = generate(spec, num_blocks=24, block_bytes=block_bytes,
                            granule_bits=granule_bits)
             want = reference_generate(spec, 24, block_bytes, granule_bits)
