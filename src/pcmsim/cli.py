@@ -53,9 +53,11 @@ class ExperimentConfig:
             raise ConfigError("memory_blocks must be positive")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEME_IDS:
                 raise ConfigError(f"unknown scheme '{s}'")
+            if s in self.schemes[:i]:
+                raise ConfigError(f"scheme '{s}' is listed twice")
         if "fnw" in self.schemes:
             FnwScheme(self.pcm)  # checks the word width before any scheme runs
         if self.trace is None and self.gen is None:

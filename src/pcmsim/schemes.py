@@ -245,6 +245,16 @@ class WireScheme(WriteScheme):
     codebook version, an epoch bump or a dead block can only make it search
     for itself. The look-ahead builds no version, bumps no epoch and feeds
     nothing to the finder, and it keeps one window's results.
+
+    A read decodes each stored image once. `read` keeps each block's last
+    decode with the `bits`, `meta` and `tags` objects it came from, and
+    returns it while the block still holds those same three objects;
+    otherwise it decodes and keeps the new result. This is exact: the decode
+    is a pure function of the three values, all immutable, and a codec table
+    never changes once built, so the same three objects give the same bytes.
+    Every write stores a new tags tuple, and a start-gap copy gives the block
+    the objects of the image it copies. The dict holds at most one entry per
+    physical block.
     """
 
     scheme_id = "wire"
@@ -270,6 +280,8 @@ class WireScheme(WriteScheme):
                           for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
         # (data, version, epoch, stored bits, meta) -> (rotations, rotated)
         self._ahead: dict[tuple, tuple[int, int]] = {}
+        # block -> (bits, meta, tags, data) of its last decode (see `read`)
+        self._decoded: dict[PcmBlock, tuple[int, int, object, bytes]] = {}
         if w == 64:  # a partition is one uint64 lane of `optimal_rotations`
             self.look_ahead = self._look_ahead
 
@@ -343,7 +355,17 @@ class WireScheme(WriteScheme):
         self._ahead = dict(zip(inputs, results))
 
     def read(self, block):
-        image, counters = block.bits, block.meta
+        bits, meta, tags = block.bits, block.meta, block.tags
+        last = self._decoded.get(block)
+        if last is not None and last[0] is bits and last[1] is meta and last[2] is tags:
+            return last[3]
+        data = self._decode(bits, meta, tags)
+        self._decoded[block] = (bits, meta, tags, data)
+        return data
+
+    def _decode(self, bits: int, meta: int, tags) -> bytes:
+        """The logical data of a stored image: undo the rotations, then translate."""
+        image, counters = bits, meta
         lanes, part_mask = self._lanes, self._part_mask
         for s, high, back, low in self._unrotate:
             turn = counters & lanes  # the lanes whose counter has this step's bit set
@@ -351,7 +373,7 @@ class WireScheme(WriteScheme):
             if turn:
                 image ^= (image ^ ((image << s) & high | (image >> back) & low)) & turn * part_mask
         return bits_to_bytes(image, self.cfg.block_bytes).translate(
-            self._codec(block.tags[0] if block.tags else 0, block.meta >> self._epoch_shift)[1])
+            self._codec(tags[0] if tags else 0, meta >> self._epoch_shift)[1])
 
 
 def make_scheme(scheme_id: str, cfg: PcmConfig, wear: WearConfig | None = None) -> WriteScheme:

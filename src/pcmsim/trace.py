@@ -14,6 +14,7 @@ tail, or zipf over the value space).
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, TextIO
 
@@ -33,8 +34,13 @@ class TraceEvent(NamedTuple):
     payload: bytes | None = None
 
 
+# an address is at most 64 bits of bare hex digits: `int(s, 16)` alone also
+# takes a sign, `_` and `0x`
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
 def parse_trace(stream: Iterable[str], block_bytes: int = 64) -> list[TraceEvent]:
-    """Parse a trace, validating payload lengths strictly."""
+    """Parse a trace, validating addresses and payload lengths strictly."""
     events = []
     for lineno, raw in enumerate(stream, 1):
         if not raw.isascii():  # comments included; a file's non-ASCII byte is a surrogate
@@ -53,7 +59,7 @@ def parse_trace(stream: Iterable[str], block_bytes: int = 64) -> list[TraceEvent
                 ev = None
         except ValueError:
             ev = None
-        if ev is None or not 0 <= ev.addr < 1 << 64:  # addresses are 64-bit
+        if ev is None or ev.addr >= 1 << 64 or not _HEX_DIGITS.issuperset(parts[1]):
             raise TraceFormatError(f"line {lineno}: malformed trace line {line!r}")
         if ev.payload is not None and len(ev.payload) != block_bytes:
             raise TraceFormatError(

@@ -181,6 +181,14 @@ def test_main_cli_rejects_bad_scheme(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_cli_rejects_a_scheme_listed_twice(tmp_path, capsys):
+    rc = main(["run", "--preset", "balanced", "--events", "200", "--seed", "1",
+               "--schemes", "wire,wire", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: scheme 'wire' is listed twice")
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_cli_rejects_an_empty_scheme_list(tmp_path, capsys):
     rc = main(["run", "--preset", "balanced", "--events", "200", "--seed", "1",
                "--schemes", "", "--out", str(tmp_path / "o")])
@@ -243,6 +251,8 @@ BAD_CONFIGS = [
     # `gen.address_zipf_s` alone selects zipf addresses
     ('{"gen": {"address_model": "zipf"}}', "gen.address_model"),
     ('[1, 2]', "must be a JSON object"),
+    # `validate` rejects this one, after the flags are applied
+    ('{"schemes": ["wire", "wire"]}', "scheme 'wire' is listed twice"),
     ('{"memory_blocks": 16,', "not valid JSON"),
 ]
 
@@ -258,7 +268,8 @@ def test_main_cli_bad_config_exits_2_with_message(tmp_path, capsys, text, named)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text,named", BAD_CONFIGS[:-1])
+# not the repeated scheme, which `validate` rejects, nor the text that is no JSON
+@pytest.mark.parametrize("text,named", BAD_CONFIGS[:-2])
 def test_from_dict_raises_config_error_naming_key(text, named):
     with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
         ExperimentConfig.from_dict(json.loads(text))

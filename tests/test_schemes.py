@@ -648,6 +648,53 @@ def test_wire_random_payloads_read_back_exactly(g, partitions, writes):
             assert sim.read(a) == p
 
 
+def test_wire_read_decodes_an_unchanged_block_once():
+    # a second read of an unchanged block returns its last decode; a write, a
+    # write that bumps the epoch, a start-gap copy (the last one into a block
+    # that holds an older decode) and a new object in any one of the block's
+    # `bits`, `meta` and `tags` each make the next read decode again
+    rng = random.Random(61)
+    sim = Simulation("wire", 1, wear=WearConfig(enabled=True, epoch_writes=2,
+                                                remap_period=10**6))
+    scheme, blocks = sim.scheme, sim.memory.blocks
+
+    with mock.patch.object(scheme, "_decode", wraps=scheme._decode) as decode:
+        def read_twice(expected, decodes):
+            assert sim.read(0) == sim.read(0) == expected
+            assert decode.call_count == decodes
+
+        a, b, c, d = (random_payload(rng) for _ in range(4))
+        sim.write(0, a)
+        read_twice(a, 1)
+        sim.write(0, b)
+        read_twice(b, 2)
+        sim.write(0, c)  # the block's third write bumps its epoch
+        assert blocks[0].meta >> CFG.block_bits == 1
+        read_twice(c, 3)
+        sim.leveler.step(sim.memory)  # moves address 0 from block 0 to block 1
+        assert sim.leveler.map(0) == 1
+        read_twice(c, 4)
+        sim.write(0, d)
+        read_twice(d, 5)
+        sim.leveler.step(sim.memory)  # back into block 0, which last decoded c
+        assert sim.leveler.map(0) == 0
+        read_twice(d, 6)
+
+        # one of the three replaced, the other two kept: the cells, the
+        # metadata word (another epoch), the tags (another codebook version)
+        block = blocks[0]
+        scheme.versions.append(build_codebook([5, 3], CFG.granule_bits))
+        last = d
+        for decodes, (name, value) in enumerate([
+                ("bits", block.bits ^ 1), ("meta", block.meta ^ 1 << CFG.block_bits),
+                ("tags", (len(scheme.versions) - 1, *block.tags[1:]))], start=7):
+            setattr(block, name, value)
+            expected = per_partition_read(scheme, block)
+            assert expected != last
+            read_twice(expected, decodes)
+            last = expected
+
+
 def test_wire_read_of_untouched_block_is_zeros():
     sim = Simulation("wire", 2)
     assert sim.read(1) == bytes(64)

@@ -113,7 +113,9 @@ def test_generated_traces_parse_cleanly():
 def test_malformed_lines_rejected():
     for line in ("R", "R 1 00", "W 1", "W zz " + "00" * 64, "W 1 " + "zz" * 64,
                  "W 1 " + "00" * 64 + " 00", "W -1 " + "00" * 64,
-                 "W 10000000000000000 " + "00" * 64):
+                 "W 10000000000000000 " + "00" * 64,
+                 # `int(s, 16)` alone reads each of these addresses as 0x10
+                 "W +10 " + "00" * 64, "W 1_0 " + "00" * 64, "W 0x10 " + "00" * 64):
         with pytest.raises(TraceFormatError, match="line 1: malformed"):
             parse_trace([line])
 
