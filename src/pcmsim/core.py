@@ -42,14 +42,6 @@ def rotate_left(x: int, r: int, width: int) -> int:
     return ((x << r) | (x >> (width - r))) & mask
 
 
-def bits_to_bytes(bits: int, nbytes: int) -> bytes:
-    return bits.to_bytes(nbytes, "little")
-
-
-def bytes_to_bits(data: bytes) -> int:
-    return int.from_bytes(data, "little")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -308,9 +300,10 @@ def program_all_cells(block: PcmBlock, new_bits: int, new_meta: int,
     out = WriteOutcome()
     if block.meta != new_meta:
         _program_meta(block, new_meta, out)
-    out.flips_set = new_bits.bit_count()
-    out.flips_reset = cfg.block_bits - out.flips_set
-    _wear(block, (1 << cfg.block_bits) - 1, cfg)
+    width = cfg.block_bits
+    out.flips_set = ones = new_bits.bit_count()
+    out.flips_reset = width - ones
+    _wear(block, (1 << width) - 1, cfg)
     block.bits = new_bits
     return out
 

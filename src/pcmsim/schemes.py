@@ -15,8 +15,7 @@ import functools
 import numpy as np
 
 from .core import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, WriteOutcome,
-                   bits_to_bytes, bytes_to_bits, program_all_cells,
-                   program_cells, rotate_left)
+                   program_all_cells, program_cells, rotate_left)
 from .mfv import MfvFinder, build_codebook, pack_granules, unpack_granules
 from .wearlevel import WearConfig, next_epoch
 
@@ -134,10 +133,10 @@ class WriteScheme:
 
     def encode(self, block: PcmBlock, data: bytes) -> tuple[int, int, object]:
         """(physical bits, metadata word, tags) to store; changes no block state."""
-        return bytes_to_bits(data), 0, None  # the identity encoder
+        return int.from_bytes(data, "little"), 0, None  # the identity encoder
 
     def read(self, block: PcmBlock) -> bytes:
-        return bits_to_bytes(block.bits, self.cfg.block_bytes)
+        return block.bits.to_bytes(block.block_bytes, "little")
 
     def overhead_bits_per_block(self) -> int:
         return 0
@@ -202,7 +201,7 @@ class FnwScheme(WriteScheme):
         return self.words
 
     def encode(self, block, data):
-        logical = bytes_to_bits(data)
+        logical = int.from_bytes(data, "little")
         flips = block.meta
         c = block.bits ^ logical
         for f, lo, hi in self._popcount_steps:
@@ -212,7 +211,7 @@ class FnwScheme(WriteScheme):
         return logical ^ invert * self._word_mask, invert, None
 
     def read(self, block):
-        return bits_to_bytes(block.bits ^ block.meta * self._word_mask, self.cfg.block_bytes)
+        return (block.bits ^ block.meta * self._word_mask).to_bytes(block.block_bytes, "little")
 
 
 class WireScheme(WriteScheme):
@@ -327,7 +326,7 @@ class WireScheme(WriteScheme):
         if ahead is not None:
             rotations, phys = ahead
         else:
-            encoded = bytes_to_bits(data.translate(self._codec(version, epoch)[0]))
+            encoded = int.from_bytes(data.translate(self._codec(version, epoch)[0]), "little")
             rotations, _, phys = optimal_rotation(
                 encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
         self.finder.rereference(refs, resident)  # the block's references follow its content
@@ -372,7 +371,7 @@ class WireScheme(WriteScheme):
             counters >>= 1
             if turn:
                 image ^= (image ^ ((image << s) & high | (image >> back) & low)) & turn * part_mask
-        return bits_to_bytes(image, self.cfg.block_bytes).translate(
+        return image.to_bytes(self.cfg.block_bytes, "little").translate(
             self._codec(tags[0] if tags else 0, meta >> self._epoch_shift)[1])
 
 

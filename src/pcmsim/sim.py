@@ -36,6 +36,8 @@ class Simulation:
         extra = 1 if self.wear.enabled else 0
         self.memory = PcmMemory(num_blocks, self.cfg, extra_blocks=extra)
         self.leveler = StartGapLeveler(num_blocks) if self.wear.enabled else None
+        # each address's physical block; the leveler updates its table in place
+        self.physical = self.leveler.physical if self.leveler else list(range(num_blocks))
         self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
         self.scheme: WriteScheme = make_scheme(scheme_id, self.cfg, self.wear)
 
@@ -46,13 +48,10 @@ class Simulation:
         self.dropped_writes = 0
         self.capped = False
 
-    def _physical(self, logical: int) -> int:
-        if logical < 0 or logical >= self.num_blocks:
-            raise SimulationError(f"block address {logical} outside memory")
-        return self.leveler.map(logical) if self.leveler else logical
-
     def write(self, addr: int, payload: bytes) -> WriteOutcome:
-        block = self.memory.blocks[self._physical(addr)]
+        if not 0 <= addr < self.num_blocks:  # a list index would wrap a negative one
+            raise SimulationError(f"block address {addr} outside memory")
+        block = self.memory.blocks[self.physical[addr]]
         try:
             out = self.scheme.write(block, payload)
         finally:
@@ -80,7 +79,9 @@ class Simulation:
         and the mark moves with its stale image when a later step copies it
         into a healthy block. Neither may be read before the next write.
         """
-        block = self.memory.blocks[self._physical(addr)]
+        if not 0 <= addr < self.num_blocks:
+            raise SimulationError(f"block address {addr} outside memory")
+        block = self.memory.blocks[self.physical[addr]]
         if block.failed:
             raise DeadBlockError("read of dead block")
         if block.lost:
@@ -105,7 +106,7 @@ class Simulation:
         if look_ahead is None:
             yield events
             return
-        n, blocks, physical = self.num_blocks, self.memory.blocks, self._physical
+        n, blocks, physical = self.num_blocks, self.memory.blocks, self.physical
         window, writes = [], {}
         for ev in events:
             if ev.op == "W":
@@ -115,7 +116,7 @@ class Simulation:
                     yield window
                     window, writes = [], {}
                 if 0 <= addr < n:
-                    block = blocks[physical(addr)]
+                    block = blocks[physical[addr]]
                     if not block.failed:
                         writes[addr] = block, ev.payload
             window.append(ev)

@@ -47,29 +47,32 @@ class StartGapLeveler:
     metadata cells) and the gap advances; after num_blocks+1 steps every
     block has shifted one slot. A copy into a failed block programs nothing
     and marks it `lost`, a mark that moves on with the block's image.
+
+    The mapping is a table, `physical` (logical -> physical) and `logical`
+    (physical -> logical, `None` at the gap), and a step changes three
+    entries. After every step it equals start-gap's start/gap register rule,
+    kept in `tests/helpers.py` as the reference.
     """
 
     def __init__(self, num_blocks: int):
-        self.n = num_blocks
-        self.start = 0
+        self.physical = list(range(num_blocks))
+        self.logical: list[int | None] = [*range(num_blocks), None]
         self.gap = num_blocks  # physical index of the spare block
 
     def map(self, logical: int) -> int:
-        x = (logical + self.start) % self.n
-        return x + 1 if x >= self.gap else x
+        return self.physical[logical]
 
     def inverse(self, physical: int) -> int:
         """Logical address currently mapped to a physical block (not the gap)."""
-        if physical == self.gap:
+        logical = self.logical[physical]
+        if logical is None:
             raise ValueError("gap block backs no logical address")
-        x = physical - 1 if physical > self.gap else physical
-        return (x - self.start) % self.n
+        return logical
 
     def step(self, memory: PcmMemory) -> WriteOutcome:
         """Copy the neighbor into the gap and advance; mapping stays bijective."""
         dest_i = self.gap
-        src_i = (self.gap - 1) % (self.n + 1)
-        wrapped = self.gap == 0
+        src_i = (dest_i - 1) % len(self.logical)
         src = memory.blocks[src_i]
         dest = memory.blocks[dest_i]
 
@@ -81,9 +84,11 @@ class StartGapLeveler:
             dest.lost = src.lost
         dest.tags = src.tags  # the uncharged tags move with the content
 
+        moved = self.logical[src_i]
+        self.physical[moved] = dest_i
+        self.logical[dest_i] = moved
+        self.logical[src_i] = None
         self.gap = src_i
-        if wrapped:
-            self.start = (self.start + 1) % self.n
         if dest.failed:
-            memory.kill_page(self.inverse(dest_i))
+            memory.kill_page(moved)
         return out

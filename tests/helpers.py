@@ -43,3 +43,28 @@ def freeze_codebook(scheme):
     every write, but no write builds a new version."""
     scheme.current_version = lambda: len(scheme.versions) - 1
     return scheme
+
+
+class RegisterStartGap:
+    """Start-gap's register rule, the reference `StartGapLeveler`'s table must
+    equal after every step: the gap slides down one physical slot per step,
+    and the step that wraps it from slot 0 back to the spare slot n bumps
+    `start`, so every address has then moved one slot."""
+
+    def __init__(self, n):
+        self.n, self.start, self.gap = n, 0, n
+
+    def map(self, logical):
+        x = (logical + self.start) % self.n
+        return x + 1 if x >= self.gap else x
+
+    def inverse(self, physical):
+        if physical == self.gap:
+            raise ValueError("gap block backs no logical address")
+        x = physical - 1 if physical > self.gap else physical
+        return (x - self.start) % self.n
+
+    def step(self):
+        if self.gap == 0:
+            self.start = (self.start + 1) % self.n
+        self.gap = (self.gap - 1) % (self.n + 1)

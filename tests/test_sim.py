@@ -110,12 +110,18 @@ def test_lifetime_keeps_writing_live_blocks_of_a_dead_page():
     assert sim.capped
 
 
-def test_out_of_range_address_rejected():
-    sim = Simulation("plain", 4)
-    with pytest.raises(SimulationError):
-        sim.write(4, bytes(64))
-    with pytest.raises(SimulationError):
-        sim.read(-1)
+@pytest.mark.parametrize("scheme_id", ["plain", "diffwrite", "fnw", "wire"])
+@pytest.mark.parametrize("wear", [False, True])
+@pytest.mark.parametrize("op", ["write", "read"])
+@pytest.mark.parametrize("addr", [-1, -4, 4])
+def test_out_of_range_address_rejected(scheme_id, wear, op, addr):
+    # a negative address must not index the table from its end
+    sim = Simulation(scheme_id, 4, wear=WearConfig(enabled=wear, remap_period=1))
+    sim.write(0, bytes(64))
+    args = (addr, b"\xff" * 64) if op == "write" else (addr,)
+    with pytest.raises(SimulationError, match=f"^block address {addr} outside memory$"):
+        getattr(sim, op)(*args)
+    assert (sim.writes, sim.reads) == (1, 0)
 
 
 def test_fifo_counters_stay_bounded_under_fuzz():
@@ -246,14 +252,18 @@ def raised_at_block_8(sim, state):
         and sim.writes == 28
 
 
+def wrapped_the_gap(sim, state):
+    # a full gap cycle: more start-gap steps than there are addresses
+    return sim.writes // sim.wear.remap_period > sim.num_blocks
+
+
 # scenario -> (make, run_lifetime?, the path it reaches)
 LOOK_AHEAD_SCENARIOS = {
     "churn-g8": (churn_g8, False, retired_fv_entries),
     "zipf-lifetime": (lambda: zipf_lifetime(False), True, dropped_writes_to_dead_pages),
     "zipf-lifetime-wear": (lambda: zipf_lifetime(True), True, dropped_writes_to_dead_pages),
-    "remap-3": (remap_every_3_writes, False, lambda sim, state: sim.leveler.start > 0),
-    "few-payloads-remap-2": (few_payloads_remap_every_2_writes, False,
-                             lambda sim, state: sim.leveler.start > 0),
+    "remap-3": (remap_every_3_writes, False, wrapped_the_gap),
+    "few-payloads-remap-2": (few_payloads_remap_every_2_writes, False, wrapped_the_gap),
     "outside-memory": (address_outside_memory, False, raised_at_block_8),
     "outside-memory-lifetime": (address_outside_memory, True, raised_at_block_8),
 }
@@ -315,7 +325,7 @@ def test_finder_pointers_count_the_addresses_holding_each_value(scenario):
     entry's pointer is the number of addresses whose block's tags hold it."""
     make, lifetime, _ = LOOK_AHEAD_SCENARIOS[scenario]
     sim, _, _ = recorded_run(make, lifetime, look_ahead=True)
-    masks = [(sim.memory.blocks[sim._physical(addr)].tags or (0, 0, 0))[2]
+    masks = [(sim.memory.blocks[sim.physical[addr]].tags or (0, 0, 0))[2]
              for addr in range(sim.num_blocks)]
     pointers = {v: e.pointer for v, e in sim.scheme.finder.fv.items()}
     assert pointers == {v: sum(m >> v & 1 for m in masks) for v in pointers}

@@ -6,7 +6,7 @@ from pcmsim import (DeadBlockError, PcmConfig, PcmMemory, Simulation,
                     StartGapLeveler, WearConfig, WriteOutcome, pack_granules)
 from pcmsim.core import rotate_left
 
-from helpers import rotate_right
+from helpers import RegisterStartGap, rotate_right
 
 # An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
 # tables); decoding rotates them back right.
@@ -109,6 +109,28 @@ def test_mapping_stays_bijective_after_random_steps():
         assert lev.gap not in physical
         for la in range(n):
             assert lev.inverse(lev.map(la)) == la
+
+
+def start_gap_state(leveler, n):
+    """(gap, every address's block, the address of every other block)."""
+    backed = [pa for pa in range(n + 1) if pa != leveler.gap]
+    return leveler.gap, [leveler.map(la) for la in range(n)], [leveler.inverse(pa) for pa in backed]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_table_equals_the_start_gap_register_rule(n):
+    """(n + 1) * (n + 2) steps: `start` runs through all n values and the gap
+    wraps n + 2 times."""
+    mem = PcmMemory(n, PcmConfig(), extra_blocks=1)
+    lev, ref = StartGapLeveler(n), RegisterStartGap(n)
+    for _ in range((n + 1) * (n + 2)):
+        lev.step(mem)
+        ref.step()
+        assert start_gap_state(lev, n) == start_gap_state(ref, n)
+        for leveler in (lev, ref):
+            with pytest.raises(ValueError):
+                leveler.inverse(leveler.gap)
+    assert ref.start == (n + 2) % n
 
 
 def test_remap_copy_wears_the_destination():
