@@ -37,7 +37,7 @@ def hot_bit_profile(enabled):
     sim.write(1, bytes([0xF0] * 64))  # keeps both values in the FV table
     for i in range(200):
         sim.write(0, zero if i % 2 == 0 else ones)
-    hot = sim.leveler.map(0) if sim.leveler else 0
+    hot = sim.physical[0]
     return sim.memory.blocks[hot].cell_writes[:4]
 
 

@@ -2,9 +2,9 @@
 
 Subcommands:
 
-    run      replay or generate a trace under one or more schemes
+    run      replay or generate a trace under one or more schemes, and write
+             report.csv, report.txt and the trace's value table coverage.csv
     gen      write a synthetic trace file
-    analyze  print the granule-value frequency table of a trace
 
 Config files are JSON with the section/key names used throughout the library
 (`pcm.*`, `wear.*`, `gen.*`). Flags override config values.
@@ -27,8 +27,8 @@ from .metrics import (build_report, mfv_coverage, reports_to_csv,
                       reports_to_text, run_lifetime)
 from .schemes import SCHEME_IDS, FnwScheme
 from .sim import Simulation
-from .trace import (GenSpec, PRESETS, TraceFormatError, emit_trace, generate,
-                    parse_trace_file, preset_spec)
+from .trace import (_HEX_DIGITS, GenSpec, PRESETS, TraceFormatError, emit_trace,
+                    generate, parse_trace_file, preset_spec)
 from .wearlevel import WearConfig
 
 
@@ -72,10 +72,15 @@ class ExperimentConfig:
             raise ConfigError("config sets both 'trace' and 'gen'; give one event source")
         kw = dict(d)
         if "values" in d.get("gen", {}):
-            try:
-                values = {int(k, 16): v for k, v in d["gen"]["values"].items()}
-            except ValueError:
-                raise ConfigError("gen.values keys must be hex granule values") from None
+            values = {}
+            for k, p in d["gen"]["values"].items():
+                # bare hex digits, as a trace address: int(k, 16) also takes a
+                # sign, `_`, `0x` and whitespace
+                if not k or not _HEX_DIGITS.issuperset(k):
+                    raise ConfigError(f"gen.values key {k!r} is not a hex granule value")
+                if int(k, 16) in values:
+                    raise ConfigError(f"gen.values key {k!r} names a value another key names")
+                values[int(k, 16)] = p
             kw["gen"] = {**d["gen"], "values": values}
         for key, section in _SECTIONS.items():
             if key in kw:
@@ -171,6 +176,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(reports_to_csv(reports), encoding="ascii")
+    lines = ["value,count,fraction,cumulative"]
+    lines += [f"{v:#x},{c},{f:.6f},{cm:.6f}" for v, c, f, cm in coverage]
+    (out / "coverage.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     header = [
         "pcm write simulation report",
         f"trace_sha256: {digest}",
@@ -197,25 +205,6 @@ def cmd_gen(cfg: ExperimentConfig, path: str) -> int:
         emit_trace(events, fh)
     writes = sum(1 for ev in events if ev.op == "W")
     print(f"wrote {len(events)} events ({writes} writes) to {path}")
-    return 0
-
-
-def cmd_analyze(trace_path: str, granule_bits: int, block_bytes: int,
-                out_dir: str | None = None) -> int:
-    """Print (and optionally emit as CSV) a trace's value frequency table."""
-    if block_bytes <= 0:
-        raise ConfigError(f"--block-bytes must be positive, not {block_bytes}")
-    events = parse_trace_file(trace_path, block_bytes)
-    rows = mfv_coverage((ev.payload for ev in events if ev.op == "W"), granule_bits)
-    print(f"{'value':>6} {'count':>10} {'fraction':>9} {'cumulative':>10}")
-    for v, count, frac, cum in rows:
-        print(f"{v:>#6x} {count:>10} {frac:>9.4f} {cum:>10.4f}")
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["value,count,fraction,cumulative"]
-        lines += [f"{v:#x},{c},{f:.6f},{cm:.6f}" for v, c, f, cm in rows]
-        (out / "coverage.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     return 0
 
 
@@ -273,26 +262,14 @@ def main(argv=None) -> int:
     common(p_gen)
     p_gen.add_argument("path", type=str, help="output trace path")
 
-    p_an = sub.add_parser("analyze", help="value frequency table of a trace")
-    p_an.add_argument("trace", type=str, help="trace file to analyze")
-    p_an.add_argument("--granule-bits", type=int, choices=(1, 2, 4, 8), default=4)
-    p_an.add_argument("--block-bytes", type=int, default=64)
-    p_an.add_argument("--out", type=str, default=None,
-                      help="also write coverage.csv to this directory")
-
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(_config(args))
-        if args.command == "gen":
-            return cmd_gen(_config(args), args.path)
-        if args.command == "analyze":
-            return cmd_analyze(args.trace, args.granule_bits, args.block_bytes,
-                               args.out)
-    except (ConfigError, TraceFormatError, SimulationError, OSError) as exc:
+        return cmd_gen(_config(args), args.path)
+    except (ConfigError, TraceFormatError, SimulationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

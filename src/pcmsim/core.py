@@ -45,9 +45,14 @@ def rotate_left(x: int, r: int, width: int) -> int:
 # ---------------------------------------------------------------------------
 # configuration
 
+E_SET = 13.5    # pJ per 0->1 program
+E_RESET = 19.2  # pJ per 1->0 program
+WRITE_LATENCY_NS = 250.0  # per write, for lifetime_seconds
+
+
 @dataclass
 class PcmConfig:
-    """Geometry, endurance and energy parameters of the simulated array.
+    """Geometry and endurance parameters of the simulated array.
 
     `cell_endurance` defaults to a desk-scale 10**3 so lifetime experiments
     finish quickly; real parts tolerate on the order of 10**7 - 10**9 writes.
@@ -59,9 +64,6 @@ class PcmConfig:
     counter_bits: int = 6
     granule_bits: int = 4
     cell_endurance: int = 1000
-    e_set: float = 13.5    # pJ per 0->1 program
-    e_reset: float = 19.2  # pJ per 1->0 program
-    write_latency_ns: float = 250.0
     page_bytes: int = 4096
     metadata_cache_bytes: int = 2048
 
@@ -88,10 +90,6 @@ class PcmConfig:
             raise ConfigError("rotation_max must be representable in counter_bits")
         if self.cell_endurance <= 0:
             raise ConfigError("cell_endurance must be positive")
-        if self.e_set <= 0 or self.e_reset <= 0:
-            raise ConfigError("per-flip energies must be positive")
-        if self.write_latency_ns < 0:
-            raise ConfigError("write_latency_ns must be non-negative")
         if self.page_bytes <= 0 or self.page_bytes % self.block_bytes != 0:
             raise ConfigError("page_bytes must be a positive multiple of block_bytes")
         if self.metadata_cache_bytes < 0:
@@ -139,9 +137,9 @@ class WriteOutcome:
     def meta_flips(self) -> int:
         return self.meta_flips_set + self.meta_flips_reset
 
-    def energy_pj(self, cfg: PcmConfig) -> float:
-        e = self.flips_set * cfg.e_set + self.flips_reset * cfg.e_reset
-        e += self.meta_flips_set * cfg.e_set + self.meta_flips_reset * cfg.e_reset
+    def energy_pj(self) -> float:
+        e = self.flips_set * E_SET + self.flips_reset * E_RESET
+        e += self.meta_flips_set * E_SET + self.meta_flips_reset * E_RESET
         return e
 
     def add(self, other: "WriteOutcome") -> "WriteOutcome":

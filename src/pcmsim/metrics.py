@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DeadBlockError, SimulationError
+from .core import WRITE_LATENCY_NS, DeadBlockError, SimulationError
 from .mfv import unpack_granules
 
 
@@ -203,7 +203,7 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
         energy_pj=sim.energy_pj(),
         intrav=iv,
         lifetime_writes=sim.writes if lifetime else 0,
-        lifetime_seconds=sim.writes * sim.cfg.write_latency_ns * 1e-9 if lifetime else 0.0,
+        lifetime_seconds=sim.writes * WRITE_LATENCY_NS * 1e-9 if lifetime else 0.0,
         meta_extra_reads=sim.meta_extra_reads(),
         mfv_top=tuple(top_k_coverage(coverage_rows, k) for k in range(1, 6)),
         overhead_bits=sim.scheme.overhead_bits_per_block(),

@@ -136,7 +136,7 @@ class Simulation:
             self.truncated = True
 
     def energy_pj(self) -> float:
-        return self.totals.energy_pj(self.cfg)
+        return self.totals.energy_pj()
 
     def meta_extra_reads(self) -> int:
         """Metadata lines fetched from the array: the metadata cache's misses."""

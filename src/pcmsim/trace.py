@@ -9,7 +9,7 @@ The text is ASCII. `#` starts a comment, blank lines are ignored. Write
 payloads must be exactly one block long. The generator produces traces with a
 controllable read/write mix, address distribution (uniform or bounded zipf)
 and per-granule value distribution (explicit probabilities with a uniform
-tail, or zipf over the value space).
+tail).
 """
 
 from __future__ import annotations
@@ -90,15 +90,14 @@ class GenSpec:
 
     `values` assigns explicit probabilities to granule values; the remaining
     probability mass is spread uniformly over the unnamed values. Setting
-    `value_zipf_s` instead ranks the whole value space by a zipf law, as
-    setting `address_zipf_s` ranks the blocks; unset, addresses are uniform.
+    `address_zipf_s` ranks the blocks by a zipf law; unset, addresses are
+    uniform.
     """
 
     events: int = 10_000
     read_fraction: float = 0.5
     address_zipf_s: float | None = None
     values: dict[int, float] = field(default_factory=dict)
-    value_zipf_s: float | None = None
     seed: int = 0
 
     def validate(self, granule_bits: int) -> None:
@@ -108,12 +107,9 @@ class GenSpec:
             raise ConfigError(f"seed must be non-negative, not {self.seed}")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigError("read_fraction must lie in [0, 1]")
-        for key in ("address_zipf_s", "value_zipf_s"):
-            s = getattr(self, key)
-            if s is not None and s <= 0:
-                raise ConfigError(f"gen.{key} must be positive, not {s}")
-        if self.values and self.value_zipf_s is not None:
-            raise ConfigError("gen.values and gen.value_zipf_s are exclusive: set one")
+        s = self.address_zipf_s
+        if s is not None and s <= 0:
+            raise ConfigError(f"gen.address_zipf_s must be positive, not {s}")
         n = 1 << granule_bits
         total = 0.0
         for v, p in self.values.items():
@@ -128,17 +124,9 @@ class GenSpec:
             raise ConfigError("no tail values left to absorb the remaining mass")
 
 
-def _zipf(n: int, s: float) -> np.ndarray:
-    """Probability of ranks 1..n under a zipf law of exponent `s`."""
-    p = 1.0 / np.arange(1, n + 1, dtype=float) ** s
-    return p / p.sum()
-
-
 def value_probabilities(spec: GenSpec, granule_bits: int) -> np.ndarray:
     """Full probability vector over the 2^g granule values."""
     n = 1 << granule_bits
-    if spec.value_zipf_s is not None:
-        return _zipf(n, spec.value_zipf_s)
     p = np.zeros(n)
     p[list(spec.values)] = list(spec.values.values())
     tail = [v for v in range(n) if v not in spec.values]
@@ -151,7 +139,9 @@ def _sample_addresses(rng: np.random.Generator, spec: GenSpec,
                       num_blocks: int, n: int) -> np.ndarray:
     if spec.address_zipf_s is None:
         return rng.integers(0, num_blocks, size=n)
-    return rng.choice(num_blocks, size=n, p=_zipf(num_blocks, spec.address_zipf_s))
+    # block 0 is rank 1 of a zipf law of exponent `address_zipf_s`
+    p = 1.0 / np.arange(1, num_blocks + 1, dtype=float) ** spec.address_zipf_s
+    return rng.choice(num_blocks, size=n, p=p / p.sum())
 
 
 # granules drawn per `rng.random` call while sampling values (whole rows, at

@@ -59,16 +59,6 @@ class StartGapLeveler:
         self.logical: list[int | None] = [*range(num_blocks), None]
         self.gap = num_blocks  # physical index of the spare block
 
-    def map(self, logical: int) -> int:
-        return self.physical[logical]
-
-    def inverse(self, physical: int) -> int:
-        """Logical address currently mapped to a physical block (not the gap)."""
-        logical = self.logical[physical]
-        if logical is None:
-            raise ValueError("gap block backs no logical address")
-        return logical
-
     def step(self, memory: PcmMemory) -> WriteOutcome:
         """Copy the neighbor into the gap and advance; mapping stays bijective."""
         dest_i = self.gap

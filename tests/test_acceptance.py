@@ -16,6 +16,7 @@ from pcmsim import (MetadataCache, PcmBlock, PcmConfig, Simulation,
                     mfv_coverage, optimal_rotation, pack_granules,
                     run_lifetime, top_k_coverage, preset_spec, generate)
 from pcmsim.cli import ExperimentConfig, cmd_run
+from pcmsim.core import E_RESET, E_SET
 from pcmsim.schemes import FnwScheme, WireScheme
 
 from helpers import freeze_codebook
@@ -224,8 +225,7 @@ def preset_runs():
         sim = Simulation(scheme_id, 64, cfg, wear)
         sim.replay(events)
         results[scheme_id] = {
-            "data_energy": sim.totals.flips_set * cfg.e_set
-                           + sim.totals.flips_reset * cfg.e_reset,
+            "data_energy": sim.totals.flips_set * E_SET + sim.totals.flips_reset * E_RESET,
             "intrav": intrav(sim.memory.wear_matrix()),
             "truncated": sim.truncated,
         }
@@ -313,7 +313,7 @@ def test_criterion_11_wear_migration():
         sim.write(0, zero)
         sim.write(0, ones)
         sim.write(1, pin)
-        hot = sim.leveler.map(0) if sim.leveler else 0
+        hot = sim.physical[0]
         before = sim.memory.blocks[hot].cell_writes.copy()
         for i in range(256):  # 32 epoch bumps >= granule_bits full cycles
             sim.write(0, zero if i % 2 == 0 else ones)

@@ -91,12 +91,24 @@ def test_empty_config_keeps_every_default():
     assert ExperimentConfig.from_dict({}) == ExperimentConfig()
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_config_examples_load():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    examples = re.findall(r"```json\n(.*?)```", readme, re.S)
+    examples = re.findall(r"```json\n(.*?)```", README, re.S)
     assert examples
     for text in examples:
         ExperimentConfig.from_dict(json.loads(text)).validate()
+
+
+def test_readme_shell_examples_name_real_subcommands(capsys):
+    shell = "".join(re.findall(r"```sh\n(.*?)```", README, re.S))
+    commands = sorted(set(re.findall(r"\bpcmsim (\w+)", shell)))
+    assert commands
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
 
 
 # 3-byte blocks: FNW's 16-bit words do not divide their 24 bits
@@ -135,35 +147,52 @@ def test_truncated_report_on_dead_block(tmp_path, capsys):
     assert "truncated: true" in text
 
 
-def test_main_cli_gen_and_analyze(tmp_path, capsys):
+def test_main_cli_gen_then_run_writes_coverage(tmp_path, capsys):
     trace_path = tmp_path / "cli.trace"
     rc = main(["gen", str(trace_path), "--preset", "balanced",
                "--events", "300", "--seed", "6"])
     assert rc == 0
-    rc = main(["analyze", str(trace_path), "--out", str(tmp_path)])
+    rc = main(["run", "--trace", str(trace_path), "--schemes", "plain",
+               "--out", str(tmp_path)])
     assert rc == 0
-    captured = capsys.readouterr()
-    assert "cumulative" in captured.out
-    assert (tmp_path / "coverage.csv").read_text().startswith("value,count")
+    lines = (tmp_path / "coverage.csv").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "value,count,fraction,cumulative"
+    assert len(lines) == 17 and lines[-1].endswith(",1.000000")  # every 4-bit value
 
 
-@pytest.mark.parametrize("bits", ["-1", "3", "64"])
-def test_main_cli_analyze_rejects_granule_width(tmp_path, capsys, bits):
+def test_coverage_csv_bytes_are_pinned(tmp_path, capsys):
+    # the written granule values, most frequent first, then every other
+    # value at count 0; ties go to the smaller value
     trace_path = tmp_path / "t.trace"
-    trace_path.write_text(f"W 0 {'00' * 64}\n")
+    trace_path.write_text(f"W 0 {'00' * 64}\nR 0\nW 1 {'ff' * 64}\nW 0 {'07' * 64}\n")
+    assert main(["run", "--trace", str(trace_path), "--schemes", "plain",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "coverage.csv").read_bytes() == (
+        "value,count,fraction,cumulative\n"
+        "0x0,192,0.500000,0.500000\n"
+        "0xf,128,0.333333,0.833333\n"
+        "0x7,64,0.166667,1.000000\n"
+        + "".join(f"{v:#x},0,0.000000,1.000000\n" for v in range(1, 15) if v != 7)
+    ).encode("ascii")
+
+
+def test_analyze_subcommand_is_gone(tmp_path, capsys):
+    # `run` writes the value table to coverage.csv
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", str(trace_path), "--granule-bits", bits])
+        main(["analyze", str(tmp_path / "t.trace")])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert "invalid choice: 'analyze'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nbytes", ["0", "-64"])
-def test_main_cli_analyze_rejects_block_bytes_before_reading(tmp_path, capsys, nbytes):
-    trace_path = tmp_path / "t.trace"
-    trace_path.write_text(f"W 0 {'00' * 64}\n")
-    assert main(["analyze", str(trace_path), "--block-bytes", nbytes]) == 2
+def test_config_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 10^15 events ask numpy for 7.1 PiB, more than the address space: the
+    # request fails at once and allocates nothing
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"gen": {"events": 10**15}, "schemes": ["plain"]}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "--block-bytes" in err and "line 1" not in err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_cli_run_with_flags(tmp_path, capsys):
@@ -208,10 +237,8 @@ def test_main_cli_rejects_bad_trace(tmp_path, capsys):
 def test_main_cli_rejects_non_ascii_trace_byte_by_line(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_bytes(b"R 0000\nR 0001 # caf\xc3\xa9\n")  # even inside a comment
-    for argv in (["run", "--trace", str(bad), "--out", str(tmp_path)],
-                 ["analyze", str(bad), "--out", str(tmp_path)]):
-        assert main(argv) == 2
-        assert "line 2" in capsys.readouterr().err
+    assert main(["run", "--trace", str(bad), "--out", str(tmp_path)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_main_cli_rejects_address_outside_64_bits(tmp_path, capsys):
@@ -243,6 +270,19 @@ BAD_CONFIGS = [
     ('{"memory_blocks": true}', "memory_blocks"),
     ('{"pcm": []}', "config section 'pcm' must be a JSON object"),
     ('{"gen": {"values": {"zz": 0.5}}}', "gen.values"),
+    # a value is bare hex digits, named by one key
+    ('{"gen": {"values": {"1_0": 0.1}}}', "gen.values key '1_0'"),
+    ('{"gen": {"values": {"+f": 0.1}}}', "gen.values key '+f'"),
+    ('{"gen": {"values": {" 7": 0.1}}}', "gen.values key ' 7'"),
+    ('{"gen": {"values": {"0x7": 0.1}}}', "gen.values key '0x7'"),
+    ('{"gen": {"values": {"": 0.1}}}', "gen.values key ''"),
+    ('{"pcm": {"granule_bits": 8}, "gen": {"events": 50, "values": {"7": 0.3, "07": 0.6}},'
+     ' "schemes": ["plain"]}', "gen.values key '07' names a value another key names"),
+    # energy and latency are constants, and values follow `gen.values`
+    ('{"pcm": {"e_set": 13.5}}', "unknown config key 'pcm.e_set'"),
+    ('{"pcm": {"e_reset": 19.2}}', "unknown config key 'pcm.e_reset'"),
+    ('{"pcm": {"write_latency_ns": 250}}', "unknown config key 'pcm.write_latency_ns'"),
+    ('{"gen": {"value_zipf_s": 1.2}}', "unknown config key 'gen.value_zipf_s'"),
     ('{"pcm": {"counter_bits": 65}}', "counter_bits"),  # wider than a 64-bit partition
     # 4-bit partitions and the default 6-bit counter: counter_bits must be set
     ('{"pcm": {"partitions_per_block": 128, "rotation_max": 3}}', "4], the partition width, not 6"),
@@ -271,7 +311,7 @@ def test_main_cli_bad_config_exits_2_with_message(tmp_path, capsys, text, named)
 # not the repeated scheme, which `validate` rejects, nor the text that is no JSON
 @pytest.mark.parametrize("text,named", BAD_CONFIGS[:-2])
 def test_from_dict_raises_config_error_naming_key(text, named):
-    with pytest.raises(ConfigError, match=named.replace(".", r"\.")):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         ExperimentConfig.from_dict(json.loads(text))
 
 
@@ -326,7 +366,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
     assert err.startswith("error: seed must be non-negative")
 
 
-@pytest.mark.parametrize("key", ["address_zipf_s", "value_zipf_s"])
+@pytest.mark.parametrize("key", ["address_zipf_s"])
 def test_non_positive_zipf_exponent_exits_2_naming_its_key(tmp_path, capsys, key):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"gen": {key: -3.0}}))
@@ -337,26 +377,13 @@ def test_non_positive_zipf_exponent_exits_2_naming_its_key(tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
-def test_value_zipf_with_explicit_values_exits_2(tmp_path, capsys):
-    # value_zipf_s ranks every value, so explicit values would be ignored
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"memory_blocks": 16, "gen": {
-        "events": 200, "value_zipf_s": 1.2, "seed": 3, "values": {"0": 0.9}}}))
-    trace_path = tmp_path / "t.trace"
-    rc = main(["gen", "--config", str(config), str(trace_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "gen.values" in err and "gen.value_zipf_s" in err
-    assert "Traceback" not in err and not trace_path.exists()
-
-
 NON_FINITE_CONFIGS = [
     '{"gen": {"events": 100, "values": {"0": NaN}}}',
-    '{"gen": {"events": 100}, "pcm": {"e_set": NaN}}',
+    '{"gen": {"events": 100, "read_fraction": NaN}}',
     '{"gen": {"events": 100, "address_zipf_s": NaN}}',
-    '{"gen": {"events": 100}, "pcm": {"e_reset": Infinity}}',
+    '{"gen": {"events": 100, "address_zipf_s": Infinity}}',
     '{"gen": {"events": 100, "read_fraction": -Infinity}}',
-    '{"gen": {"events": 100}, "pcm": {"e_set": 1e999}}',  # overflows to inf
+    '{"gen": {"events": 100, "values": {"f": 1e999}}}',  # overflows to inf
 ]
 
 

@@ -224,11 +224,11 @@ def test_wear_planes_carry_into_a_fifth_plane():
 
 def test_energy_is_monotone_in_flip_counts():
     base = WriteOutcome(flips_set=3, flips_reset=2, meta_flips_set=1)
-    e0 = base.energy_pj(CFG)
+    e0 = base.energy_pj()
     for bump in ("flips_set", "flips_reset", "meta_flips_set", "meta_flips_reset"):
         out = WriteOutcome(flips_set=3, flips_reset=2, meta_flips_set=1)
         setattr(out, bump, getattr(out, bump) + 1)
-        assert out.energy_pj(CFG) > e0
+        assert out.energy_pj() > e0
 
 
 def test_config_invariants_rejected():
@@ -238,8 +238,6 @@ def test_config_invariants_rejected():
         PcmConfig(rotation_max=64)  # not below the 64-bit partition width
     with pytest.raises(ConfigError):
         PcmConfig(counter_bits=3)   # cannot hold rotation_max = 8
-    with pytest.raises(ConfigError):
-        PcmConfig(e_set=0.0)
     with pytest.raises(ConfigError):
         PcmConfig(granule_bits=3)
 

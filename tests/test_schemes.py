@@ -672,12 +672,12 @@ def test_wire_read_decodes_an_unchanged_block_once():
         assert blocks[0].meta >> CFG.block_bits == 1
         read_twice(c, 3)
         sim.leveler.step(sim.memory)  # moves address 0 from block 0 to block 1
-        assert sim.leveler.map(0) == 1
+        assert sim.leveler.physical[0] == 1
         read_twice(c, 4)
         sim.write(0, d)
         read_twice(d, 5)
         sim.leveler.step(sim.memory)  # back into block 0, which last decoded c
-        assert sim.leveler.map(0) == 0
+        assert sim.leveler.physical[0] == 0
         read_twice(d, 6)
 
         # one of the three replaced, the other two kept: the cells, the

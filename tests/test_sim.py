@@ -49,7 +49,7 @@ def test_read_after_start_gap_move_into_failed_block_raises():
                      WearConfig(enabled=True, remap_period=1))
     sim.memory.blocks[4].failed = True
     sim.write(3, b"\xaa" * 64)
-    assert sim.leveler.map(3) == 4
+    assert sim.leveler.physical[3] == 4
     with pytest.raises(DeadBlockError):
         sim.read(3)
     assert sim.reads == 0
@@ -70,7 +70,7 @@ def stale_copy_sim():
 def test_read_of_a_stale_image_copied_out_of_a_failed_block_raises():
     sim, events = stale_copy_sim()
     sim.replay(events)
-    assert sim.leveler.map(3) == 0 and not sim.memory.blocks[0].failed
+    assert sim.leveler.physical[3] == 0 and not sim.memory.blocks[0].failed
     with pytest.raises(DeadBlockError):
         sim.read(3)  # block 0 holds zeros, not the 0xAA written to address 3
     assert sim.reads == 0

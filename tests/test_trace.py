@@ -90,8 +90,6 @@ def test_bad_specs_rejected():
     with pytest.raises(ConfigError):
         generate(GenSpec(events=10, address_zipf_s=0.0), num_blocks=4)
     with pytest.raises(ConfigError):
-        generate(GenSpec(events=10, value_zipf_s=-1.0), num_blocks=4)
-    with pytest.raises(ConfigError):
         generate(GenSpec(events=10, values={0: 0.9, 1: 0.2}), num_blocks=4)
     with pytest.raises(ConfigError):
         generate(GenSpec(events=0), num_blocks=4)

@@ -50,7 +50,7 @@ def test_epoch_bump_cadence():
     wear = WearConfig(enabled=True, epoch_writes=2, remap_period=10**9)
     sim = Simulation("wire", 1, wear=wear)
     payload = bytes(64)
-    block = sim.memory.blocks[sim.leveler.map(0)]
+    block = sim.memory.blocks[sim.leveler.physical[0]]
     sim.write(0, payload)
     assert epoch(block) == 0
     sim.write(0, payload)
@@ -66,7 +66,7 @@ def test_epoch_wraps_after_granule_bits_bumps():
     seen = []
     for _ in range(5):
         sim.write(0, payload)
-        seen.append(epoch(sim.memory.blocks[sim.leveler.map(0)]))
+        seen.append(epoch(sim.memory.blocks[sim.leveler.physical[0]]))
     assert seen == [0, 1, 2, 3, 0]
 
 
@@ -87,13 +87,13 @@ def test_five_steps_shift_every_block_one_slot():
     mem = PcmMemory(4, cfg, extra_blocks=1)
     lev = StartGapLeveler(4)
     for la in range(4):
-        mem.blocks[lev.map(la)].bits = la + 1
+        mem.blocks[lev.physical[la]].bits = la + 1
     for _ in range(5):
         lev.step(mem)
     assert lev.gap == 4
     for la in range(4):
-        assert lev.map(la) == (la + 1) % 4
-        assert mem.blocks[lev.map(la)].bits == la + 1
+        assert lev.physical[la] == (la + 1) % 4
+        assert mem.blocks[lev.physical[la]].bits == la + 1
 
 
 def test_mapping_stays_bijective_after_random_steps():
@@ -104,17 +104,18 @@ def test_mapping_stays_bijective_after_random_steps():
         lev = StartGapLeveler(n)
         for _ in range(rng.randrange(1, 4 * (n + 1))):
             lev.step(mem)
-        physical = [lev.map(la) for la in range(n)]
+        physical = [lev.physical[la] for la in range(n)]
         assert len(set(physical)) == n
         assert lev.gap not in physical
         for la in range(n):
-            assert lev.inverse(lev.map(la)) == la
+            assert lev.logical[lev.physical[la]] == la
 
 
-def start_gap_state(leveler, n):
-    """(gap, every address's block, the address of every other block)."""
-    backed = [pa for pa in range(n + 1) if pa != leveler.gap]
-    return leveler.gap, [leveler.map(la) for la in range(n)], [leveler.inverse(pa) for pa in backed]
+def start_gap_state(gap, physical, logical, n):
+    """(gap, every address's block, the address of every other block), from
+    the logical -> physical and physical -> logical lookups."""
+    backed = [pa for pa in range(n + 1) if pa != gap]
+    return gap, [physical(la) for la in range(n)], [logical(pa) for pa in backed]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
@@ -126,10 +127,11 @@ def test_table_equals_the_start_gap_register_rule(n):
     for _ in range((n + 1) * (n + 2)):
         lev.step(mem)
         ref.step()
-        assert start_gap_state(lev, n) == start_gap_state(ref, n)
-        for leveler in (lev, ref):
-            with pytest.raises(ValueError):
-                leveler.inverse(leveler.gap)
+        assert (start_gap_state(lev.gap, lev.physical.__getitem__, lev.logical.__getitem__, n)
+                == start_gap_state(ref.gap, ref.map, ref.inverse, n))
+        assert lev.logical[lev.gap] is None
+        with pytest.raises(ValueError):
+            ref.inverse(ref.gap)
     assert ref.start == (n + 2) % n
 
 
@@ -157,7 +159,7 @@ def test_start_gap_copy_into_a_failed_block_programs_nothing():
     assert out == WriteOutcome()
     assert (dest.bits, dest.meta, int(dest.cell_writes.sum())) == (0b1010, 0b110, 0)
     assert dest.lost and dest.tags == (3, 0, 0b11)
-    assert lev.map(1) == 2
+    assert lev.physical[1] == 2
 
 
 def test_gap_steps_after_every_remap_period_serviced_writes():
@@ -170,7 +172,7 @@ def test_gap_steps_after_every_remap_period_serviced_writes():
         gaps.append(sim.leveler.gap)
     assert gaps == [4, 4, 3, 3, 3, 2, 2]
 
-    sim.memory.blocks[sim.leveler.map(0)].failed = True
+    sim.memory.blocks[sim.leveler.physical[0]].failed = True
     sim.write(1, bytes(64))  # the 8th serviced write
     with pytest.raises(DeadBlockError):
         sim.write(0, bytes(64))
@@ -238,7 +240,7 @@ def test_start_gap_copy_moves_fnw_flip_bits_uncharged():
     lanes = sum(1 << (i * 16) for i in range(32))
     assert out.meta_flips == 32
     assert sim.memory.blocks[1].meta == sim.memory.blocks[2].meta == lanes
-    assert sim.leveler.map(1) == 2
+    assert sim.leveler.physical[1] == 2
     assert sim.totals.meta_flips == 32
     assert sim.read(1) == ones
 
@@ -257,7 +259,7 @@ def test_epoch_rotation_spreads_hot_bit_wear():
         sim.write(0, zero)
         sim.write(0, ones)
         sim.write(1, pin)
-        hot = sim.leveler.map(0) if sim.leveler else 0
+        hot = sim.physical[0]
         before = sim.memory.blocks[hot].cell_writes.copy()
         for i in range(256):
             sim.write(0, zero if i % 2 == 0 else ones)
