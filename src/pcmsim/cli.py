@@ -25,7 +25,7 @@ from pathlib import Path
 from .core import ConfigError, PcmConfig, SimulationError
 from .metrics import (build_report, mfv_coverage, reports_to_csv,
                       reports_to_text, run_lifetime)
-from .schemes import SCHEME_IDS, FnwScheme
+from .schemes import SCHEME_IDS, make_scheme
 from .sim import Simulation
 from .trace import (_HEX_DIGITS, GenSpec, PRESETS, TraceFormatError, emit_trace,
                     generate, parse_trace_file, preset_spec)
@@ -54,12 +54,9 @@ class ExperimentConfig:
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for i, s in enumerate(self.schemes):
-            if s not in SCHEME_IDS:
-                raise ConfigError(f"unknown scheme '{s}'")
+            make_scheme(s, self.pcm, self.wear)  # id and constructor checks, before any replay
             if s in self.schemes[:i]:
                 raise ConfigError(f"scheme '{s}' is listed twice")
-        if "fnw" in self.schemes:
-            FnwScheme(self.pcm)  # checks the word width before any scheme runs
         if self.trace is None and self.gen is None:
             raise ConfigError("either a trace path or a generator spec is required")
         if self.max_writes <= 0:
@@ -90,10 +87,22 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
+            d = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
         return cls.from_dict(d)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key it repeats raises, rather than keeping its last value."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigError(f"config key '{key}' is repeated in one JSON object")
+        d[key] = value
+    return d
 
 
 # the config sections, each built from the JSON object under its key

@@ -31,18 +31,6 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# bit helpers
-
-def rotate_left(x: int, r: int, width: int) -> int:
-    """Rotate the low `width` bits of x left by r (bit j moves to j+r mod width)."""
-    r %= width
-    if r == 0:
-        return x
-    mask = (1 << width) - 1
-    return ((x << r) | (x >> (width - r))) & mask
-
-
-# ---------------------------------------------------------------------------
 # configuration
 
 E_SET = 13.5    # pJ per 0->1 program

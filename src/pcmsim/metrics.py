@@ -12,8 +12,6 @@ generalizes the fixed 512-cell block of the defining formula.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,12 +213,9 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
 
 
 def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rep in reports:
-        writer.writerow(rep.csv_row())
-    return buf.getvalue()
+    """The CSV text: no field needs quoting, each being a scheme id or a number."""
+    rows = [CSV_COLUMNS] + [rep.csv_row() for rep in reports]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def reports_to_text(reports, header_lines=()) -> str:

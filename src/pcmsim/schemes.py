@@ -15,11 +15,9 @@ import functools
 import numpy as np
 
 from .core import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, WriteOutcome,
-                   program_all_cells, program_cells, rotate_left)
+                   program_all_cells, program_cells)
 from .mfv import MfvFinder, build_codebook, pack_granules, unpack_granules
 from .wearlevel import WearConfig, next_epoch
-
-SCHEME_IDS = ("plain", "diffwrite", "fnw", "wire")
 
 
 def _popcount_steps(width: int, lanes: int) -> list[tuple[int, int, int]]:
@@ -107,15 +105,17 @@ def optimal_rotations(encoded: bytes, stored: bytes, incumbent: bytes, rotation_
 
 
 class WriteScheme:
-    """Base write scheme; subclasses implement `encode` and `read`."""
+    """Differential write: the identity encoder, programming only changed cells."""
 
-    scheme_id = "base"
+    scheme_id = "diffwrite"
     programs_all = False  # program every cell on a write, not only changed ones
     # look_ahead(writes), if set, prepares a window of (block, data) writes
     # to distinct blocks just before they run (see `Simulation.windows`)
     look_ahead = None
+    metadata_cached = False  # the simulation reaches the metadata word through a cache
+    copy_charges_meta = True  # a start-gap copy charges the metadata word's flips
 
-    def __init__(self, cfg: PcmConfig):
+    def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
         self.cfg = cfg
 
     def write(self, block: PcmBlock, data: bytes) -> WriteOutcome:
@@ -149,12 +149,6 @@ class PlainScheme(WriteScheme):
     programs_all = True
 
 
-class DiffScheme(WriteScheme):
-    """Differential write: program only cells whose stored bit differs."""
-
-    scheme_id = "diffwrite"
-
-
 class FnwScheme(WriteScheme):
     """Flip-word encoding: per word, store the data or its complement.
 
@@ -181,8 +175,9 @@ class FnwScheme(WriteScheme):
     """
 
     scheme_id = "fnw"
+    copy_charges_meta = False  # kept for the goldens: flip bits move free with a copy
 
-    def __init__(self, cfg: PcmConfig, word_bits: int = 16):
+    def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None, *, word_bits: int = 16):
         super().__init__(cfg)
         if word_bits <= 0 or cfg.block_bits % word_bits != 0:
             raise ConfigError(f"fnw word width {word_bits} must divide the block")
@@ -257,6 +252,7 @@ class WireScheme(WriteScheme):
     """
 
     scheme_id = "wire"
+    metadata_cached = True
 
     def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
         super().__init__(cfg)
@@ -274,7 +270,7 @@ class WireScheme(WriteScheme):
         self._lanes = lanes = sum(1 << (i * w) for i in range(cfg.partitions_per_block))
         self._part_mask = part_mask = (1 << w) - 1
         # read step k rotates by s = 2^k <= rotation_max < w, lane-wise:
-        # rotate_left(x, s) = ((x << s) & high) | ((x >> (w - s)) & low)
+        # x rotated left by s in each lane = ((x << s) & high) | ((x >> (w - s)) & low)
         self._unrotate = [(s, lanes * (part_mask & part_mask << s), w - s, lanes * ((1 << s) - 1))
                           for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
         # (data, version, epoch, stored bits, meta) -> (rotations, rotated)
@@ -297,16 +293,16 @@ class WireScheme(WriteScheme):
         return len(self.versions) - 1
 
     def _codec(self, version: int, epoch: int) -> tuple[bytes, bytes]:
-        """(encode, decode) translate tables of a codebook version whose
-        codewords are rotated left by `epoch`. The granule width divides 8,
-        so encode applies the codebook to every granule of a byte and is a
+        """(encode, decode) translate tables of a codebook version whose g-bit
+        codewords are rotated left by `epoch % g`. The granule width divides
+        8, so encode applies the codebook to every granule of a byte and is a
         permutation of the 256 bytes; decode is its inverse."""
         key = (version, epoch)
         codec = self._codecs.get(key)
         if codec is None:
-            g = self.cfg.granule_bits
-            table = np.array([rotate_left(cw, epoch, g) for cw in self.versions[version]],
-                             dtype=np.uint8)
+            g, r = self._granule_bits, epoch % self._granule_bits
+            table = np.array([(cw << r | cw >> (g - r)) & ((1 << g) - 1)
+                              for cw in self.versions[version]], dtype=np.uint8)
             encode = pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
             codec = self._codecs[key] = (encode, bytes.maketrans(encode, bytes(range(256))))
         return codec
@@ -375,13 +371,11 @@ class WireScheme(WriteScheme):
             self._codec(tags[0] if tags else 0, meta >> self._epoch_shift)[1])
 
 
+SCHEMES = {cls.scheme_id: cls for cls in (PlainScheme, WriteScheme, FnwScheme, WireScheme)}
+SCHEME_IDS = tuple(SCHEMES)
+
+
 def make_scheme(scheme_id: str, cfg: PcmConfig, wear: WearConfig | None = None) -> WriteScheme:
-    if scheme_id == "plain":
-        return PlainScheme(cfg)
-    if scheme_id == "diffwrite":
-        return DiffScheme(cfg)
-    if scheme_id == "fnw":
-        return FnwScheme(cfg)
-    if scheme_id == "wire":
-        return WireScheme(cfg, wear)
-    raise ConfigError(f"unknown scheme '{scheme_id}' (choose from {', '.join(SCHEME_IDS)})")
+    if scheme_id not in SCHEME_IDS:  # a tuple: an unhashable id is unknown, not a TypeError
+        raise ConfigError(f"unknown scheme '{scheme_id}' (choose from {', '.join(SCHEME_IDS)})")
+    return SCHEMES[scheme_id](cfg, wear)

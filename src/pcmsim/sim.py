@@ -38,8 +38,8 @@ class Simulation:
         self.leveler = StartGapLeveler(num_blocks) if self.wear.enabled else None
         # each address's physical block; the leveler updates its table in place
         self.physical = self.leveler.physical if self.leveler else list(range(num_blocks))
-        self.metadata_cache = MetadataCache(self.cfg) if scheme_id == "wire" else None
         self.scheme: WriteScheme = make_scheme(scheme_id, self.cfg, self.wear)
+        self.metadata_cache = MetadataCache(self.cfg) if self.scheme.metadata_cached else None
 
         self.totals = WriteOutcome()
         self.writes = 0
@@ -64,9 +64,7 @@ class Simulation:
         self.totals.add(out)
         if self.leveler and self.writes % self.wear.remap_period == 0:
             move = self.leveler.step(self.memory)
-            if self.scheme.scheme_id == "fnw":
-                # the one uncharged metadata move, kept for the goldens:
-                # FNW flip bits travel with a start-gap copy for free
+            if not self.scheme.copy_charges_meta:
                 move.meta_flips_set = move.meta_flips_reset = 0
             self.totals.add(move)
         return out

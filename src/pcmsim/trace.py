@@ -130,8 +130,7 @@ def value_probabilities(spec: GenSpec, granule_bits: int) -> np.ndarray:
     p = np.zeros(n)
     p[list(spec.values)] = list(spec.values.values())
     tail = [v for v in range(n) if v not in spec.values]
-    if tail:
-        p[tail] = (1.0 - p.sum()) / len(tail)
+    p[tail] = max(0.0, 1.0 - p.sum()) / max(1, len(tail))  # named ones may sum to 1 + 1e-9
     return p / p.sum()
 
 

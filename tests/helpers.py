@@ -6,9 +6,16 @@ from pcmsim import MfvFinder
 from pcmsim.mfv import split_granules
 
 
+def rotate_left(x, r, width):
+    """Rotate the low `width` bits of x left by r (bit j moves to j+r mod width),
+    as `wire`'s encode tables rotate each codeword by the block's epoch."""
+    r %= width
+    return ((x << r) | (x >> (width - r))) & ((1 << width) - 1) if r else x
+
+
 def rotate_right(x, r, width):
     """Rotate the low `width` bits of x right by r (bit j moves to j-r mod width);
-    the inverse of `pcmsim.core.rotate_left`."""
+    the inverse of `rotate_left`."""
     r %= width
     return ((x >> r) | (x << (width - r))) & ((1 << width) - 1) if r else x
 

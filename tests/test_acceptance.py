@@ -65,7 +65,7 @@ def test_criterion_1_round_trip_fidelity():
                 ok = False
                 break
 
-    fnw = FnwScheme(cfg, 16)
+    fnw = FnwScheme(cfg, word_bits=16)
     for _ in range(n):
         block = _random_block_state(rng, cfg)
         flags = rng.getrandbits(fnw.words)

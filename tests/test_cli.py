@@ -210,6 +210,23 @@ def test_main_cli_rejects_bad_scheme(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,config,named", [
+    (["--schemes", "bogus"], {}, "unknown scheme 'bogus'"),
+    ([], {"schemes": [["wire"]]}, "unknown scheme '['wire']'"),
+    ([], {"schemes": [7]}, "unknown scheme '7'"),
+    ([], {**THREE_BYTE_BLOCKS, "schemes": ["wire", "fnw"]}, "fnw word width 16 must divide"),
+])
+def test_scheme_that_cannot_be_built_exits_2_before_any_report(tmp_path, capsys, argv, config,
+                                                               named):
+    (tmp_path / "cfg.json").write_text(json.dumps({"gen": {"events": 50}, **config}))
+    rc = main(["run", "--config", str(tmp_path / "cfg.json"), *argv,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_cli_rejects_a_scheme_listed_twice(tmp_path, capsys):
     rc = main(["run", "--preset", "balanced", "--events", "200", "--seed", "1",
                "--schemes", "wire,wire", "--out", str(tmp_path / "o")])
@@ -313,6 +330,28 @@ def test_main_cli_bad_config_exits_2_with_message(tmp_path, capsys, text, named)
 def test_from_dict_raises_config_error_naming_key(text, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         ExperimentConfig.from_dict(json.loads(text))
+
+
+# a key an object repeats: `json.loads` alone keeps its last value, so these
+# stay out of `BAD_CONFIGS`, whose texts `from_dict` also sees
+REPEATED_KEYS = [
+    ('{"memory_blocks": 8, "memory_blocks": 16, "gen": {"events": 50}, "schemes": ["plain"]}',
+     "memory_blocks"),
+    ('{"pcm": {"granule_bits": 8}, "gen": {"events": 50, "values": {"7": 0.3, "7": 0.6}},'
+     ' "schemes": ["plain"]}', "7"),
+]
+
+
+@pytest.mark.parametrize("text,key", REPEATED_KEYS)
+def test_repeated_config_key_exits_2_naming_it(tmp_path, capsys, text, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    message = f"config key '{key}' is repeated"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.load(config)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_numeric_value_probability_exits_2(tmp_path, capsys):

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from pcmsim import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, Simulation,
                     WearConfig, build_codebook, optimal_rotation, pack_granules,
                     program_cells, schemes, unpack_granules)
-from pcmsim.core import rotate_left
 from pcmsim.schemes import FnwScheme, WireScheme, optimal_rotations
 
-from helpers import freeze_codebook, rotate_right
+from helpers import freeze_codebook, rotate_left, rotate_right
 
 CFG = PcmConfig()
 
@@ -126,7 +125,7 @@ def test_fnw_rejects_words_under_4_bits(word_bits):
     cfg = PcmConfig(block_bytes=3, partitions_per_block=1, rotation_max=0,
                     counter_bits=1, granule_bits=1, page_bytes=3)
     with pytest.raises(ConfigError, match=f"fnw word width {word_bits} must be at least 4"):
-        FnwScheme(cfg, word_bits)
+        FnwScheme(cfg, word_bits=word_bits)
 
 
 def test_fnw_overhead_bits():

@@ -6,6 +6,7 @@ import pytest
 from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, build_report, preset_spec,
                     generate, mfv_coverage, run_lifetime, schemes)
+from pcmsim.sim import LOOK_AHEAD_WRITES
 
 from helpers import PerGranuleFinder, fifo, freeze_codebook
 
@@ -203,6 +204,29 @@ def address_outside_memory():
     return Simulation("wire", 8), events
 
 
+def full_windows():
+    """128 blocks written in three shuffled full passes: each pass is 128
+    writes to distinct addresses, more than a window holds. The scheme's
+    look-ahead records the size of each window it is given."""
+    rng = random.Random(4)
+    payloads = [ev.payload for ev in generate(preset_spec("balanced", events=1_000, seed=4),
+                                              num_blocks=128) if ev.op == "W"]
+    events = []
+    for _ in range(3):
+        order = list(range(128))
+        rng.shuffle(order)
+        events += [TraceEvent("W", a, payloads.pop()) for a in order]
+    sim = Simulation("wire", 128)
+    look_ahead, sim.window_sizes = sim.scheme.look_ahead, []
+
+    def recording_look_ahead(writes):
+        sim.window_sizes.append(len(writes))
+        look_ahead(writes)
+
+    sim.scheme.look_ahead = recording_look_ahead
+    return sim, events
+
+
 def recorded_run(make, lifetime: bool, look_ahead: bool):
     """Run a scenario; returns its end state, every read's bytes and the error
     that stopped it, and the number of `optimal_rotation` calls."""
@@ -257,6 +281,11 @@ def wrapped_the_gap(sim, state):
     return sim.writes // sim.wear.remap_period > sim.num_blocks
 
 
+def closed_a_window_at_the_cap(sim, state):
+    # the first 65 writes are to distinct addresses: the 65th opens a new window
+    return sim.window_sizes[0] == max(sim.window_sizes) == LOOK_AHEAD_WRITES
+
+
 # scenario -> (make, run_lifetime?, the path it reaches)
 LOOK_AHEAD_SCENARIOS = {
     "churn-g8": (churn_g8, False, retired_fv_entries),
@@ -266,6 +295,7 @@ LOOK_AHEAD_SCENARIOS = {
     "few-payloads-remap-2": (few_payloads_remap_every_2_writes, False, wrapped_the_gap),
     "outside-memory": (address_outside_memory, False, raised_at_block_8),
     "outside-memory-lifetime": (address_outside_memory, True, raised_at_block_8),
+    "full-windows": (full_windows, False, closed_a_window_at_the_cap),
 }
 
 

@@ -183,6 +183,17 @@ def test_sample_values_falls_back_inside_edge_buckets():
     assert np.array_equal(sample_all(np.random.default_rng(3), p, *shape), expected)
 
 
+def test_value_probabilities_are_never_negative():
+    # named values over 1 by less than the 1e-9 `validate` allows: the 14
+    # unnamed values share nothing, not a negative remainder
+    spec = GenSpec(events=20, values={0: 0.5, 1: 0.5 + 5e-10})
+    p = value_probabilities(spec, 4)
+    assert (p >= 0).all() and p[2:].sum() == 0
+    assert all(set(ev.payload.hex()) <= {"0", "1"}
+               for ev in generate(spec, num_blocks=4, block_bytes=8, granule_bits=4)
+               if ev.op == "W")
+
+
 def reference_generate(spec, num_blocks, block_bytes, granule_bits):
     """The per-event generator loop that `generate` replaced."""
     spec.validate(granule_bits)

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from pcmsim import (DeadBlockError, PcmConfig, PcmMemory, Simulation,
-                    StartGapLeveler, WearConfig, WriteOutcome, pack_granules)
-from pcmsim.core import rotate_left
+from pcmsim import (DeadBlockError, PcmConfig, PcmMemory, Simulation, StartGapLeveler,
+                    WearConfig, WireScheme, WriteOutcome, build_codebook, pack_granules)
 
-from helpers import RegisterStartGap, rotate_right
+from helpers import RegisterStartGap, rotate_left, rotate_right
 
 # An epoch rotates a codeword's bits left by the epoch (`wire`'s encode
 # tables); decoding rotates them back right.
@@ -24,26 +23,46 @@ def epoch(block):
     return wire_fields(block.meta)[-1]
 
 
+def codec(g, epoch):
+    """`wire`'s (encode, decode) translate tables at `epoch` for the g-bit
+    codebook that ranks the all-ones value first: each byte's granules
+    through that codebook, each codeword rotated left by the epoch."""
+    scheme = WireScheme(PcmConfig(granule_bits=g))
+    scheme.versions.append(build_codebook([(1 << g) - 1], g))
+    return scheme._codec(1, epoch)
+
+
+def per_granule(table, g, f):
+    """Each byte of `table` with f applied to each of its g-bit granules."""
+    mask = (1 << g) - 1
+    return bytes(sum(f((b >> i) & mask) << i for i in range(0, 8, g)) for b in table)
+
+
 def test_epoch_zero_is_identity():
-    for cw in range(16):
-        assert rotate_left(cw, 0, 4) == cw
+    for g in (1, 2, 4, 8):
+        book = build_codebook([(1 << g) - 1], g)
+        assert codec(g, 0)[0] == per_granule(range(256), g, book.__getitem__)
 
 
 def test_epoch_moves_the_difference_bit():
-    assert rotate_left(0b0001, 1, 4) == 0b0010
-    assert rotate_left(0b0001, 3, 4) == 0b1000
+    # version 0 is the identity codebook: byte 0x01 is granules (1, 0)
+    scheme = WireScheme(PcmConfig())
+    assert scheme._codec(0, 1)[0][0b0001] == rotate_left(0b0001, 1, 4) == 0b0010
+    assert scheme._codec(0, 3)[0][0b0001] == rotate_left(0b0001, 3, 4) == 0b1000
 
 
 def test_full_cycle_is_identity():
     for g in (1, 2, 4, 8):
-        for cw in range(1 << g):
-            assert rotate_left(cw, g, g) == cw
+        assert codec(g, g) == codec(g, 0)
 
 
 def test_transform_untransform_compose_to_identity():
+    identity = bytes(range(256))
     for epoch in range(4):
-        for cw in range(16):
-            assert rotate_right(rotate_left(cw, epoch, 4), epoch, 4) == cw
+        enc, dec = codec(4, epoch)
+        assert per_granule(enc, 4, lambda cw: rotate_right(cw, epoch, 4)) == codec(4, 0)[0]
+        assert per_granule(codec(4, 0)[0], 4, lambda cw: rotate_left(cw, epoch, 4)) == enc
+        assert identity.translate(enc).translate(dec) == identity
 
 
 def test_epoch_bump_cadence():
