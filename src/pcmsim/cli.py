@@ -48,9 +48,12 @@ class ExperimentConfig:
     lifetime: bool = False
     max_writes: int = 100_000_000
 
-    def validate(self) -> None:
+    def validate(self, replay: bool = True) -> None:
+        """Raise ConfigError on a bad setting; replay=False checks only what `gen` reads."""
         if self.memory_blocks <= 0:
             raise ConfigError("memory_blocks must be positive")
+        if not replay:
+            return
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for i, s in enumerate(self.schemes):
@@ -208,7 +211,7 @@ def cmd_gen(cfg: ExperimentConfig, path: str) -> int:
     """Generate a synthetic trace file."""
     if cfg.gen is None:
         raise ConfigError("gen subcommand needs a generator spec (config or --preset)")
-    cfg.validate()
+    cfg.validate(replay=False)
     events = load_events(cfg)
     with open(path, "w", encoding="ascii") as fh:
         emit_trace(events, fh)

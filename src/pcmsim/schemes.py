@@ -230,15 +230,16 @@ class WireScheme(WriteScheme):
     rotates left by 2^k the lanes whose counter has bit k set.
 
     With 64-bit partitions the rotation search runs ahead in batches.
-    `look_ahead` encodes a window of writes to distinct blocks with the newest
-    codebook version built so far and each block's current epoch, searches
-    them in one `optimal_rotations` call and keys each result by the five
-    values it depends on: (payload, version, epoch, stored bits, metadata
-    word). `encode` takes the one kept under its own five, whichever block
-    holds them, so content a start-gap step moved still finds it; a new
-    codebook version, an epoch bump or a dead block can only make it search
-    for itself. The look-ahead builds no version, bumps no epoch and feeds
-    nothing to the finder, and it keeps one window's results.
+    `look_ahead` decides every write of a window to distinct blocks: its epoch,
+    by `next_epoch` on the block's epoch and write count, and its rotations,
+    searched in one `optimal_rotations` call with the newest codebook version
+    built so far. It keeps each under the payload and the stored image's
+    (bits, meta, write count), which fix both. `encode` takes the one kept
+    under its own, whichever block holds it, so content a start-gap step
+    moved still finds it. A write with none (a bytearray, a direct write)
+    decides its epoch and searches for itself; one whose codebook version was
+    built after the batch searches again. The look-ahead builds no version,
+    feeds nothing to the finder, and keeps one window's results.
 
     A read decodes each stored image once. `read` keeps each block's last
     decode with the `bits`, `meta` and `tags` objects it came from, and
@@ -273,8 +274,9 @@ class WireScheme(WriteScheme):
         # x rotated left by s in each lane = ((x << s) & high) | ((x >> (w - s)) & low)
         self._unrotate = [(s, lanes * (part_mask & part_mask << s), w - s, lanes * ((1 << s) - 1))
                           for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
-        # (data, version, epoch, stored bits, meta) -> (rotations, rotated)
-        self._ahead: dict[tuple, tuple[int, int]] = {}
+        # (data, bits, meta, writes) -> ((epoch, bumped), (rotations, rotated)), the
+        # rotations searched with codebook version _ahead_version
+        self._ahead, self._ahead_version = {}, 0
         # block -> (bits, meta, tags, data) of its last decode (see `read`)
         self._decoded: dict[PcmBlock, tuple[int, int, object, bytes]] = {}
         if w == 64:  # a partition is one uint64 lane of `optimal_rotations`
@@ -313,41 +315,42 @@ class WireScheme(WriteScheme):
         resident = self.finder.observe_write(data, self._granule_bits)
 
         version = self.current_version()
+        bits, meta = block.bits, block.meta
         _, writes, refs = block.tags or (0, 0, 0)
-        meta = block.meta
-        epoch, bumped = next_epoch(meta >> self._epoch_shift, writes, self.wear,
-                                   self._granule_bits)
-        key = (data, version, epoch, block.bits, meta)
-        ahead = self._ahead.get(key) if isinstance(data, bytes) else None  # bytearray: unhashable
-        if ahead is not None:
-            rotations, phys = ahead
+        ahead = self._ahead.get((data, bits, meta, writes)) if isinstance(data, bytes) else None
+        if ahead is None:  # not prepared: a bytearray (unhashable), or a direct write
+            epoch, bumped = next_epoch(meta >> self._epoch_shift, writes, self.wear,
+                                       self._granule_bits)
         else:
+            (epoch, bumped), (rotations, phys) = ahead
+        if ahead is None or self._ahead_version != version:
             encoded = int.from_bytes(data.translate(self._codec(version, epoch)[0]), "little")
             rotations, _, phys = optimal_rotation(
-                encoded, block.bits, self._width, self._rotation_max, meta, self._partitions)
+                encoded, bits, self._width, self._rotation_max, meta, self._partitions)
         self.finder.rereference(refs, resident)  # the block's references follow its content
         tags = (version, 1 if bumped else writes + 1, resident)
         return phys, epoch << self._epoch_shift | rotations, tags
 
     def _look_ahead(self, writes) -> None:
-        """Search the rotations of a window of (block, data) writes to
-        distinct blocks in one batch; see the class docstring."""
+        """Decide the epochs of a window of (block, data) writes to distinct
+        blocks and search their rotations in one batch; see the class docstring."""
         version = len(self.versions) - 1
         shift, nbytes = self._epoch_shift, self.cfg.block_bytes
         lane_mask = (1 << shift) - 1
-        inputs, encoded, stored, incumbent = [], [], [], []
+        keys, epochs, encoded, stored, incumbent = [], [], [], [], []
         for block, data in writes:
             if not isinstance(data, bytes) or len(data) != nbytes:
                 continue  # searched by its write (a bytearray, unhashable), or the write raises
-            meta = block.meta
-            epoch = meta >> shift
-            inputs.append((data, version, epoch, block.bits, meta))
-            encoded.append(data.translate(self._codec(version, epoch)[0]))
-            stored.append(block.bits.to_bytes(nbytes, "little"))
+            bits, meta, tags = block.bits, block.meta, block.tags
+            taken = tags[1] if tags else 0  # writes since the block's last epoch bump
+            epochs.append(next_epoch(meta >> shift, taken, self.wear, self._granule_bits))
+            keys.append((data, bits, meta, taken))
+            encoded.append(data.translate(self._codec(version, epochs[-1][0])[0]))
+            stored.append(bits.to_bytes(nbytes, "little"))
             incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
         results = optimal_rotations(b"".join(encoded), b"".join(stored), b"".join(incumbent),
-                                    self._rotation_max, nbytes) if inputs else []
-        self._ahead = dict(zip(inputs, results))
+                                    self._rotation_max, nbytes) if keys else []
+        self._ahead, self._ahead_version = dict(zip(keys, zip(epochs, results))), version
 
     def read(self, block):
         bits, meta, tags = block.bits, block.meta, block.tags

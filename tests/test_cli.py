@@ -137,6 +137,42 @@ def test_bad_fnw_word_width_exits_2_before_any_scheme_runs(tmp_path, capsys, mon
     assert "fnw word width 16 must divide the block" in capsys.readouterr().err
 
 
+# settings only `run` reads, each of which `run` rejects
+RUN_ONLY_FAULTS = [
+    ({"schemes": ["fnw"]}, "fnw word width 16 must divide the block"),
+    ({"schemes": ["bogus"]}, "unknown scheme 'bogus'"),
+    ({"schemes": []}, "at least one scheme is required"),
+    ({"max_writes": 0}, "max_writes must be positive"),
+]
+
+
+@pytest.mark.parametrize("setting,named", RUN_ONLY_FAULTS)
+def test_run_rejects_a_setting_gen_does_not_read(tmp_path, capsys, setting, named):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**THREE_BYTE_BLOCKS, **setting}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+
+
+@pytest.mark.parametrize("setting", [setting for setting, _ in RUN_ONLY_FAULTS])
+def test_gen_ignores_settings_only_run_reads(tmp_path, capsys, monkeypatch, setting):
+    def no_scheme(*_, **__):
+        pytest.fail("gen built a scheme")
+    monkeypatch.setattr(cli, "make_scheme", no_scheme)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**THREE_BYTE_BLOCKS, **setting}))
+    assert main(["gen", "--config", str(config), str(tmp_path / "out.trace")]) == 0
+    assert len(parse_trace_file(tmp_path / "out.trace", 3)) == 200
+
+
+def test_gen_rejects_a_memory_of_no_blocks(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**THREE_BYTE_BLOCKS, "memory_blocks": 0}))
+    assert main(["gen", "--config", str(config), str(tmp_path / "out.trace")]) == 2
+    assert capsys.readouterr().err.startswith("error: memory_blocks must be positive")
+    assert not (tmp_path / "out.trace").exists()
+
+
 def test_truncated_report_on_dead_block(tmp_path, capsys):
     cfg = small_config(tmp_path, schemes=["plain"])
     cfg.pcm = PcmConfig(cell_endurance=2)

@@ -5,7 +5,7 @@ import pytest
 
 from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, build_report, preset_spec,
-                    generate, mfv_coverage, run_lifetime, schemes)
+                    generate, mfv_coverage, next_epoch, run_lifetime, schemes)
 from pcmsim.sim import LOOK_AHEAD_WRITES
 
 from helpers import PerGranuleFinder, fifo, freeze_codebook
@@ -335,6 +335,47 @@ def test_wire_look_ahead_follows_content_a_start_gap_step_moved():
     assert search.call_count == 0
     assert sim.leveler.gap < 4  # the steps moved content
     assert [sim.read(addr) for addr in range(4)] == payloads
+
+
+def test_wire_look_ahead_decides_epoch_bumps_without_a_search():
+    """With the codebook frozen, every write of a replay takes its epoch and
+    rotations from the look-ahead, bumps included."""
+    events = generate(preset_spec("balanced", events=2_000, seed=3), num_blocks=16)
+    sim = Simulation("wire", 16, PcmConfig(), WearConfig(enabled=True, epoch_writes=4))
+    freeze_codebook(sim.scheme)
+    decided = []
+
+    def recording_next_epoch(*args):
+        decided.append(next_epoch(*args))
+        return decided[-1]
+
+    with mock.patch.object(schemes, "optimal_rotation",
+                           wraps=schemes.optimal_rotation) as search, \
+            mock.patch.object(schemes, "next_epoch", recording_next_epoch):
+        sim.replay(events)
+    assert search.call_count == 0
+    assert len(decided) == sim.writes
+    assert sum(bumped for _, bumped in decided) > 10
+
+
+# scenario -> the most `optimal_rotation` calls its look-ahead run may make
+SEARCH_BOUNDS = {"remap-3": 19, "zipf-lifetime-wear": 9}
+
+
+@pytest.mark.parametrize("scenario", sorted(SEARCH_BOUNDS))
+def test_wire_look_ahead_searches_epoch_bumps_once(scenario):
+    make, lifetime, _ = LOOK_AHEAD_SCENARIOS[scenario]
+    _, _, searches = recorded_run(make, lifetime, look_ahead=True)
+    assert searches <= SEARCH_BOUNDS[scenario]
+
+
+@pytest.mark.parametrize("scenario", ["remap-3", "full-windows"])
+def test_wire_decides_each_write_epoch_once(scenario):
+    make, lifetime, _ = LOOK_AHEAD_SCENARIOS[scenario]
+    with mock.patch.object(schemes, "next_epoch", wraps=schemes.next_epoch) as decide:
+        sim, state, _ = recorded_run(make, lifetime, look_ahead=True)
+    assert state["error"] is None and not state["truncated"]
+    assert decide.call_count == sim.writes
 
 
 def test_wire_replays_bytearray_payloads():
