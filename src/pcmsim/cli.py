@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import ConfigError, PcmConfig, SimulationError
-from .metrics import (build_report, mfv_coverage, reports_to_csv,
-                      reports_to_text, run_lifetime)
+from .metrics import build_report, mfv_coverage, reports_to_csv, reports_to_text
 from .schemes import SCHEME_IDS, make_scheme
-from .sim import Simulation
+from .sim import Simulation, run_lifetime
 from .trace import (_HEX_DIGITS, GenSpec, PRESETS, TraceFormatError, emit_trace,
                     generate, parse_trace_file, preset_spec)
 from .wearlevel import WearConfig
@@ -224,7 +223,7 @@ def _config(args) -> ExperimentConfig:
     """The config file's experiment, or the balanced preset's, with the flags applied."""
     cfg = ExperimentConfig(gen=preset_spec("balanced")) if args.config is None \
         else ExperimentConfig.load(args.config)
-    if args.trace is not None:
+    if getattr(args, "trace", None) is not None:
         cfg.trace, cfg.gen = args.trace, None
     if args.preset is not None:
         cfg.trace, cfg.gen = None, preset_spec(args.preset)
@@ -238,7 +237,7 @@ def _config(args) -> ExperimentConfig:
         cfg.gen = dataclasses.replace(cfg.gen, seed=args.seed)
     if getattr(args, "schemes", None) is not None:
         cfg.schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         cfg.out = args.out
     if getattr(args, "lifetime", False):
         cfg.lifetime = True
@@ -252,18 +251,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        """The flags both subcommands read; returns the event-source group."""
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         source = p.add_mutually_exclusive_group()
-        source.add_argument("--trace", type=str, default=None, help="input trace file")
         source.add_argument("--preset", choices=sorted(PRESETS), default=None,
                             help="built-in read/write mix")
-        p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="generator seed")
         p.add_argument("--events", type=int, default=None,
                        help="event count of a generated trace (a preset's: 10000)")
+        return source
 
     p_run = sub.add_parser("run", help="replay a trace under the configured schemes")
-    common(p_run)
+    common(p_run).add_argument("--trace", type=str, default=None, help="input trace file")
+    p_run.add_argument("--out", type=str, default=None, help="output directory")
     p_run.add_argument("--schemes", type=str, default=None,
                        help="comma-separated scheme list "
                             f"({', '.join(SCHEME_IDS)})")

@@ -1,4 +1,4 @@
-"""Wear-variation, lifetime, coverage and report assembly.
+"""Wear variation, coverage and report assembly.
 
 IntraV is the normalized average of per-block sample standard deviations of
 per-cell write counts:
@@ -12,11 +12,11 @@ generalizes the fixed 512-cell block of the defining formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WRITE_LATENCY_NS, DeadBlockError, SimulationError
+from .core import WRITE_LATENCY_NS
 from .mfv import unpack_granules
 
 
@@ -90,41 +90,6 @@ def top_k_coverage(rows, k: int) -> float:
     return rows[min(k, len(rows)) - 1][3]
 
 
-def run_lifetime(sim, events, max_writes: int = 100_000_000) -> None:
-    """Replay a trace cyclically until capacity drops below one half.
-
-    Works on any `Simulation` and leaves its results on it: `sim.writes`
-    counts the writes actually serviced. A write to a failed block is dropped
-    and counted in `sim.dropped_writes` (its page stays dead), and a read of
-    one, or of content a start-gap copy lost, is skipped uncounted; the
-    other blocks of a dead page go on serving both. A safety cap on write
-    attempts keeps wear-free traces from looping forever; `sim.capped` is
-    set when the cap ends a run whose capacity is still at one half or more.
-    """
-    events = tuple(events)  # replayed cyclically, so an iterator must not be used up
-    if not any(ev.op == "W" for ev in events):
-        raise SimulationError("trace cannot wear memory: it contains no writes")
-    attempts = 0
-    while True:
-        for window in sim.windows(events):
-            for ev in window:
-                if ev.op != "W":
-                    try:
-                        sim.read(ev.addr)
-                    except DeadBlockError:
-                        pass  # a failed or lost block has nothing to read
-                    continue
-                try:
-                    sim.write(ev.addr, ev.payload)
-                except DeadBlockError:
-                    sim.dropped_writes += 1
-                attempts += 1
-                capacity = sim.memory.live_capacity()
-                if capacity < 0.5 or attempts >= max_writes:
-                    sim.capped = capacity >= 0.5
-                    return
-
-
 # ---------------------------------------------------------------------------
 # run reports
 
@@ -156,7 +121,6 @@ class RunReport:
     truncated: bool = False
     lifetime_capped: bool = False
     dropped_writes: int = 0
-    notes: list[str] = field(default_factory=list)
 
     def csv_row(self) -> list[str]:
         return [
@@ -176,21 +140,12 @@ class RunReport:
         lines.append(f"  truncated: {str(self.truncated).lower()}")
         lines.append(f"  lifetime_capped: {str(self.lifetime_capped).lower()}")
         lines.append(f"  dropped_writes: {self.dropped_writes}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
         return "\n".join(lines)
 
 
 def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
     """One scheme's report row; `lifetime` fills the lifetime columns from a
     `run_lifetime` run."""
-    wear = sim.memory.wear_matrix()
-    iv = intrav(wear)
-    notes = []
-    if wear.sum() == 0:
-        notes.append("no wear recorded; intrav defined as 0")
-    if sim.truncated:
-        notes.append("replay truncated by an access to a dead block")
     return RunReport(
         scheme=sim.scheme.scheme_id,
         writes=sim.writes,
@@ -199,7 +154,7 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
         flips_reset=sim.totals.flips_reset,
         flips_meta=sim.totals.meta_flips,
         energy_pj=sim.energy_pj(),
-        intrav=iv,
+        intrav=intrav(sim.memory.wear_matrix()),
         lifetime_writes=sim.writes if lifetime else 0,
         lifetime_seconds=sim.writes * WRITE_LATENCY_NS * 1e-9 if lifetime else 0.0,
         meta_extra_reads=sim.meta_extra_reads(),
@@ -208,7 +163,6 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
         truncated=sim.truncated,
         lifetime_capped=sim.capped,
         dropped_writes=sim.dropped_writes,
-        notes=notes,
     )
 
 

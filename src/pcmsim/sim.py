@@ -1,4 +1,5 @@
-"""Single-scheme simulation instance: memory, scheme, wear leveling, stats.
+"""Single-scheme simulation: memory, scheme, wear leveling, stats, and the
+two replay loops, `Simulation.replay` and lifetime mode's `run_lifetime`.
 
 One Simulation owns one memory image and services one event stream; scheme
 comparisons run independent instances over the same trace. Strictly
@@ -20,11 +21,11 @@ class Simulation:
     """Replays trace events against one memory image under one scheme.
 
     A write or read of a block that already failed raises `DeadBlockError`,
-    and so does a read of content a start-gap copy lost (see `read`); the
-    write also marks its page dead. `replay` stops at the first such
-    access and sets `truncated`; `run_lifetime` drops the write (counted in
-    `dropped_writes`) or skips the read, goes on, and sets `capped` if its
-    cap on write attempts ended the run.
+    and so does a read of content a start-gap copy lost (see `read`). The
+    write raises before `encode`, so it moves no finder state, and it does
+    not count in `writes`, so it steps no leveler; it marks its page dead.
+    `replay` stops at the first such access and sets `truncated`;
+    `run_lifetime` states the lifetime policy.
     """
 
     def __init__(self, scheme_id: str, num_blocks: int, cfg: PcmConfig | None = None,
@@ -139,3 +140,43 @@ class Simulation:
     def meta_extra_reads(self) -> int:
         """Metadata lines fetched from the array: the metadata cache's misses."""
         return self.metadata_cache.misses if self.metadata_cache is not None else 0
+
+
+def run_lifetime(sim: Simulation, events, max_writes: int = 100_000_000) -> None:
+    """Replay a trace cyclically until capacity drops below one half.
+
+    `sim.writes` counts the writes serviced. A write to a failed block is
+    dropped and counted in `sim.dropped_writes`, and a read of one, or of
+    content a start-gap copy lost, is skipped uncounted; the other blocks of
+    a dead page go on serving both. The run also ends with capacity at one
+    half or more, and `sim.capped` set, when `max_writes` write attempts
+    are made, or after a pass of the trace that services no write: a
+    dropped write changes no state and a read changes no block, so every
+    later pass would repeat that one.
+    """
+    events = tuple(events)  # replayed cyclically, so an iterator must not be used up
+    if not any(ev.op == "W" for ev in events):
+        raise SimulationError("trace cannot wear memory: it contains no writes")
+    attempts = 0
+    while True:
+        serviced = sim.writes
+        for window in sim.windows(events):
+            for op, addr, payload in window:
+                if op != "W":
+                    try:
+                        sim.read(addr)
+                    except DeadBlockError:
+                        pass  # a failed or lost block has nothing to read
+                    continue
+                try:
+                    sim.write(addr, payload)
+                except DeadBlockError:
+                    sim.dropped_writes += 1
+                attempts += 1
+                capacity = sim.memory.live_capacity()
+                if capacity < 0.5 or attempts >= max_writes:
+                    sim.capped = capacity >= 0.5
+                    return
+        if sim.writes == serviced:
+            sim.capped = True
+            return

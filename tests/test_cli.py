@@ -433,9 +433,9 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
-    if argv[0] == "gen":
-        argv.append(str(tmp_path / "t.trace"))
-    rc = main([*argv, "--out", str(tmp_path / "out")])
+    # `gen` takes its output path, `run` an output directory
+    out = [str(tmp_path / "t.trace")] if argv[0] == "gen" else ["--out", str(tmp_path / "out")]
+    rc = main([*argv, *out])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: seed must be non-negative")
@@ -488,14 +488,27 @@ def small_trace(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "gen"])
 def test_trace_and_preset_together_exit_2(tmp_path, capsys, command):
+    # `gen` writes a generated trace, so it has no --trace flag to exclude
     trace_path = small_trace(tmp_path)
     argv = [command, "--trace", str(trace_path), "--preset", "balanced", "--events", "500",
             "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         main([*argv, str(tmp_path / "b.trace")] if command == "gen" else argv)
     assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert ("not allowed with argument" if command == "run"
+            else "unrecognized arguments: --trace") in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "b.trace").exists()
+
+
+def test_gen_rejects_the_out_flag_it_would_ignore(tmp_path, capsys):
+    # `gen` writes only the trace path it is given; --out names a directory
+    # for `run`'s reports
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--preset", "balanced", "--events", "50", "--out", str(tmp_path / "out"),
+              str(tmp_path / "t.trace")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "t.trace").exists()
 
 
 def test_events_flag_sets_the_length_of_a_config_gen(tmp_path, capsys):

@@ -87,14 +87,33 @@ def test_lifetime_replay_skips_reads_of_lost_content():
 
 
 def test_lifetime_replay_skips_reads_of_dead_blocks():
-    # block 0 dies on its third write; half the pages stay live, so replay
-    # runs to the cap and every later read of block 0 is skipped
+    # block 0 dies on its third write and its read in that pass is skipped;
+    # half the pages stay live, and the fourth pass drops its one write, so
+    # the run ends there, capped, long before max_writes
     cfg = PcmConfig(cell_endurance=2, page_bytes=64)
     sim = Simulation("plain", 2, cfg)
     events = [TraceEvent("W", 0, bytes(64)), TraceEvent("R", 0)]
     run_lifetime(sim, events, max_writes=10)
     assert sim.capped
-    assert (sim.writes, sim.dropped_writes, sim.reads) == (3, 7, 2)
+    assert (sim.writes, sim.dropped_writes, sim.reads) == (3, 1, 2)
+
+
+@pytest.mark.parametrize("scheme_id, counts", [
+    ("plain", (1001, 3)), ("diffwrite", (1002, 2)), ("wire", (1002, 2))])
+def test_lifetime_ends_after_a_pass_that_services_no_write(scheme_id, counts):
+    # a trace that writes only block 0: once the block dies every pass drops
+    # both writes, a fixed point, so the run ends after the first such pass
+    # instead of dropping writes until max_writes
+    events = [TraceEvent("W", 0, bytes(64)), TraceEvent("W", 0, b"\xff" * 64)]
+    sim = Simulation(scheme_id, 256)
+    run_lifetime(sim, events, max_writes=1_000_000)
+    assert (sim.writes, sim.dropped_writes) == counts
+    assert sim.capped and sim.memory.live_capacity() == 0.75
+    # a second run is that same fixed point: no write serviced, no cell worn
+    wear = sim.memory.wear_matrix().copy()
+    run_lifetime(sim, events, max_writes=1_000_000)
+    assert sim.writes == counts[0] and sim.capped
+    assert (sim.memory.wear_matrix() == wear).all()
 
 
 def test_lifetime_keeps_writing_live_blocks_of_a_dead_page():
