@@ -95,10 +95,6 @@ class PcmConfig:
     def blocks_per_page(self) -> int:
         return self.page_bytes // self.block_bytes
 
-    @property
-    def metadata_line_bytes(self) -> int:
-        return math.ceil(self.counter_bits * self.partitions_per_block / 8)
-
 
 # ---------------------------------------------------------------------------
 # write outcome accounting
@@ -329,13 +325,13 @@ class PcmMemory:
 class MetadataCache:
     """LRU cache over per-block metadata lines held in the memory controller.
 
-    Capacity is derived from the cache byte budget and the per-block metadata
-    line size (rotation counters packed into whole bytes). A zero-byte budget
-    degenerates to an always-miss cache.
+    It holds as many lines of `line_bits` bits, each padded to whole bytes,
+    as fit in `cache_bytes`. A zero-byte budget degenerates to an always-miss
+    cache.
     """
 
-    def __init__(self, cfg: PcmConfig):
-        self.capacity_blocks = cfg.metadata_cache_bytes // cfg.metadata_line_bytes
+    def __init__(self, cache_bytes: int, line_bits: int):
+        self.capacity_blocks = cache_bytes // ((line_bits + 7) // 8)
         self._lines: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0

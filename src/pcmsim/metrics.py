@@ -159,7 +159,7 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
         lifetime_seconds=sim.writes * WRITE_LATENCY_NS * 1e-9 if lifetime else 0.0,
         meta_extra_reads=sim.meta_extra_reads(),
         mfv_top=tuple(top_k_coverage(coverage_rows, k) for k in range(1, 6)),
-        overhead_bits=sim.scheme.overhead_bits_per_block(),
+        overhead_bits=sim.scheme.overhead_bits,
         truncated=sim.truncated,
         lifetime_capped=sim.capped,
         dropped_writes=sim.dropped_writes,

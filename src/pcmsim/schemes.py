@@ -113,6 +113,7 @@ class WriteScheme:
     # to distinct blocks just before they run (see `Simulation.windows`)
     look_ahead = None
     metadata_cached = False  # the simulation reaches the metadata word through a cache
+    overhead_bits = 0  # metadata bits per block: the report's column, a cached line's size
     copy_charges_meta = True  # a start-gap copy charges the metadata word's flips
 
     def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
@@ -137,9 +138,6 @@ class WriteScheme:
 
     def read(self, block: PcmBlock) -> bytes:
         return block.bits.to_bytes(block.block_bytes, "little")
-
-    def overhead_bits_per_block(self) -> int:
-        return 0
 
 
 class PlainScheme(WriteScheme):
@@ -184,16 +182,13 @@ class FnwScheme(WriteScheme):
         if word_bits < 4:
             raise ConfigError(f"fnw word width {word_bits} must be at least 4")
         self.word_bits = w = word_bits
-        self.words = n = cfg.block_bits // w
+        self.overhead_bits = self.words = n = cfg.block_bits // w  # a flip bit per word
         self._word_mask = (1 << w) - 1
 
         self._lanes = lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
         self._popcount_steps = _popcount_steps(w, lanes)
         self._k = k = (w + 1).bit_length()
         self._bias = ((1 << k) - w - 2) * lanes
-
-    def overhead_bits_per_block(self) -> int:
-        return self.words
 
     def encode(self, block, data):
         logical = int.from_bytes(data, "little")
@@ -257,6 +252,7 @@ class WireScheme(WriteScheme):
 
     def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
         super().__init__(cfg)
+        self.overhead_bits = cfg.counter_bits * cfg.partitions_per_block  # a counter per partition
         self.finder = MfvFinder()
         self.wear = wear if wear is not None else WearConfig()
         # version k's codeword of every value, indexed by value
@@ -281,9 +277,6 @@ class WireScheme(WriteScheme):
         self._decoded: dict[PcmBlock, tuple[int, int, object, bytes]] = {}
         if w == 64:  # a partition is one uint64 lane of `optimal_rotations`
             self.look_ahead = self._look_ahead
-
-    def overhead_bits_per_block(self) -> int:
-        return self.cfg.counter_bits * self.cfg.partitions_per_block
 
     # -- codebook versioning --------------------------------------------------
 

@@ -40,7 +40,9 @@ class Simulation:
         # each address's physical block; the leveler updates its table in place
         self.physical = self.leveler.physical if self.leveler else list(range(num_blocks))
         self.scheme: WriteScheme = make_scheme(scheme_id, self.cfg, self.wear)
-        self.metadata_cache = MetadataCache(self.cfg) if self.scheme.metadata_cached else None
+        self.metadata_cache = (MetadataCache(self.cfg.metadata_cache_bytes,
+                                             self.scheme.overhead_bits)
+                               if self.scheme.metadata_cached else None)
 
         self.totals = WriteOutcome()
         self.writes = 0

@@ -1,9 +1,30 @@
-"""Test-only views and switches over pcmsim internals."""
+"""Test-only views and switches over pcmsim internals, and the oracles the
+tests check pcmsim against."""
 
+import math
 from dataclasses import dataclass
 
 from pcmsim import MfvFinder
 from pcmsim.mfv import split_granules
+
+
+def hamming(a, b):
+    """Number of bit positions in which a and b differ."""
+    return bin(a ^ b).count("1")
+
+
+def intrav_oracle(matrix):
+    """Independent direct-summation evaluation of the wear-variation formula,
+    over a list of equally long rows of per-cell counts."""
+    n, c = len(matrix), len(matrix[0])
+    bf_aver = sum(sum(row) for row in matrix) / (n * c)
+    if bf_aver == 0:
+        return 0.0
+    acc = 0.0
+    for row in matrix:
+        mean = sum(row) / c
+        acc += math.sqrt(sum((x - mean) ** 2 for x in row) / (c - 1))
+    return acc / (bf_aver * n)
 
 
 def rotate_left(x, r, width):

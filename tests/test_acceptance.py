@@ -1,25 +1,25 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-The directional criteria (7-9) are desk-scale analogues on a skewed synthetic
-workload; the rest are exact.
+The directional criteria (7-9 and 13) are desk-scale analogues on skewed
+synthetic workloads; the rest are exact.
 """
 
-import math
 import random
 
 import numpy as np
 import pytest
 
-from pcmsim import (MetadataCache, PcmBlock, PcmConfig, Simulation,
+from pcmsim import (GenSpec, PcmBlock, PcmConfig, Simulation,
                     TraceEvent, WearConfig, build_codebook, intrav,
                     mfv_coverage, optimal_rotation, pack_granules,
                     run_lifetime, top_k_coverage, preset_spec, generate)
 from pcmsim.cli import ExperimentConfig, cmd_run
 from pcmsim.core import E_RESET, E_SET
 from pcmsim.schemes import FnwScheme, WireScheme
+from pcmsim.trace import PRESET_VALUES
 
-from helpers import freeze_codebook
+from helpers import freeze_codebook, hamming, intrav_oracle
 
 
 def check(n, desc, ok, detail=""):
@@ -28,10 +28,6 @@ def check(n, desc, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def hamming(a, b):
-    return bin(a ^ b).count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +162,6 @@ def test_criterion_4_rotation_conformance():
 # ---------------------------------------------------------------------------
 # 5. wear-variation oracle equivalence
 
-def _intrav_oracle(matrix):
-    n, c = len(matrix), len(matrix[0])
-    total = sum(sum(row) for row in matrix)
-    bf_aver = total / (n * c)
-    if bf_aver == 0:
-        return 0.0
-    acc = 0.0
-    for row in matrix:
-        mean = sum(row) / c
-        acc += math.sqrt(sum((x - mean) ** 2 for x in row) / (c - 1))
-    return acc / (bf_aver * n)
-
-
 def test_criterion_5_intrav_oracle_equivalence():
     rng = np.random.default_rng(55)
     ok = intrav([[2, 2, 2, 2]]) == 0.0
@@ -189,7 +172,7 @@ def test_criterion_5_intrav_oracle_equivalence():
                                       int(rng.integers(2, 513))))
         if m.sum() == 0:
             m[0, 0] = 3
-        a, b = intrav(m), _intrav_oracle(m.tolist())
+        a, b = intrav(m), intrav_oracle(m.tolist())
         worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
         ok = ok and abs(a - b) <= 1e-12 * max(abs(b), 1.0)
     check(5, "wear-variation metric matches direct-summation oracle", ok,
@@ -201,9 +184,9 @@ def test_criterion_5_intrav_oracle_equivalence():
 
 def test_criterion_6_overhead_constants():
     sim = Simulation("wire", 1)
-    bits = sim.scheme.overhead_bits_per_block()
+    bits = sim.scheme.overhead_bits
     ratio = bits / PcmConfig().block_bits
-    cap = MetadataCache(PcmConfig()).capacity_blocks
+    cap = sim.metadata_cache.capacity_blocks  # the cache the simulation built
     ok = bits == 48 and ratio == 0.09375 and cap == 341
     check(6, "48 metadata bits/block (9.375%) and 341-block 2KB cache", ok,
           f"bits={bits}, ratio={ratio}, cache capacity={cap}")
@@ -325,3 +308,41 @@ def test_criterion_11_wear_migration():
     check(11, "epoch rotation strictly lowers max per-cell wear on the "
               "alternating one-bit trace", ok,
           f"max wear {with_rotation} vs {without}")
+
+
+# ---------------------------------------------------------------------------
+# 13. lifetime, one mechanism at a time
+
+LIFETIME_WEAR = {"enabled": True, "epoch_writes": 64, "remap_period": 97}
+# each run: (scheme, PcmConfig changes, WearConfig changes); wire's three
+# mechanisms are start-gap, epoch rotation of codewords and per-partition
+# rotation, and each is switched off by one existing key
+LIFETIME_RUNS = {
+    "diffwrite": ("diffwrite", {}, {}),
+    "fnw": ("fnw", {}, {}),
+    "wire": ("wire", {}, {}),
+    "wire, no epoch bumps": ("wire", {}, {"epoch_writes": 10**9}),
+    "wire, rotation_max 0": ("wire", {"rotation_max": 0}, {}),
+    "wire, no start-gap": ("wire", {}, {"remap_period": 10**9}),
+    "diffwrite, wear off": ("diffwrite", {}, {"enabled": False}),
+    "wire, wear off": ("wire", {}, {"enabled": False}),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_13_each_lifetime_mechanism_adds_life(seed):
+    events = generate(GenSpec(events=3000, read_fraction=0.5, values=PRESET_VALUES,
+                              seed=seed), num_blocks=32)
+    sims = {}
+    for name, (scheme_id, pcm, wear) in LIFETIME_RUNS.items():
+        cfg = PcmConfig(cell_endurance=100, page_bytes=256, **pcm)
+        sims[name] = Simulation(scheme_id, 32, cfg, WearConfig(**{**LIFETIME_WEAR, **wear}))
+        run_lifetime(sims[name], events, max_writes=10**6)
+    lives = {name: sim.writes for name, sim in sims.items()}
+    ok = (lives["wire"] > max(lives["fnw"], lives["diffwrite"])
+          and all(lives[f"wire, {off}"] < lives["wire"]
+                  for off in ("no epoch bumps", "rotation_max 0", "no start-gap"))
+          and lives["wire, wear off"] > lives["diffwrite, wear off"]
+          and not any(sim.capped for sim in sims.values()))
+    check(13, "wire outlives fnw and diffwrite, and each of its three mechanisms "
+              "adds lifetime", ok, "; ".join(f"{k}: {v}" for k, v in lives.items()))

@@ -361,6 +361,44 @@ def test_main_cli_bad_config_exits_2_with_message(tmp_path, capsys, text, named)
     assert "Traceback" not in err
 
 
+# the range checks of each config section and of `validate`, one config each
+RANGE_FAULTS = [
+    ({"pcm": {"block_bytes": 0}}, "block_bytes and partitions_per_block must be positive"),
+    ({"pcm": {"partitions_per_block": 0}},
+     "block_bytes and partitions_per_block must be positive"),
+    # 3-byte blocks in 8 partitions of 3 bits, which 2-bit granules do not divide
+    ({"pcm": {"block_bytes": 3, "granule_bits": 2}},
+     "partition width 3 not divisible by granule width 2"),
+    ({"pcm": {"cell_endurance": 0}}, "cell_endurance must be positive"),
+    ({"pcm": {"page_bytes": 100}}, "page_bytes must be a positive multiple of block_bytes"),
+    ({"pcm": {"metadata_cache_bytes": -1}}, "metadata_cache_bytes must be non-negative"),
+    ({"wear": {"epoch_writes": 0}}, "wear-leveling periods must be positive"),
+    ({"wear": {"remap_period": 0}}, "wear-leveling periods must be positive"),
+    # every g4 value named, with 0.2 of the mass left to no value
+    ({"gen": {"events": 50, "values": {f"{v:x}": 0.05 for v in range(16)}}},
+     "no tail values left to absorb the remaining mass"),
+    ({}, "either a trace path or a generator spec is required"),
+]
+
+
+@pytest.mark.parametrize("config,message", RANGE_FAULTS)
+def test_out_of_range_config_exits_2_and_writes_nothing(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_without_a_generator_spec_exits_2(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trace": str(small_trace(tmp_path))}))
+    trace_path = tmp_path / "t.trace"
+    assert main(["gen", str(trace_path), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: gen subcommand needs a generator spec")
+    assert not trace_path.exists()
+
+
 # not the repeated scheme, which `validate` rejects, nor the text that is no JSON
 @pytest.mark.parametrize("text,named", BAD_CONFIGS[:-2])
 def test_from_dict_raises_config_error_naming_key(text, named):

@@ -290,12 +290,22 @@ class ReferenceLru:
 
 
 def test_default_capacity_is_341_blocks():
-    cache = MetadataCache(PcmConfig())
+    cache = MetadataCache(2048, 48)
     assert cache.capacity_blocks == 341
 
 
+@pytest.mark.parametrize("cache_bytes,line_bits,capacity", [
+    (2048, 41, 341),  # 41 bits take 6 whole bytes, as 48 do
+    (2048, 49, 292),  # 7 bytes
+    (30, 1, 30),      # a 1-bit line takes a byte
+    (5, 48, 0),       # less than one line
+])
+def test_capacity_counts_lines_padded_to_whole_bytes(cache_bytes, line_bits, capacity):
+    assert MetadataCache(cache_bytes, line_bits).capacity_blocks == capacity
+
+
 def test_cold_miss_then_hit():
-    cache = MetadataCache(PcmConfig())
+    cache = MetadataCache(2048, 48)
     assert cache.touch(0) is False
     assert cache.touch(0) is True
 
@@ -304,7 +314,7 @@ def test_round_robin_one_past_capacity_always_misses():
     # 342 distinct round-robin addresses against capacity 341: the line an
     # access needs was always evicted one step earlier, so every access after
     # warmup is a miss (verified against the reference model as well).
-    cache = MetadataCache(PcmConfig())
+    cache = MetadataCache(2048, 48)
     ref = ReferenceLru(341)
     for i in range(342):
         assert cache.touch(i % 342) == ref.touch(i % 342)
@@ -319,8 +329,7 @@ def test_round_robin_one_past_capacity_always_misses():
 
 def test_lru_matches_reference_on_random_strings():
     rng = random.Random(99)
-    cfg = PcmConfig(metadata_cache_bytes=30)  # capacity 5
-    cache = MetadataCache(cfg)
+    cache = MetadataCache(30, 48)  # 6-byte lines: capacity 5
     assert cache.capacity_blocks == 5
     ref = ReferenceLru(5)
     for _ in range(5000):
@@ -329,7 +338,7 @@ def test_lru_matches_reference_on_random_strings():
 
 
 def test_zero_budget_cache_always_misses():
-    cache = MetadataCache(PcmConfig(metadata_cache_bytes=0))
+    cache = MetadataCache(0, 48)
     assert cache.capacity_blocks == 0
     for _ in range(3):
         assert cache.touch(1) is False

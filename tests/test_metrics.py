@@ -10,26 +10,7 @@ from pcmsim import (PcmConfig, SimulationError, Simulation, TraceEvent,
                     GenSpec, generate, preset_spec)
 from pcmsim.metrics import REPORT_CHUNK
 
-
-def intrav_oracle(matrix):
-    """Independent direct-summation evaluation of the wear-variation formula."""
-    n = len(matrix)
-    c = len(matrix[0])
-    total = 0.0
-    count = 0
-    for row in matrix:
-        for x in row:
-            total += x
-            count += 1
-    bf_aver = total / count
-    if bf_aver == 0:
-        return 0.0
-    acc = 0.0
-    for row in matrix:
-        mean = sum(row) / c
-        var = sum((x - mean) ** 2 for x in row) / (c - 1)
-        acc += math.sqrt(var)
-    return acc / (bf_aver * n)
+from helpers import intrav_oracle
 
 
 def test_uniform_block_has_zero_variation():
@@ -43,6 +24,11 @@ def test_hand_evaluated_single_block():
 
 def test_all_zero_matrix_defined_as_zero():
     assert intrav([[0, 0], [0, 0]]) == 0.0
+
+
+def test_a_one_dimensional_row_is_no_wear_matrix():
+    with pytest.raises(ValueError, match="wear matrix must be 2-D"):
+        intrav([1, 2, 3])
 
 
 def test_matches_direct_summation_oracle():

@@ -8,15 +8,20 @@ from pcmsim import (ConfigError, MfvFinder, build_codebook, mfv, pack_granules,
                     unpack_granules)
 from pcmsim.mfv import FV_COUNTER_MAX, PENDING_FLUSH_BYTES, split_granules
 
-from helpers import FifoEntry, PerGranuleFinder, fifo
-
-
-def hamming(a, b):
-    return bin(a ^ b).count("1")
+from helpers import FifoEntry, PerGranuleFinder, fifo, hamming
 
 
 # ---------------------------------------------------------------------------
 # FIFO / FV state machine
+
+@pytest.mark.parametrize("kw,message", [
+    ({"fv_entries": 0}, "finder tables need at least one entry"),
+    ({"sat_max": 0}, "the saturation threshold must be positive"),
+])
+def test_finder_rejects_an_empty_table_or_a_zero_threshold(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        MfvFinder(**kw)
+
 
 def test_cold_start_inserts_with_counter_one():
     f = MfvFinder()

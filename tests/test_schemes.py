@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from pcmsim import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, Simulation,
                     WearConfig, build_codebook, optimal_rotation, pack_granules,
                     program_cells, schemes, unpack_granules)
-from pcmsim.schemes import FnwScheme, WireScheme, optimal_rotations
+from pcmsim.schemes import FnwScheme, WireScheme, WriteScheme, optimal_rotations
 
-from helpers import freeze_codebook, rotate_left, rotate_right
+from helpers import freeze_codebook, hamming, rotate_left, rotate_right
 
 CFG = PcmConfig()
-
-
-def hamming(a, b):
-    return bin(a ^ b).count("1")
 
 
 def random_payload(rng, nbytes=64):
@@ -59,6 +55,13 @@ def test_diff_flips_match_popcount_oracle():
         expect = sum(bin(a ^ b).count("1") for a, b in zip(prev, nxt))
         assert out.flips == expect
         prev = nxt
+
+
+def test_payload_of_the_wrong_size_is_a_config_error():
+    block = PcmBlock(CFG)
+    with pytest.raises(ConfigError, match="payload must be 64 bytes, got 63"):
+        WriteScheme(CFG).write(block, bytes(63))
+    assert (block.bits, block.tags, block.wear_planes) == (0, None, [])
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +133,8 @@ def test_fnw_rejects_words_under_4_bits(word_bits):
 
 def test_fnw_overhead_bits():
     sim = Simulation("fnw", 1)
-    assert sim.scheme.overhead_bits_per_block() == 512 // 16
+    assert sim.scheme.overhead_bits == 512 // 16
+    assert sim.metadata_cache is None  # flip bits sit beside the data, uncached
 
 
 def _fnw_loop_reference(stored, flips, logical, word_bits, words):
@@ -813,4 +817,16 @@ def test_wire_write_to_a_failed_block_changes_nothing():
 
 def test_wire_overhead_is_48_bits_with_defaults():
     sim = Simulation("wire", 1)
-    assert sim.scheme.overhead_bits_per_block() == 48
+    assert sim.scheme.overhead_bits == 48
+
+
+# criterion 6 checks the default: 48 bits, 6-byte lines, 341 of them in 2 KiB
+@pytest.mark.parametrize("pcm,bits,lines", [
+    ({"counter_bits": 4}, 32, 512),                             # 4-byte lines
+    ({"counter_bits": 5}, 40, 409),                             # 5-byte lines
+    ({"partitions_per_block": 4, "counter_bits": 7}, 28, 512),  # padded to 4 bytes
+])
+def test_wire_metadata_cache_lines_hold_its_overhead_bits(pcm, bits, lines):
+    sim = Simulation("wire", 1, PcmConfig(**pcm))
+    assert sim.scheme.overhead_bits == bits
+    assert sim.metadata_cache.capacity_blocks == lines  # of the 2 KiB default
