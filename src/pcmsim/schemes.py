@@ -225,16 +225,16 @@ class WireScheme(WriteScheme):
     rotates left by 2^k the lanes whose counter has bit k set.
 
     With 64-bit partitions the rotation search runs ahead in batches.
-    `look_ahead` decides every write of a window to distinct blocks: its epoch,
-    by `next_epoch` on the block's epoch and write count, and its rotations,
-    searched in one `optimal_rotations` call with the newest codebook version
-    built so far. It keeps each under the payload and the stored image's
-    (bits, meta, write count), which fix both. `encode` takes the one kept
-    under its own, whichever block holds it, so content a start-gap step
-    moved still finds it. A write with none (a bytearray, a direct write)
-    decides its epoch and searches for itself; one whose codebook version was
-    built after the batch searches again. The look-ahead builds no version,
-    feeds nothing to the finder, and keeps one window's results.
+    `look_ahead` decides each write of a window to distinct blocks: its epoch,
+    by `next_epoch`, and its rotations, with the newest codebook version built
+    so far. Both are a pure function of the write's key, the payload and the
+    stored image's (bits, meta, write count), so writes repeating a key share
+    one entry: one `optimal_rotations` call searches each distinct key of the
+    window once. `encode` takes the entry under its own key, whichever block
+    holds it, so content a start-gap step moved still finds it. A write with
+    none (a bytearray, a direct write) decides and searches for itself; one
+    whose version was built after the batch searches again. The look-ahead
+    builds no version, feeds the finder nothing and keeps one window's results.
 
     A read decodes each stored image once. `read` keeps each block's last
     decode with the `bits`, `meta` and `tags` objects it came from, and
@@ -270,8 +270,7 @@ class WireScheme(WriteScheme):
         # x rotated left by s in each lane = ((x << s) & high) | ((x >> (w - s)) & low)
         self._unrotate = [(s, lanes * (part_mask & part_mask << s), w - s, lanes * ((1 << s) - 1))
                           for s in (1 << k for k in range(cfg.rotation_max.bit_length()))]
-        # (data, bits, meta, writes) -> ((epoch, bumped), (rotations, rotated)), the
-        # rotations searched with codebook version _ahead_version
+        # a write's key -> [(epoch, bumped), (rotations, rotated)], at version _ahead_version
         self._ahead, self._ahead_version = {}, 0
         # block -> (bits, meta, tags, data) of its last decode (see `read`)
         self._decoded: dict[PcmBlock, tuple[int, int, object, bytes]] = {}
@@ -327,23 +326,24 @@ class WireScheme(WriteScheme):
     def _look_ahead(self, writes) -> None:
         """Decide the epochs of a window of (block, data) writes to distinct
         blocks and search their rotations in one batch; see the class docstring."""
-        version = len(self.versions) - 1
-        shift, nbytes = self._epoch_shift, self.cfg.block_bytes
+        shift, nbytes, version = self._epoch_shift, self.cfg.block_bytes, len(self.versions) - 1
         lane_mask = (1 << shift) - 1
-        keys, epochs, encoded, stored, incumbent = [], [], [], [], []
+        ahead, encoded, stored, incumbent = {}, [], [], []
         for block, data in writes:
             if not isinstance(data, bytes) or len(data) != nbytes:
                 continue  # searched by its write (a bytearray, unhashable), or the write raises
             bits, meta, tags = block.bits, block.meta, block.tags
             taken = tags[1] if tags else 0  # writes since the block's last epoch bump
-            epochs.append(next_epoch(meta >> shift, taken, self.wear, self._granule_bits))
-            keys.append((data, bits, meta, taken))
-            encoded.append(data.translate(self._codec(version, epochs[-1][0])[0]))
-            stored.append(bits.to_bytes(nbytes, "little"))
-            incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
+            entry = [next_epoch(meta >> shift, taken, self.wear, self._granule_bits), None]
+            if ahead.setdefault((data, bits, meta, taken), entry) is entry:  # a new key: a row
+                encoded.append(data.translate(self._codec(version, entry[0][0])[0]))
+                stored.append(bits.to_bytes(nbytes, "little"))
+                incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
         results = optimal_rotations(b"".join(encoded), b"".join(stored), b"".join(incumbent),
-                                    self._rotation_max, nbytes) if keys else []
-        self._ahead, self._ahead_version = dict(zip(keys, zip(epochs, results))), version
+                                    self._rotation_max, nbytes) if encoded else ()
+        for entry, result in zip(ahead.values(), results):  # the rows are the entries in order
+            entry[1] = result
+        self._ahead, self._ahead_version = ahead, version
 
     def read(self, block):
         bits, meta, tags = block.bits, block.meta, block.tags

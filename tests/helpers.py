@@ -4,7 +4,7 @@ tests check pcmsim against."""
 import math
 from dataclasses import dataclass
 
-from pcmsim import MfvFinder
+from pcmsim import MfvFinder, TraceEvent
 from pcmsim.mfv import split_granules
 
 
@@ -25,6 +25,16 @@ def intrav_oracle(matrix):
         mean = sum(row) / c
         acc += math.sqrt(sum((x - mean) ** 2 for x in row) / (c - 1))
     return acc / (bf_aver * n)
+
+
+def alternation_events(blocks, passes):
+    """Criterion 9's phase-shifted 0x00/0xFF alternation: each pass writes
+    blocks 0 to blocks - 1 in order, block a 0x00 when a + pass is even and
+    0xFF otherwise, so every block flips between the two values each pass
+    while half the memory holds each value."""
+    zero, ones = bytes(64), bytes([0xFF] * 64)
+    return [TraceEvent("W", a, zero if (a + p) % 2 == 0 else ones)
+            for p in range(passes) for a in range(blocks)]
 
 
 def rotate_left(x, r, width):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcmsim import (GenSpec, PcmBlock, PcmConfig, Simulation,
-                    TraceEvent, WearConfig, build_codebook, intrav,
+                    WearConfig, build_codebook, intrav,
                     mfv_coverage, optimal_rotation, pack_granules,
                     run_lifetime, top_k_coverage, preset_spec, generate)
 from pcmsim.cli import ExperimentConfig, cmd_run
@@ -19,7 +19,7 @@ from pcmsim.core import E_RESET, E_SET
 from pcmsim.schemes import FnwScheme, WireScheme
 from pcmsim.trace import PRESET_VALUES
 
-from helpers import freeze_codebook, hamming, intrav_oracle
+from helpers import alternation_events, freeze_codebook, hamming, intrav_oracle
 
 
 def check(n, desc, ok, detail=""):
@@ -242,13 +242,7 @@ def test_criterion_8_directional_wear_variation(preset_runs):
 def test_criterion_9_directional_lifetime():
     cfg = PcmConfig(cell_endurance=1000, page_bytes=512)
     blocks = 64  # 4 KiB of data blocks, well under 1 MiB
-    zero, ones = bytes(64), bytes([0xFF] * 64)
-    # phase-shifted alternation: every block flips between the two hot values
-    # each pass while half the memory holds each value at any moment
-    events = []
-    for p in range(2):
-        for a in range(blocks):
-            events.append(TraceEvent("W", a, zero if (a + p) % 2 == 0 else ones))
+    events = alternation_events(blocks, passes=2)
 
     lives = {}
     for scheme_id, wear in (("diffwrite", None),

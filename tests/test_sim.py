@@ -8,7 +8,7 @@ from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     generate, mfv_coverage, next_epoch, run_lifetime, schemes)
 from pcmsim.sim import LOOK_AHEAD_WRITES
 
-from helpers import PerGranuleFinder, fifo, freeze_codebook
+from helpers import PerGranuleFinder, alternation_events, fifo, freeze_codebook
 
 
 def test_data_flip_counts_conserve_cell_wear():
@@ -225,8 +225,7 @@ def address_outside_memory():
 
 def full_windows():
     """128 blocks written in three shuffled full passes: each pass is 128
-    writes to distinct addresses, more than a window holds. The scheme's
-    look-ahead records the size of each window it is given."""
+    writes to distinct addresses, more than a window holds."""
     rng = random.Random(4)
     payloads = [ev.payload for ev in generate(preset_spec("balanced", events=1_000, seed=4),
                                               num_blocks=128) if ev.op == "W"]
@@ -235,22 +234,36 @@ def full_windows():
         order = list(range(128))
         rng.shuffle(order)
         events += [TraceEvent("W", a, payloads.pop()) for a in order]
-    sim = Simulation("wire", 128)
-    look_ahead, sim.window_sizes = sim.scheme.look_ahead, []
+    return Simulation("wire", 128), events
 
-    def recording_look_ahead(writes):
-        sim.window_sizes.append(len(writes))
-        look_ahead(writes)
 
-    sim.scheme.look_ahead = recording_look_ahead
-    return sim, events
+def alternation_lifetime():
+    """Criterion 9's 0x00/0xFF alternation over 16 blocks, replayed to wear-out
+    with an epoch bump every 3 writes per block and a start-gap step every 5
+    writes: the blocks of a window mostly hold one of two images and get one
+    of two payloads, so most writes repeat another's key, and bumps and steps
+    land between them."""
+    sim = Simulation("wire", 16, PcmConfig(cell_endurance=60, page_bytes=256),
+                     WearConfig(enabled=True, epoch_writes=3, remap_period=5))
+    return sim, alternation_events(16, passes=2)
 
 
 def recorded_run(make, lifetime: bool, look_ahead: bool):
     """Run a scenario; returns its end state, every read's bytes and the error
-    that stopped it, and the number of `optimal_rotation` calls."""
+    that stopped it, and the number of `optimal_rotation` calls. With the
+    look-ahead, `sim.window_sizes` and `sim.window_keys` record the writes
+    each window's look-ahead is given and the distinct keys it keeps."""
     sim, events = make()
-    if not look_ahead:
+    if look_ahead:
+        prepare, sim.window_sizes, sim.window_keys = sim.scheme.look_ahead, [], []
+
+        def recording_look_ahead(writes):
+            prepare(writes)
+            sim.window_sizes.append(len(writes))
+            sim.window_keys.append(len(sim.scheme._ahead))
+
+        sim.scheme.look_ahead = recording_look_ahead
+    else:
         sim.scheme.look_ahead = None
     reads = []
     read = sim.read
@@ -300,6 +313,12 @@ def wrapped_the_gap(sim, state):
     return sim.writes // sim.wear.remap_period > sim.num_blocks
 
 
+def shared_keys_and_dropped_writes(sim, state):
+    # fewer than one in five prepared writes is a new key in its window
+    return 5 * sum(sim.window_keys) < sum(sim.window_sizes) \
+        and dropped_writes_to_dead_pages(sim, state)
+
+
 def closed_a_window_at_the_cap(sim, state):
     # the first 65 writes are to distinct addresses: the 65th opens a new window
     return sim.window_sizes[0] == max(sim.window_sizes) == LOOK_AHEAD_WRITES
@@ -312,6 +331,7 @@ LOOK_AHEAD_SCENARIOS = {
     "zipf-lifetime-wear": (lambda: zipf_lifetime(True), True, dropped_writes_to_dead_pages),
     "remap-3": (remap_every_3_writes, False, wrapped_the_gap),
     "few-payloads-remap-2": (few_payloads_remap_every_2_writes, False, wrapped_the_gap),
+    "alternation-lifetime": (alternation_lifetime, True, shared_keys_and_dropped_writes),
     "outside-memory": (address_outside_memory, False, raised_at_block_8),
     "outside-memory-lifetime": (address_outside_memory, True, raised_at_block_8),
     "full-windows": (full_windows, False, closed_a_window_at_the_cap),
@@ -388,13 +408,37 @@ def test_wire_look_ahead_searches_epoch_bumps_once(scenario):
     assert searches <= SEARCH_BOUNDS[scenario]
 
 
-@pytest.mark.parametrize("scenario", ["remap-3", "full-windows"])
+@pytest.mark.parametrize("scenario", ["remap-3", "full-windows", "alternation-lifetime"])
 def test_wire_decides_each_write_epoch_once(scenario):
+    """The look-ahead decides the epoch of each write it is given, a repeated
+    key too, and no write decides its own. A lifetime run also prepares
+    writes it then drops, or at its end never makes."""
     make, lifetime, _ = LOOK_AHEAD_SCENARIOS[scenario]
     with mock.patch.object(schemes, "next_epoch", wraps=schemes.next_epoch) as decide:
         sim, state, _ = recorded_run(make, lifetime, look_ahead=True)
     assert state["error"] is None and not state["truncated"]
-    assert decide.call_count == sim.writes
+    assert decide.call_count == sum(sim.window_sizes)
+    unserviced = decide.call_count - sim.writes
+    assert 0 <= unserviced <= (sim.dropped_writes + LOOK_AHEAD_WRITES if lifetime else 0)
+
+
+def test_wire_look_ahead_searches_each_repeated_key_once():
+    """Eight fresh blocks written with one payload share one key, so the
+    window's batch is one row; they then hold one image, and the next window's
+    payload makes one row again. Every block ends as it does without the
+    look-ahead."""
+    payloads = [bytes([0x5A]) * 64, bytes([0xC3]) * 64]
+    events = [TraceEvent("W", addr, payload) for payload in payloads for addr in range(8)]
+    sim, reference = Simulation("wire", 8), Simulation("wire", 8)
+    reference.scheme.look_ahead = None
+    with mock.patch.object(schemes, "optimal_rotations",
+                           wraps=schemes.optimal_rotations) as batch:
+        sim.replay(events)
+    reference.replay(events)
+    rows = [len(call.args[0]) // sim.cfg.block_bytes for call in batch.call_args_list]
+    assert rows == [1, 1]
+    assert [(b.bits, b.meta, b.tags) for b in sim.memory.blocks] \
+        == [(b.bits, b.meta, b.tags) for b in reference.memory.blocks]
 
 
 def test_wire_replays_bytearray_payloads():
