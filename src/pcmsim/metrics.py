@@ -12,7 +12,7 @@ generalizes the fixed 512-cell block of the defining formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,17 +93,11 @@ def top_k_coverage(rows, k: int) -> float:
 # ---------------------------------------------------------------------------
 # run reports
 
-CSV_COLUMNS = [
-    "scheme", "writes", "reads", "flips_set", "flips_reset", "flips_meta",
-    "energy_pj", "intrav", "lifetime_writes", "lifetime_seconds",
-    "meta_extra_reads", "mfv_top1", "mfv_top2", "mfv_top3", "mfv_top4",
-    "mfv_top5", "overhead_bits",
-]
-
 
 @dataclass
 class RunReport:
-    """One scheme's aggregate results, serializable as a fixed-column CSV row."""
+    """One scheme's results, in report order: `report.csv`'s columns, then
+    three flags that only `report.txt` lists after them."""
 
     scheme: str
     writes: int
@@ -112,35 +106,34 @@ class RunReport:
     flips_reset: int
     flips_meta: int
     energy_pj: float
-    intrav: float
+    intrav: float = field(metadata={"format": ".12g"})
     lifetime_writes: int
-    lifetime_seconds: float
+    lifetime_seconds: float = field(metadata={"format": ".9f"})
     meta_extra_reads: int
-    mfv_top: tuple[float, float, float, float, float]
+    mfv_top1: float
+    mfv_top2: float
+    mfv_top3: float
+    mfv_top4: float
+    mfv_top5: float
     overhead_bits: int
     truncated: bool = False
     lifetime_capped: bool = False
     dropped_writes: int = 0
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.scheme, str(self.writes), str(self.reads), str(self.flips_set),
-            str(self.flips_reset), str(self.flips_meta),
-            format(self.energy_pj, ".6f"), format(self.intrav, ".12g"),
-            str(self.lifetime_writes), format(self.lifetime_seconds, ".9f"),
-            str(self.meta_extra_reads),
-            *(format(f, ".6f") for f in self.mfv_top),
-            str(self.overhead_bits),
-        ]
 
-    def text_block(self) -> str:
-        lines = [f"scheme: {self.scheme}"]
-        for col, val in zip(CSV_COLUMNS[1:], self.csv_row()[1:]):
-            lines.append(f"  {col}: {val}")
-        lines.append(f"  truncated: {str(self.truncated).lower()}")
-        lines.append(f"  lifetime_capped: {str(self.lifetime_capped).lower()}")
-        lines.append(f"  dropped_writes: {self.dropped_writes}")
-        return "\n".join(lines)
+CSV_COLUMNS = [f.name for f in fields(RunReport)][:-3]
+
+
+def report_text(rep: RunReport) -> dict[str, str]:
+    """Each field's report text, in field order: floats in their field's format
+    (".6f" unless stated), flags as true/false, ints in decimal."""
+    text = {}
+    for f in fields(rep):
+        value = getattr(rep, f.name)
+        if f.type == "float":
+            value = format(value, f.metadata.get("format", ".6f"))
+        text[f.name] = str(value).lower() if f.type == "bool" else str(value)
+    return text
 
 
 def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
@@ -158,7 +151,7 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
         lifetime_writes=sim.writes if lifetime else 0,
         lifetime_seconds=sim.writes * WRITE_LATENCY_NS * 1e-9 if lifetime else 0.0,
         meta_extra_reads=sim.meta_extra_reads(),
-        mfv_top=tuple(top_k_coverage(coverage_rows, k) for k in range(1, 6)),
+        **{f"mfv_top{k}": top_k_coverage(coverage_rows, k) for k in range(1, 6)},
         overhead_bits=sim.scheme.overhead_bits,
         truncated=sim.truncated,
         lifetime_capped=sim.capped,
@@ -168,12 +161,14 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
 
 def reports_to_csv(reports) -> str:
     """The CSV text: no field needs quoting, each being a scheme id or a number."""
-    rows = [CSV_COLUMNS] + [rep.csv_row() for rep in reports]
+    rows = [CSV_COLUMNS] + [list(report_text(r).values())[:len(CSV_COLUMNS)] for r in reports]
     return "".join(",".join(row) + "\n" for row in rows)
 
 
 def reports_to_text(reports, header_lines=()) -> str:
     parts = list(header_lines)
     for rep in reports:
-        parts.append(rep.text_block())
+        text = report_text(rep)
+        parts.append(f"scheme: {text.pop('scheme')}")
+        parts += [f"  {name}: {value}" for name, value in text.items()]
     return "\n".join(parts) + "\n"

@@ -197,21 +197,16 @@ def generate(spec: GenSpec, *, num_blocks: int, block_bytes: int = 64,
             for a, r in zip(addrs.tolist(), reads.tolist())]
 
 
-# The three read/write mixes, plus a granule-value distribution whose top five
-# values cover 82% of the stream (zero-dominated, with a heavy three-bit
-# neighbor so encodings have headroom over a raw bit-by-bit comparison).
+# The three presets' read fractions, and the granule-value distribution they
+# all draw, whose top five values cover 82% of the stream (zero-dominated, with
+# a heavy three-bit neighbor so encodings have headroom over a raw bit-by-bit
+# comparison).
 PRESET_VALUES = {0x0: 0.47, 0x7: 0.20, 0x1: 0.06, 0x3: 0.05, 0xF: 0.04}
-
-PRESETS = {
-    "read-heavy": {"read_fraction": 0.75, "values": PRESET_VALUES},
-    "balanced": {"read_fraction": 0.5, "values": PRESET_VALUES},
-    "write-heavy": {"read_fraction": 0.25, "values": PRESET_VALUES},
-}
+PRESETS = {"read-heavy": 0.75, "balanced": 0.5, "write-heavy": 0.25}
 
 
 def preset_spec(name: str, events: int = 10_000, seed: int = 0) -> GenSpec:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(PRESETS)})")
-    kw = PRESETS[name]
-    return GenSpec(events=events, seed=seed, read_fraction=kw["read_fraction"],
-                   values=dict(kw["values"]))
+    return GenSpec(events=events, seed=seed, read_fraction=PRESETS[name],
+                   values=dict(PRESET_VALUES))

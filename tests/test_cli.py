@@ -173,6 +173,20 @@ def test_gen_rejects_a_memory_of_no_blocks(tmp_path, capsys):
     assert not (tmp_path / "out.trace").exists()
 
 
+def assert_text_report_matches_csv(out):
+    """Each scheme's block in report.txt opens with one `  <column>: <text>`
+    line per report.csv column, equal to that column's cell in its row."""
+    header, *rows = [line.split(",") for line in
+                     (out / "report.csv").read_text(encoding="ascii").splitlines()]
+    blocks = (out / "report.txt").read_text(encoding="ascii").split("\nscheme: ")[1:]
+    assert len(blocks) == len(rows)
+    for row, block in zip(rows, blocks):
+        lines = block.splitlines()
+        assert lines[0] == row[0]
+        assert lines[1:len(header)] == [f"  {col}: {cell}"
+                                        for col, cell in zip(header[1:], row[1:])]
+
+
 def test_truncated_report_on_dead_block(tmp_path, capsys):
     cfg = small_config(tmp_path, schemes=["plain"])
     cfg.pcm = PcmConfig(cell_endurance=2)
@@ -181,6 +195,7 @@ def test_truncated_report_on_dead_block(tmp_path, capsys):
     assert cmd_run(cfg) == 0
     text = (tmp_path / "out" / "report.txt").read_text()
     assert "truncated: true" in text
+    assert_text_report_matches_csv(tmp_path / "out")
 
 
 def test_main_cli_gen_then_run_writes_coverage(tmp_path, capsys):
@@ -628,3 +643,4 @@ def test_zipf_lifetime_report_is_pinned(tmp_path, capsys):
                (out / "report.txt").read_text(encoding="ascii").splitlines()
                if line.startswith("  dropped_writes:")]
     assert dropped == ["26141", "36735", "66833", "45988"]
+    assert_text_report_matches_csv(out)

@@ -6,6 +6,7 @@ import pytest
 from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, build_report, preset_spec,
                     generate, mfv_coverage, next_epoch, run_lifetime, schemes)
+from pcmsim.metrics import reports_to_csv
 from pcmsim.sim import LOOK_AHEAD_WRITES
 
 from helpers import PerGranuleFinder, alternation_events, fifo, freeze_codebook
@@ -487,7 +488,7 @@ def test_churn_retires_only_the_values_no_block_holds():
     promotions = sum(installs)
     assert (promotions, finder.generation - promotions) == (49, 33)
     coverage = mfv_coverage((ev.payload for ev in events if ev.op == "W"), 8)
-    assert ",".join(build_report(sim, coverage).csv_row()) == (
+    assert reports_to_csv([build_report(sim, coverage)]).splitlines()[1] == (
         "wire,9010,8990,661761,653665,49653,22294135.500000,0.271073314361,0,0.000000000,"
         "64,0.033650,0.067264,0.100825,0.134346,0.167857,48")
 
