@@ -49,7 +49,6 @@ class PcmConfig:
     block_bytes: int = 64
     partitions_per_block: int = 8
     rotation_max: int = 8
-    counter_bits: int = 6
     granule_bits: int = 4
     cell_endurance: int = 1000
     page_bytes: int = 4096
@@ -70,12 +69,6 @@ class PcmConfig:
                 f"granule width {self.granule_bits}")
         if not 0 <= self.rotation_max < self.partition_bits:
             raise ConfigError("rotation_max must lie in [0, partition width)")
-        # a counter never needs more bits than the partition it rotates
-        if not 1 <= self.counter_bits <= self.partition_bits:
-            raise ConfigError(f"counter_bits must lie in [1, {self.partition_bits}], "
-                              f"the partition width, not {self.counter_bits}")
-        if self.rotation_max.bit_length() > self.counter_bits:
-            raise ConfigError("rotation_max must be representable in counter_bits")
         if self.cell_endurance <= 0:
             raise ConfigError("cell_endurance must be positive")
         if self.page_bytes <= 0 or self.page_bytes % self.block_bytes != 0:
@@ -343,8 +336,7 @@ class MetadataCache:
             self.hits += 1
             return True
         self.misses += 1
-        if self.capacity_blocks > 0:
-            self._lines[block_addr] = None
-            if len(self._lines) > self.capacity_blocks:
-                self._lines.popitem(last=False)
+        self._lines[block_addr] = None
+        if len(self._lines) > self.capacity_blocks:
+            self._lines.popitem(last=False)
         return False

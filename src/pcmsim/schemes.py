@@ -252,7 +252,6 @@ class WireScheme(WriteScheme):
 
     def __init__(self, cfg: PcmConfig, wear: WearConfig | None = None):
         super().__init__(cfg)
-        self.overhead_bits = cfg.counter_bits * cfg.partitions_per_block  # a counter per partition
         self.finder = MfvFinder()
         self.wear = wear if wear is not None else WearConfig()
         # version k's codeword of every value, indexed by value
@@ -261,6 +260,8 @@ class WireScheme(WriteScheme):
         self._codecs: dict[tuple[int, int], tuple[bytes, bytes]] = {}
         self._granule_bits = cfg.granule_bits
         self._width = w = cfg.partition_bits
+        # a counter per partition, of the fewest bits that name each of its w rotations
+        self.overhead_bits = max(1, (w - 1).bit_length()) * cfg.partitions_per_block
         self._rotation_max = cfg.rotation_max
         self._partitions = cfg.partitions_per_block
         self._epoch_shift = cfg.block_bits

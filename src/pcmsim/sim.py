@@ -98,10 +98,12 @@ class Simulation:
         That is the whole trace, unless the scheme has a `look_ahead`. Then a
         window runs until it holds LOOK_AHEAD_WRITES writes or meets a second
         write to one address, and just before it runs the scheme's look-ahead
-        gets its writes, as (block, data) in order. Writes that will raise, to
-        an address outside memory or to a failed block, are left out. A
-        window is scanned after the one before it has run, so its blocks hold
-        the content its writes will find, wherever start-gap steps move it.
+        gets its writes, as (block, data) in order. A write to an address
+        outside memory is left out. A write to a failed block is not: it
+        raises before `encode`, so its entry is never read, and a write
+        sharing its key gets the same decision. A window is scanned after the
+        one before it has run, so its blocks hold the content its writes will
+        find, wherever start-gap steps move it.
         """
         look_ahead = self.scheme.look_ahead
         if look_ahead is None:
@@ -117,9 +119,7 @@ class Simulation:
                     yield window
                     window, writes = [], {}
                 if 0 <= addr < n:
-                    block = blocks[physical[addr]]
-                    if not block.failed:
-                        writes[addr] = block, ev.payload
+                    writes[addr] = blocks[physical[addr]], ev.payload
             window.append(ev)
         look_ahead(writes.values())
         yield window

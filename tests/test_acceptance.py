@@ -121,7 +121,7 @@ def test_criterion_2_wire_degenerates_to_diffwrite():
 
 def test_criterion_3_fnw_exhaustive_bound():
     cfg = PcmConfig(block_bytes=1, partitions_per_block=1, rotation_max=0,
-                    counter_bits=1, granule_bits=4, page_bytes=64)
+                    granule_bits=4, page_bytes=64)
     ok = True
     for phys in range(16):
         for data in range(16):
@@ -148,7 +148,7 @@ def test_criterion_4_rotation_conformance():
     ok = (r, flips) == (2, 0)
 
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
-                    counter_bits=2, granule_bits=4, page_bytes=4096)
+                    granule_bits=4, page_bytes=4096)
     scheme = freeze_codebook(WireScheme(cfg))
     block = PcmBlock(cfg)
     block.bits = 0b1000

@@ -69,7 +69,7 @@ def test_config_loads_from_literal_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "memory_blocks": 32,
-        "pcm": {"cell_endurance": 500, "rotation_max": 4, "counter_bits": 3},
+        "pcm": {"cell_endurance": 500, "rotation_max": 4},
         "schemes": ["plain", "fnw"],
         "gen": {"events": 123, "read_fraction": 0.25, "values": {"0": 0.5, "f": 0.25},
                 "seed": 99},
@@ -78,7 +78,7 @@ def test_config_loads_from_literal_json(tmp_path):
     }))
     assert ExperimentConfig.load(path) == ExperimentConfig(
         memory_blocks=32,
-        pcm=PcmConfig(cell_endurance=500, rotation_max=4, counter_bits=3),
+        pcm=PcmConfig(cell_endurance=500, rotation_max=4),
         schemes=["plain", "fnw"],
         gen=GenSpec(events=123, read_fraction=0.25, values={0: 0.5, 15: 0.25},
                     seed=99),
@@ -351,9 +351,8 @@ BAD_CONFIGS = [
     ('{"pcm": {"e_reset": 19.2}}', "unknown config key 'pcm.e_reset'"),
     ('{"pcm": {"write_latency_ns": 250}}', "unknown config key 'pcm.write_latency_ns'"),
     ('{"gen": {"value_zipf_s": 1.2}}', "unknown config key 'gen.value_zipf_s'"),
-    ('{"pcm": {"counter_bits": 65}}', "counter_bits"),  # wider than a 64-bit partition
-    # 4-bit partitions and the default 6-bit counter: counter_bits must be set
-    ('{"pcm": {"partitions_per_block": 128, "rotation_max": 3}}', "4], the partition width, not 6"),
+    # a rotation counter is as wide as its partition needs, with no key of its own
+    ('{"pcm": {"counter_bits": 65}}', "counter_bits"),  # an unknown key
     # a generated trace's seed is `gen.seed`, with no second home
     ('{"seed": 3, "gen": {"events": 100}}', "unknown config key 'seed'"),
     # `gen.address_zipf_s` alone selects zipf addresses
@@ -363,6 +362,20 @@ BAD_CONFIGS = [
     ('{"schemes": ["wire", "wire"]}', "scheme 'wire' is listed twice"),
     ('{"memory_blocks": 16,', "not valid JSON"),
 ]
+
+
+# any partition width runs: its counters take the fewest bits that name its rotations
+@pytest.mark.parametrize("pcm, overhead_bits", [
+    ({"partitions_per_block": 128, "rotation_max": 3}, 256),  # 4-bit partitions: 2-bit counters
+    ({"partitions_per_block": 4, "rotation_max": 100}, 28),   # 128-bit: 7-bit counters
+])
+def test_main_cli_runs_partitions_of_any_width(tmp_path, pcm, overhead_bits):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"pcm": pcm}))
+    assert main(["run", "--config", str(config), "--preset", "balanced", "--events", "200",
+                 "--schemes", "diffwrite,wire", "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0", str(overhead_bits)]
 
 
 @pytest.mark.parametrize("text,named", BAD_CONFIGS)

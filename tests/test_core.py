@@ -63,7 +63,7 @@ def test_program_charges_and_stores_the_metadata_word(program, nbytes, writes):
     # the metadata word's changed bits are charged by target state and it is
     # stored; only the data cells wear
     cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
-                    counter_bits=1, granule_bits=1, page_bytes=nbytes,
+                    granule_bits=1, page_bytes=nbytes,
                     cell_endurance=10**6)
     mem = PcmMemory(1, cfg)
     b = mem.blocks[0]
@@ -128,7 +128,7 @@ def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops
     # the lazy wear_bound check against a brute-force row maximum after every
     # differential program, full program and start-gap copy
     cfg = PcmConfig(block_bytes=1, partitions_per_block=1, rotation_max=0,
-                    counter_bits=1, granule_bits=1, page_bytes=1,
+                    granule_bits=1, page_bytes=1,
                     cell_endurance=endurance)
     mem = PcmMemory(2, cfg, extra_blocks=1)
     lev = StartGapLeveler(2)
@@ -156,7 +156,7 @@ def test_wear_bound_fails_block_exactly_when_max_passes_endurance(endurance, ops
 def _wear_reference_run(nbytes, endurance, ops):
     """Replay ops on bit-sliced blocks and on plain int64 rows side by side."""
     cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
-                    counter_bits=1, granule_bits=1, page_bytes=nbytes,
+                    granule_bits=1, page_bytes=nbytes,
                     cell_endurance=endurance)
     nbits = cfg.block_bits
     mem = PcmMemory(2, cfg, extra_blocks=1)
@@ -237,7 +237,7 @@ def test_config_invariants_rejected():
     with pytest.raises(ConfigError):
         PcmConfig(rotation_max=64)  # not below the 64-bit partition width
     with pytest.raises(ConfigError):
-        PcmConfig(counter_bits=3)   # cannot hold rotation_max = 8
+        PcmConfig(partitions_per_block=128, rotation_max=4)  # 4-bit partitions
     with pytest.raises(ConfigError):
         PcmConfig(granule_bits=3)
 

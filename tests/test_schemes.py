@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (ConfigError, DeadBlockError, PcmBlock, PcmConfig, Simulation,
-                    WearConfig, build_codebook, optimal_rotation, pack_granules,
-                    program_cells, schemes, unpack_granules)
+from pcmsim import (SCHEME_IDS, ConfigError, DeadBlockError, PcmBlock, PcmConfig,
+                    Simulation, TraceEvent, WearConfig, build_codebook, optimal_rotation,
+                    pack_granules, program_cells, schemes, unpack_granules)
 from pcmsim.schemes import FnwScheme, WireScheme, WriteScheme, optimal_rotations
 
 from helpers import freeze_codebook, hamming, rotate_left, rotate_right
@@ -70,7 +70,7 @@ def test_payload_of_the_wrong_size_is_a_config_error():
 def _fnw_word_cfg():
     # one isolated 4-bit word in a tiny 8-bit block
     return PcmConfig(block_bytes=1, partitions_per_block=1, rotation_max=0,
-                     counter_bits=1, granule_bits=4, page_bytes=64)
+                     granule_bits=4, page_bytes=64)
 
 
 @pytest.mark.parametrize("phys,flip,data,expect_data,expect_meta", [
@@ -126,7 +126,7 @@ def test_fnw_data_flips_never_exceed_diffwrite_on_shared_trace():
 def test_fnw_rejects_words_under_4_bits(word_bits):
     # 24-bit blocks, so each width divides the block
     cfg = PcmConfig(block_bytes=3, partitions_per_block=1, rotation_max=0,
-                    counter_bits=1, granule_bits=1, page_bytes=3)
+                    granule_bits=1, page_bytes=3)
     with pytest.raises(ConfigError, match=f"fnw word width {word_bits} must be at least 4"):
         FnwScheme(cfg, word_bits=word_bits)
 
@@ -180,7 +180,7 @@ def fnw_cases(draw):
 def test_fnw_matches_per_word_reference(case):
     nbytes, word_bits, stored, flips, payloads = case
     cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
-                    counter_bits=1, granule_bits=1, page_bytes=nbytes)
+                    granule_bits=1, page_bytes=nbytes)
     scheme = FnwScheme(cfg, word_bits=word_bits)
     block = PcmBlock(cfg)
     block.bits = stored
@@ -304,6 +304,15 @@ def test_rotation_monotone_in_rotation_max():
             prev = flips
 
 
+def counter_width(partition_bits):
+    """Bits of a rotation counter: the fewest that name each of a partition's
+    rotations 0 to partition_bits - 1, and at least one."""
+    bits = 1
+    while 1 << bits < partition_bits:
+        bits += 1
+    return bits
+
+
 @st.composite
 def block_rotation_cases(draw, widths=(4, 8, 16, 24, 32, 64), cfg=None):
     """A block geometry PcmConfig accepts (`cfg` if given), partitions periodic
@@ -314,13 +323,11 @@ def block_rotation_cases(draw, widths=(4, 8, 16, 24, 32, 64), cfg=None):
         partitions = draw(st.sampled_from([n for n in range(1, 9) if width * n % 8 == 0]))
         rmax = draw(st.one_of(st.sampled_from([0, 1, 8 % width, width - 1]),
                               st.integers(0, width - 1)))
-        counter_bits = max(1, rmax.bit_length()) + draw(st.integers(0, 2))
         block_bytes = width * partitions // 8
         cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
-                        rotation_max=rmax, counter_bits=counter_bits, granule_bits=4,
-                        page_bytes=block_bytes)
+                        rotation_max=rmax, granule_bits=4, page_bytes=block_bytes)
     width, partitions = cfg.partition_bits, cfg.partitions_per_block
-    counter_bits = cfg.counter_bits
+    counter_bits = counter_width(width)
     # a short period makes every rotation r tie with r mod p
     periods = [p for p in (1, 2, 3, 4, 8) if width % p == 0] + [width]
     shape = draw(st.sampled_from(["all periodic", "some periodic", "random"]))
@@ -475,7 +482,7 @@ def test_wire_rotation_conformance_small_partition():
     # 4-bit partitions; stored physical partition 1000 reached from encoded
     # 0010 by a 2-bit rotation with zero data flips
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
-                    counter_bits=2, granule_bits=4, page_bytes=4096)
+                    granule_bits=4, page_bytes=4096)
     scheme = freeze_codebook(WireScheme(cfg))
     block = PcmBlock(cfg)
     block.bits = 0b1000
@@ -565,12 +572,10 @@ def wire_geometries(draw):
     width = draw(st.sampled_from([1, 4, 8, 64]))
     partitions = draw(st.sampled_from([n for n in range(1, 17) if width * n % 8 == 0]))
     rmax = draw(st.integers(0, width - 1))
-    counter_bits = draw(st.integers(max(1, rmax.bit_length()), width))
     g = draw(st.sampled_from([b for b in (1, 2, 4, 8) if width % b == 0]))
     block_bytes = width * partitions // 8
     cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
-                    rotation_max=rmax, counter_bits=counter_bits, granule_bits=g,
-                    page_bytes=block_bytes)
+                    rotation_max=rmax, granule_bits=g, page_bytes=block_bytes)
     counters = draw(st.lists(st.integers(0, rmax), min_size=partitions, max_size=partitions))
     return cfg, counters, draw(st.integers(0, g - 1))
 
@@ -611,11 +616,12 @@ def test_wire_read_matches_per_partition_loop(geometry, data):
 @settings(max_examples=300, deadline=None)
 @given(old=wire_geometries(), data=st.data())
 def test_wire_meta_charge_is_the_same_in_lane_and_packed_form(old, data):
-    # a packed word (counters counter_bits apart, epoch above) and the lane
+    # a packed word (counters a counter width apart, epoch above) and the lane
     # form give every field the same width, so a change charges the same SET
     # and RESET flips in both
     cfg, old_counters, old_epoch = old
-    n, cb, w = cfg.partitions_per_block, cfg.counter_bits, cfg.partition_bits
+    n, w = cfg.partitions_per_block, cfg.partition_bits
+    cb = counter_width(w)
     new_counters = data.draw(st.lists(st.integers(0, (1 << cb) - 1), min_size=n, max_size=n))
     new_epoch = data.draw(st.integers(0, cfg.granule_bits - 1))
 
@@ -822,11 +828,70 @@ def test_wire_overhead_is_48_bits_with_defaults():
 
 # criterion 6 checks the default: 48 bits, 6-byte lines, 341 of them in 2 KiB
 @pytest.mark.parametrize("pcm,bits,lines", [
-    ({"counter_bits": 4}, 32, 512),                             # 4-byte lines
-    ({"counter_bits": 5}, 40, 409),                             # 5-byte lines
-    ({"partitions_per_block": 4, "counter_bits": 7}, 28, 512),  # padded to 4 bytes
+    ({"block_bytes": 16}, 32, 512),          # 16-bit partitions: 4-bit counters, 4-byte lines
+    ({"block_bytes": 32}, 40, 409),          # 32-bit: 5-bit counters, 5-byte lines
+    ({"partitions_per_block": 4}, 28, 512),  # 128-bit: 7-bit counters, padded to 4 bytes
+    ({"partitions_per_block": 128, "rotation_max": 3}, 256, 64),  # 4-bit: 2-bit counters
+    ({"partitions_per_block": 1, "rotation_max": 0}, 9, 1024),    # 512-bit: 9-bit counter
+    ({"partitions_per_block": 512, "rotation_max": 0, "granule_bits": 1}, 512, 32),  # 1-bit
 ])
 def test_wire_metadata_cache_lines_hold_its_overhead_bits(pcm, bits, lines):
     sim = Simulation("wire", 1, PcmConfig(**pcm))
     assert sim.scheme.overhead_bits == bits
     assert sim.metadata_cache.capacity_blocks == lines  # of the 2 KiB default
+
+
+@st.composite
+def simulated_geometries(draw):
+    """(cfg, wear): any geometry PcmConfig accepts, partitions of 1 to 128
+    bits with a rotation_max below the width, in a metadata cache of at most
+    a few lines, with wear leveling on or off."""
+    width = draw(st.sampled_from([1, 2, 4, 8, 16, 24, 32, 64, 128]))
+    partitions = draw(st.sampled_from([n for n in range(1, 17) if width * n % 8 == 0]))
+    block_bytes = width * partitions // 8
+    cfg = PcmConfig(block_bytes=block_bytes, partitions_per_block=partitions,
+                    rotation_max=draw(st.integers(0, width - 1)),
+                    granule_bits=draw(st.sampled_from([g for g in (1, 2, 4, 8)
+                                                       if width % g == 0])),
+                    page_bytes=block_bytes, metadata_cache_bytes=draw(st.integers(0, 64)))
+    wear = WearConfig(enabled=draw(st.booleans()), epoch_writes=draw(st.integers(1, 4)),
+                      remap_period=draw(st.integers(1, 5)))
+    return cfg, wear
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=simulated_geometries(), data=st.data())
+def test_every_accepted_geometry_reads_back_the_last_write(geometry, data):
+    # a few payloads, so writes repeat keys; `windows` gives `wire` its
+    # look-ahead at 64-bit partitions
+    cfg, wear = geometry
+    nbytes = cfg.block_bytes
+    payloads = data.draw(st.lists(st.binary(min_size=nbytes, max_size=nbytes),
+                                  min_size=1, max_size=3))
+    events = [TraceEvent(op, addr, payloads[k] if op == "W" else None)
+              for op, addr, k in data.draw(st.lists(st.tuples(
+                  st.sampled_from("WR"), st.integers(0, 3), st.integers(0, len(payloads) - 1)),
+                  max_size=40))]
+    width, partitions = cfg.partition_bits, cfg.partitions_per_block
+    cb = counter_width(width)
+    for scheme_id in SCHEME_IDS:
+        if scheme_id == "fnw" and cfg.block_bits % 16:
+            continue
+        sim = Simulation(scheme_id, 4, cfg, wear)
+        last = [bytes(nbytes)] * 4
+        for window in sim.windows(events):
+            for op, addr, payload in window:
+                if op == "W":
+                    sim.write(addr, payload)
+                    last[addr] = payload
+                else:
+                    assert sim.read(addr) == last[addr]
+        assert [sim.read(addr) for addr in range(4)] == last
+        if scheme_id == "wire":
+            bits = cb * partitions
+            assert sim.scheme.overhead_bits == bits
+            line_bytes = (bits + 7) // 8
+            assert sim.metadata_cache.capacity_blocks == cfg.metadata_cache_bytes // line_bytes
+            # every stored rotation counter fits its counter's bits
+            assert all((b.meta >> (i * width) & ((1 << width) - 1)) < 1 << cb
+                       for b in sim.memory.blocks for i in range(partitions))
