@@ -36,7 +36,7 @@ def main():
     for name, sim in sims.items():
         total = sim.totals
         print(f"{name:>10}: {total.flips} data flips, {total.meta_flips} metadata "
-              f"flips, {sim.energy_pj():.0f} pJ")
+              f"flips, {total.energy_pj():.0f} pJ")
 
 
 if __name__ == "__main__":

@@ -35,13 +35,13 @@ def main():
     for scheme_id, wear in configs:
         sim = Simulation(scheme_id, BLOCKS, wear=wear)
         sim.replay(events)
-        energy_uj = sim.energy_pj() / 1e6
+        energy_pj = sim.totals.energy_pj()
         iv = intrav(sim.memory.wear_matrix())
         if scheme_id == "plain":
-            baseline = sim.energy_pj()
-        rel = sim.energy_pj() / baseline
+            baseline = energy_pj
+        rel = energy_pj / baseline
         print(f"{scheme_id:>10} | {sim.totals.flips:>11} {sim.totals.meta_flips:>10} "
-              f"{energy_uj:>12.2f} {iv:>8.4f}   ({rel:.0%} of plain)")
+              f"{energy_pj / 1e6:>12.2f} {iv:>8.4f}   ({rel:.0%} of plain)")
 
 
 if __name__ == "__main__":

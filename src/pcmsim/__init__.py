@@ -11,5 +11,3 @@ from .sim import Simulation, run_lifetime
 from .trace import (GenSpec, PRESETS, TraceEvent, TraceFormatError, emit_trace,
                     generate, parse_trace, parse_trace_file, preset_spec)
 from .wearlevel import StartGapLeveler, WearConfig, next_epoch
-
-__version__ = "0.1.0"

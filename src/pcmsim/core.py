@@ -119,12 +119,11 @@ class WriteOutcome:
         e += self.meta_flips_set * E_SET + self.meta_flips_reset * E_RESET
         return e
 
-    def add(self, other: "WriteOutcome") -> "WriteOutcome":
+    def add(self, other: "WriteOutcome") -> None:
         self.flips_set += other.flips_set
         self.flips_reset += other.flips_reset
         self.meta_flips_set += other.meta_flips_set
         self.meta_flips_reset += other.meta_flips_reset
-        return self
 
 
 # ---------------------------------------------------------------------------

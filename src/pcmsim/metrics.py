@@ -146,11 +146,11 @@ def build_report(sim, coverage_rows, lifetime: bool = False) -> RunReport:
         flips_set=sim.totals.flips_set,
         flips_reset=sim.totals.flips_reset,
         flips_meta=sim.totals.meta_flips,
-        energy_pj=sim.energy_pj(),
+        energy_pj=sim.totals.energy_pj(),
         intrav=intrav(sim.memory.wear_matrix()),
         lifetime_writes=sim.writes if lifetime else 0,
         lifetime_seconds=sim.writes * WRITE_LATENCY_NS * 1e-9 if lifetime else 0.0,
-        meta_extra_reads=sim.meta_extra_reads(),
+        meta_extra_reads=sim.metadata_cache.misses if sim.metadata_cache is not None else 0,
         **{f"mfv_top{k}": top_k_coverage(coverage_rows, k) for k in range(1, 6)},
         overhead_bits=sim.scheme.overhead_bits,
         truncated=sim.truncated,

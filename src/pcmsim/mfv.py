@@ -207,7 +207,7 @@ def build_codebook(ranked_mfvs, granule_bits: int) -> tuple[int, ...]:
     returns the codeword of every value, indexed by value.
 
     Rank k (1-based) maps to the k-th reflected-Gray code 0, 1, 3, 2, 6, ...;
-    all remaining values take the remaining codewords in ascending order,
+    the unranked values, ascending, take the unused codewords, ascending,
     keeping the mapping a bijection so decode needs no flag bits.
     """
     n = 1 << granule_bits
@@ -216,16 +216,12 @@ def build_codebook(ranked_mfvs, granule_bits: int) -> tuple[int, ...]:
         raise ConfigError("ranked values must be distinct")
     if any(not 0 <= v < n for v in ranked):
         raise ConfigError(f"ranked values must fit in {granule_bits} bits")
-    if len(ranked) > n:
-        raise ConfigError("more ranked values than codewords")
 
-    gray = [i ^ (i >> 1) for i in range(len(ranked))]
-    perm = [-1] * n
-    for v, cw in zip(ranked, gray):
-        perm[v] = cw
-    free_codewords = sorted(set(range(n)) - set(gray))
-    free_values = [v for v in range(n) if perm[v] < 0]
-    for v, cw in zip(free_values, free_codewords):
+    chain = [i ^ (i >> 1) for i in range(len(ranked))]
+    values = ranked + sorted(set(range(n)) - set(ranked))
+    codewords = chain + sorted(set(range(n)) - set(chain))
+    perm = [0] * n
+    for v, cw in zip(values, codewords):
         perm[v] = cw
     return tuple(perm)
 

@@ -136,13 +136,6 @@ class Simulation:
         except DeadBlockError:
             self.truncated = True
 
-    def energy_pj(self) -> float:
-        return self.totals.energy_pj()
-
-    def meta_extra_reads(self) -> int:
-        """Metadata lines fetched from the array: the metadata cache's misses."""
-        return self.metadata_cache.misses if self.metadata_cache is not None else 0
-
 
 def run_lifetime(sim: Simulation, events, max_writes: int = 100_000_000) -> None:
     """Replay a trace cyclically until capacity drops below one half.

@@ -1,23 +1,24 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-The directional criteria (7-9 and 13) are desk-scale analogues on skewed
+The directional criteria (7-9, 12 and 13) are desk-scale analogues on skewed
 synthetic workloads; the rest are exact.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from pcmsim import (GenSpec, PcmBlock, PcmConfig, Simulation,
+from pcmsim import (GenSpec, PcmBlock, PcmConfig, Simulation, TraceEvent,
                     WearConfig, build_codebook, intrav,
                     mfv_coverage, optimal_rotation, pack_granules,
-                    run_lifetime, top_k_coverage, preset_spec, generate)
+                    run_lifetime, schemes, top_k_coverage, preset_spec, generate)
 from pcmsim.cli import ExperimentConfig, cmd_run
 from pcmsim.core import E_RESET, E_SET
 from pcmsim.schemes import FnwScheme, WireScheme
-from pcmsim.trace import PRESET_VALUES
+from pcmsim.trace import PRESET_VALUES, value_probabilities
 
 from helpers import alternation_events, freeze_codebook, hamming, intrav_oracle
 
@@ -302,6 +303,69 @@ def test_criterion_11_wear_migration():
     check(11, "epoch rotation strictly lowers max per-cell wear on the "
               "alternating one-bit trace", ok,
           f"max wear {with_rotation} vs {without}")
+
+
+# ---------------------------------------------------------------------------
+# 12. one changed cell per frequent-value change (the abstract's one-flip claim)
+
+def changed_data_cells(scheme_id, events):
+    """Each write's changed data cells, as `block.bits ^ bits`, at g4 with
+    wear off."""
+    sim = Simulation(scheme_id, 64, PcmConfig(granule_bits=4))
+    changes, program = [], schemes.program_cells
+
+    def recording_program(block, bits, meta, cfg):
+        changes.append(block.bits ^ bits)
+        return program(block, bits, meta, cfg)
+
+    with mock.patch.object(schemes, "program_cells", recording_program):
+        sim.replay(events)
+    assert not sim.truncated
+    return changes
+
+
+def one_granule_events(seed, blocks=64, writes=2_000):
+    """One warm-up write per block, then writes that each redraw one random
+    granule of their address's last payload, from the presets' distribution."""
+    rng = np.random.default_rng(seed)
+    p = value_probabilities(GenSpec(values=PRESET_VALUES), 4)
+    last = [rng.choice(16, size=128, p=p).astype(np.uint8) for _ in range(blocks)]
+    events = [TraceEvent("W", a, pack_granules(g, 4)) for a, g in enumerate(last)]
+    for _ in range(writes):
+        addr = int(rng.integers(blocks))
+        last[addr] = granules = last[addr].copy()
+        granules[rng.integers(128)] = rng.choice(16, p=p)
+        events.append(TraceEvent("W", addr, pack_granules(granules, 4)))
+    return events
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_12_one_granule_writes_change_at_most_one_cell(seed):
+    events = one_granule_events(seed)
+    share = {}
+    for scheme_id in ("wire", "diffwrite"):
+        changes = changed_data_cells(scheme_id, events)[64:]  # after warm-up
+        share[scheme_id] = sum(c.bit_count() <= 1 for c in changes) / len(changes)
+    ok = share["wire"] > max(0.5, share["diffwrite"])
+    check(12, "most one-granule writes change at most one data cell under wire, "
+              "more than under diffwrite", ok,
+          f"{share['wire']:.3f} vs {share['diffwrite']:.3f}")
+
+
+def test_criterion_12_windows_changing_at_most_one_cell_on_balanced():
+    events = generate(preset_spec("balanced", events=4_000, seed=1), num_blocks=64)
+    share = {}
+    for scheme_id in ("wire", "diffwrite"):
+        changes = changed_data_cells(scheme_id, events)
+        nibbles = np.frombuffer(b"".join(c.to_bytes(64, "little") for c in changes),
+                                dtype=np.uint8)
+        counts = np.concatenate([np.bitwise_count(nibbles & 0xF),
+                                 np.bitwise_count(nibbles >> 4)])
+        share[scheme_id] = float((counts <= 1).mean())
+    ok = share["wire"] > share["diffwrite"]
+    check(12, "more aligned 4-bit windows change at most one cell under wire "
+              "than under diffwrite", ok,
+          f"{share['wire']:.3f} vs {share['diffwrite']:.3f}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -448,6 +449,31 @@ def test_bijection_and_rank_chain_random(g):
         assert sorted(cb) == list(range(n))  # bijection
         for a, b in zip(ranked, ranked[1:]):  # chain-wise distance 1
             assert hamming(cb[a], cb[b]) == 1
+
+
+def codebook_rankings():
+    """Every ranking at g <= 2, every ranking of at most three values at g = 3,
+    and random rankings at g = 4 and 8."""
+    for g in (1, 2):
+        for k in range((1 << g) + 1):
+            yield from ((g, r) for r in itertools.permutations(range(1 << g), k))
+    for k in range(4):
+        yield from ((3, r) for r in itertools.permutations(range(8), k))
+    rng = random.Random(35)
+    for g in (4, 8):
+        for _ in range(200):
+            yield g, rng.sample(range(1 << g), rng.randrange((1 << g) + 1))
+
+
+def test_codebook_follows_the_assignment_rule():
+    """Ranked values take the reflected-Gray chain's codewords in rank order;
+    the unranked values, ascending, take the unused codewords, ascending."""
+    for g, ranked in codebook_rankings():
+        cb = build_codebook(ranked, g)
+        chain = [i ^ (i >> 1) for i in range(len(ranked))]
+        assert [cb[v] for v in ranked] == chain
+        unranked = [v for v in range(1 << g) if v not in ranked]
+        assert [cb[v] for v in unranked] == sorted(set(range(1 << g)) - set(chain))
 
 
 def test_leftovers_assigned_in_ascending_order():

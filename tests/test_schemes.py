@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (SCHEME_IDS, ConfigError, DeadBlockError, PcmBlock, PcmConfig,
-                    Simulation, TraceEvent, WearConfig, build_codebook, optimal_rotation,
-                    pack_granules, program_cells, schemes, unpack_granules)
+                    Simulation, TraceEvent, WearConfig, build_codebook, build_report,
+                    generate, optimal_rotation, pack_granules, preset_spec, program_cells,
+                    schemes, unpack_granules)
 from pcmsim.schemes import FnwScheme, WireScheme, WriteScheme, optimal_rotations
 
 from helpers import freeze_codebook, hamming, rotate_left, rotate_right
@@ -748,12 +749,12 @@ def test_wire_metadata_cache_counts_extra_reads():
     payload = bytes(64)
     for addr in range(8):
         sim.write(addr, payload)
-    assert sim.meta_extra_reads() == 8   # cold misses
+    assert sim.metadata_cache.misses == 8   # cold misses
     sim.read(7)
     sim.read(6)
-    assert sim.meta_extra_reads() == 8   # both still resident
+    assert sim.metadata_cache.misses == 8   # both still resident
     sim.read(0)
-    assert sim.meta_extra_reads() == 9
+    assert sim.metadata_cache.misses == 9
     # writes and reads round-robin over three addresses thrash the two lines:
     # every access misses
     for i in range(30):
@@ -762,8 +763,7 @@ def test_wire_metadata_cache_counts_extra_reads():
             sim.read(addr)
         else:
             sim.write(addr, payload)
-    assert sim.meta_extra_reads() == 39
-    assert sim.meta_extra_reads() == sim.metadata_cache.misses
+    assert sim.metadata_cache.misses == 39
     assert sim.metadata_cache.hits == 2
 
     for scheme_id in ("plain", "diffwrite", "fnw"):
@@ -771,7 +771,7 @@ def test_wire_metadata_cache_counts_extra_reads():
         for i in range(30):
             other.write(i % 3, payload)
             other.read(i % 3)
-        assert other.meta_extra_reads() == 0
+        assert build_report(other, []).meta_extra_reads == 0
 
 
 def test_dead_block_accesses_touch_no_metadata_line():
@@ -782,7 +782,7 @@ def test_dead_block_accesses_touch_no_metadata_line():
     with pytest.raises(DeadBlockError):
         sim.read(2)
     cache = sim.metadata_cache
-    assert (cache.hits, cache.misses, sim.meta_extra_reads()) == (0, 0, 0)
+    assert (cache.hits, cache.misses) == (0, 0)
 
 
 def test_wire_write_to_a_failed_block_leaves_tags_agreeing_with_the_finder():
@@ -823,6 +823,19 @@ def test_wire_write_to_a_failed_block_changes_nothing():
 
 def test_wire_overhead_is_48_bits_with_defaults():
     sim = Simulation("wire", 1)
+    assert sim.scheme.overhead_bits == 48
+
+
+@pytest.mark.parametrize("g, word_bits", [(4, 514), (8, 515)])
+def test_wire_metadata_word_holds_the_epoch_outside_overhead_bits(g, word_bits):
+    """Today's layout: the log2(g)-bit epoch sits above bit `block_bits`, its
+    flips are charged, and `overhead_bits` leaves it out (ROADMAP item 3c)."""
+    events = generate(preset_spec("balanced", events=2_000, seed=1), num_blocks=16,
+                      granule_bits=g)
+    sim = Simulation("wire", 16, PcmConfig(granule_bits=g),
+                     WearConfig(enabled=True, epoch_writes=4))
+    sim.replay(events)
+    assert max(b.meta.bit_length() for b in sim.memory.blocks) == word_bits
     assert sim.scheme.overhead_bits == 48
 
 

@@ -313,7 +313,7 @@ def recorded_run(make, lifetime: bool, look_ahead: bool):
         "totals": sim.totals, "writes": sim.writes, "reads": reads, "error": error,
         "wear": sim.memory.wear_matrix().tolist(), "dead_pages": sim.memory.dead_pages,
         "dropped_writes": sim.dropped_writes, "truncated": sim.truncated,
-        "capped": sim.capped, "meta_extra_reads": sim.meta_extra_reads(),
+        "capped": sim.capped, "meta_extra_reads": sim.metadata_cache.misses,
         "blocks": [(b.bits, b.meta, b.tags, b.lost, b.failed) for b in sim.memory.blocks],
     }
     return sim, state, search.call_count
