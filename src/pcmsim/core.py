@@ -9,8 +9,9 @@ report or a test reads the counts.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -319,23 +320,15 @@ class MetadataCache:
 
     It holds as many lines of `line_bits` bits, each padded to whole bytes,
     as fit in `cache_bytes`. A zero-byte budget degenerates to an always-miss
-    cache.
+    cache. `touch(block_addr)` accesses a block's line; it is an `lru_cache`
+    of that many entries, so its `cache_info()` counts the hits and misses.
     """
 
     def __init__(self, cache_bytes: int, line_bits: int):
         self.capacity_blocks = cache_bytes // ((line_bits + 7) // 8)
-        self._lines: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        # lru_cache takes no size above sys.maxsize, which no trace can fill
+        self.touch = functools.lru_cache(maxsize=min(self.capacity_blocks, sys.maxsize))(
+            lambda block_addr: None)
 
-    def touch(self, block_addr: int) -> bool:
-        """Access a block's metadata line; returns True on hit."""
-        if block_addr in self._lines:
-            self._lines.move_to_end(block_addr)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._lines[block_addr] = None
-        if len(self._lines) > self.capacity_blocks:
-            self._lines.popitem(last=False)
-        return False
+    hits = property(lambda self: self.touch.cache_info().hits)
+    misses = property(lambda self: self.touch.cache_info().misses)

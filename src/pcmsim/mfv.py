@@ -8,6 +8,7 @@ consecutively ranked values differ in exactly one bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,9 @@ class MfvFinder:
         self.fv: dict[int, FvEntry] = {}
         self.generation = 0
         self._pending = bytearray()  # granules whose FV credit `flush` adds
-        self._keys_generation = -1  # `generation` of the cached keys below
-        self._keys = b""  # the FV values, a byte each
-        self._key_mask = 0  # bit v: value v is in `_keys`
+        # generation -> (the FV values, a byte each; bit v set for each value v)
+        self._fv_view = functools.lru_cache(maxsize=1)(
+            lambda generation: (bytes(self.fv), sum(1 << v for v in self.fv)))
 
     # -- observation ---------------------------------------------------------
 
@@ -120,16 +121,11 @@ class MfvFinder:
         below 8 bits the granules are one translate per granule position,
         joined, and the ordered split is made only for a granule not resident.
         """
-        if self._keys_generation != self.generation:
-            self._keys = bytes(self.fv)
-            self._key_mask = sum(1 << v for v in self._keys)
-            self._keys_generation = self.generation
-        keys = self._keys
+        keys, resident = self._fv_view(self.generation)
         granules = data if granule_bits == 8 else b"".join(
             [data.translate(table) for table in _split_tables(granule_bits)])
         pending = self._pending
         pending += granules
-        resident = self._key_mask
         for v in keys.translate(None, granules):  # resident values the write lacks
             resident ^= 1 << v
         late = granules.translate(None, keys)

@@ -257,7 +257,7 @@ class WireScheme(WriteScheme):
         # version k's codeword of every value, indexed by value
         self.versions: list[tuple[int, ...]] = [build_codebook([], cfg.granule_bits)]
         self._built_generation = self.finder.generation
-        self._codecs: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+        self._codec = functools.cache(self._build_codec)
         self._granule_bits = cfg.granule_bits
         self._width = w = cfg.partition_bits
         # a counter per partition, of the fewest bits that name each of its w rotations
@@ -287,20 +287,17 @@ class WireScheme(WriteScheme):
             self._built_generation = self.finder.generation
         return len(self.versions) - 1
 
-    def _codec(self, version: int, epoch: int) -> tuple[bytes, bytes]:
+    def _build_codec(self, version: int, epoch: int) -> tuple[bytes, bytes]:
         """(encode, decode) translate tables of a codebook version whose g-bit
         codewords are rotated left by `epoch % g`. The granule width divides
         8, so encode applies the codebook to every granule of a byte and is a
-        permutation of the 256 bytes; decode is its inverse."""
-        key = (version, epoch)
-        codec = self._codecs.get(key)
-        if codec is None:
-            g, r = self._granule_bits, epoch % self._granule_bits
-            table = np.array([(cw << r | cw >> (g - r)) & ((1 << g) - 1)
-                              for cw in self.versions[version]], dtype=np.uint8)
-            encode = pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
-            codec = self._codecs[key] = (encode, bytes.maketrans(encode, bytes(range(256))))
-        return codec
+        permutation of the 256 bytes; decode is its inverse. `_codec` is its
+        cache."""
+        g, r = self._granule_bits, epoch % self._granule_bits
+        table = np.array([(cw << r | cw >> (g - r)) & ((1 << g) - 1)
+                          for cw in self.versions[version]], dtype=np.uint8)
+        encode = pack_granules(table[unpack_granules(bytes(range(256)), g)], g)
+        return encode, bytes.maketrans(encode, bytes(range(256)))
 
     # -- write/read paths ------------------------------------------------------
 

@@ -304,10 +304,23 @@ def test_capacity_counts_lines_padded_to_whole_bytes(cache_bytes, line_bits, cap
     assert MetadataCache(cache_bytes, line_bits).capacity_blocks == capacity
 
 
-def test_cold_miss_then_hit():
-    cache = MetadataCache(2048, 48)
-    assert cache.touch(0) is False
-    assert cache.touch(0) is True
+def touch_hits(cache, addr):
+    """Touch `addr` and tell whether it hit, from the cache's counters: one
+    access moves exactly one of them."""
+    hits, misses = cache.hits, cache.misses
+    cache.touch(addr)
+    hit = cache.hits - hits
+    assert hit + cache.misses - misses == 1
+    return hit == 1
+
+
+# 10**30 bytes hold more lines than sys.maxsize, the largest size lru_cache takes
+@pytest.mark.parametrize("cache_bytes", [2048, 10 ** 30], ids=["default", "past-maxsize"])
+def test_cold_miss_then_hit(cache_bytes):
+    cache = MetadataCache(cache_bytes, 48)
+    assert cache.capacity_blocks == cache_bytes // 6
+    assert touch_hits(cache, 0) is False
+    assert touch_hits(cache, 0) is True
 
 
 def test_round_robin_one_past_capacity_always_misses():
@@ -317,28 +330,29 @@ def test_round_robin_one_past_capacity_always_misses():
     cache = MetadataCache(2048, 48)
     ref = ReferenceLru(341)
     for i in range(342):
-        assert cache.touch(i % 342) == ref.touch(i % 342)
+        assert touch_hits(cache, i % 342) == ref.touch(i % 342)
     before = cache.misses
     for i in range(342 * 3):
         addr = i % 342
-        got = cache.touch(addr)
+        got = touch_hits(cache, addr)
         assert got == ref.touch(addr)
         assert got is False
     assert cache.misses - before == 342 * 3
 
 
-def test_lru_matches_reference_on_random_strings():
+@pytest.mark.parametrize("capacity", [0, 1, 5, 341])
+def test_lru_matches_reference_on_random_strings(capacity):
     rng = random.Random(99)
-    cache = MetadataCache(30, 48)  # 6-byte lines: capacity 5
-    assert cache.capacity_blocks == 5
-    ref = ReferenceLru(5)
+    cache = MetadataCache(6 * capacity, 48)  # 6-byte lines
+    assert cache.capacity_blocks == capacity
+    ref = ReferenceLru(capacity)
     for _ in range(5000):
-        addr = rng.randrange(12)
-        assert cache.touch(addr) == ref.touch(addr)
+        addr = rng.randrange(2 * capacity + 2)  # about half the addresses fit
+        assert touch_hits(cache, addr) == ref.touch(addr)
 
 
 def test_zero_budget_cache_always_misses():
     cache = MetadataCache(0, 48)
     assert cache.capacity_blocks == 0
     for _ in range(3):
-        assert cache.touch(1) is False
+        assert touch_hits(cache, 1) is False
