@@ -38,7 +38,7 @@ def hot_bit_profile(enabled):
     for i in range(200):
         sim.write(0, zero if i % 2 == 0 else ones)
     hot = sim.physical[0]
-    return sim.memory.blocks[hot].cell_writes[:4]
+    return sim.memory.wear_matrix()[hot, :4]
 
 
 def main():

@@ -282,7 +282,3 @@ def main(argv=None) -> int:
     except (ConfigError, TraceFormatError, SimulationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

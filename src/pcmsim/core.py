@@ -134,25 +134,23 @@ class PcmBlock:
     """One line of cells: the data cells `bits` and the metadata cells `meta`.
 
     Wear is bit-sliced: `wear_planes[k]` holds bit k of every data cell's
-    program count (bit j of a plane = cell j), and `cell_writes` builds the
-    per-cell count row from the planes. `wear_bound` is an upper bound on the
-    row maximum (see `program_cells`). `meta` holds the metadata cells as one
-    int in a layout the scheme owns; `program_cells` and `program_all_cells`
-    program it with the data and charge its changed bits as metadata flips.
-    `tags` is the uncharged state a scheme keeps per block, in a form the
-    scheme owns, `None` until a scheme stores one. All of them describe the
-    stored image and move with it when wear leveling relocates it. `lost`
-    marks a block whose image is not its address's content: a start-gap copy
-    into a failed block programs nothing, so the address's data is gone until
-    its next write.
+    program count (bit j of a plane = cell j); `PcmMemory.wear_matrix` builds
+    the per-cell count rows from the planes. `wear_bound` is an upper bound on
+    the block's largest count (see `program_cells`). `meta` holds the metadata
+    cells as one int in a layout the scheme owns; `program_cells` and
+    `program_all_cells` program it with the data and charge its changed bits
+    as metadata flips. `tags` is the uncharged state a scheme keeps per block,
+    in a form the scheme owns, `None` until a scheme stores one. All of them
+    describe the stored image and move with it when wear leveling relocates
+    it. `lost` marks a block whose image is not its address's content: a
+    start-gap copy into a failed block programs nothing, so the address's data
+    is gone until its next write.
     """
 
-    __slots__ = ("bits", "block_bytes", "wear_planes", "wear_bound", "meta", "tags",
-                 "lost", "failed")
+    __slots__ = ("bits", "wear_planes", "wear_bound", "meta", "tags", "lost", "failed")
 
-    def __init__(self, cfg: PcmConfig):
+    def __init__(self):
         self.bits = 0
-        self.block_bytes = cfg.block_bytes
         self.wear_planes: list[int] = []
         self.wear_bound = 0
         self.meta = 0
@@ -160,17 +158,10 @@ class PcmBlock:
         self.lost = False
         self.failed = False
 
-    @property
-    def cell_writes(self) -> np.ndarray:
-        """Per-cell program counts as a row of the narrowest unsigned dtype
-        that holds them (a fresh array per call)."""
-        return _wear_rows([self])[0]
 
-
-def _wear_rows(blocks) -> np.ndarray:
-    """Wear rows of equally sized blocks, one row per block, in the narrowest
+def _wear_rows(blocks, nbytes: int) -> np.ndarray:
+    """Wear rows of `nbytes`-byte blocks, one row per block, in the narrowest
     unsigned dtype that holds the deepest block's counts."""
-    nbytes = blocks[0].block_bytes
     depth = max(len(b.wear_planes) for b in blocks)
     levels = zip(*[b.wear_planes + [0] * (depth - len(b.wear_planes)) for b in blocks])
     # Horner's rule from the top plane down (rows = 2 * rows + plane bits), in
@@ -237,17 +228,17 @@ def program_cells(block: PcmBlock, new_bits: int, new_meta: int,
     as a SET (0->1) or RESET (1->0) flip. The metadata word's changed bits
     are counted the same way as metadata flips, and it is stored; metadata
     cells do not wear. Marks the block failed once any data cell exceeds its
-    endurance (a cell survives exactly `cell_endurance` programs).
+    endurance (a cell survives exactly `cell_endurance` programs). It programs
+    any block it is given, failed or not: its callers, `WriteScheme.write` and
+    `StartGapLeveler.step`, refuse or skip a failed block first.
 
-    The endurance test is lazy but exact. Invariant: `block.wear_bound` is
-    at least `block.cell_writes.max()`. It holds at 0 for a fresh block, and
+    The endurance test is lazy but exact. Invariant: `block.wear_bound` is at
+    least the block's largest cell count. It holds at 0 for a fresh block, and
     a program adds at most 1 to any cell, so adding 1 to the bound keeps it.
     While the bound is within endurance no cell can be above it; only when
     the bound passes endurance is it reset to the true row maximum, and the
     block fails if that maximum is above endurance too.
     """
-    if block.failed:
-        raise DeadBlockError("write to dead block")
     out = WriteOutcome()
     if block.meta != new_meta:
         _program_meta(block, new_meta, out)
@@ -270,8 +261,6 @@ def program_all_cells(block: PcmBlock, new_bits: int, new_meta: int,
     counted by target state (SET for 1s, RESET for 0s). The metadata word is
     programmed as in `program_cells`: only its changed bits are charged.
     """
-    if block.failed:
-        raise DeadBlockError("write to dead block")
     out = WriteOutcome()
     if block.meta != new_meta:
         _program_meta(block, new_meta, out)
@@ -295,7 +284,7 @@ class PcmMemory:
         if num_blocks <= 0:
             raise ConfigError("memory needs at least one block")
         self.cfg = cfg
-        self.blocks = [PcmBlock(cfg) for _ in range(num_blocks + extra_blocks)]
+        self.blocks = [PcmBlock() for _ in range(num_blocks + extra_blocks)]
         self.total_pages = math.ceil(num_blocks / cfg.blocks_per_page)
         self.dead_pages: set[int] = set()
 
@@ -309,7 +298,7 @@ class PcmMemory:
     def wear_matrix(self) -> np.ndarray:
         """Per-cell write counts, one row per physical block, in the narrowest
         unsigned dtype that holds them (see `_wear_rows`)."""
-        return _wear_rows(self.blocks)
+        return _wear_rows(self.blocks, self.cfg.block_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class WriteScheme:
         return int.from_bytes(data, "little"), 0, None  # the identity encoder
 
     def read(self, block: PcmBlock) -> bytes:
-        return block.bits.to_bytes(block.block_bytes, "little")
+        return block.bits.to_bytes(self.cfg.block_bytes, "little")
 
 
 class PlainScheme(WriteScheme):
@@ -201,7 +201,7 @@ class FnwScheme(WriteScheme):
         return logical ^ invert * self._word_mask, invert, None
 
     def read(self, block):
-        return (block.bits ^ block.meta * self._word_mask).to_bytes(block.block_bytes, "little")
+        return (block.bits ^ block.meta * self._word_mask).to_bytes(self.cfg.block_bytes, "little")
 
 
 class WireScheme(WriteScheme):

@@ -79,6 +79,6 @@ class StartGapLeveler:
         self.logical[dest_i] = moved
         self.logical[src_i] = None
         self.gap = src_i
-        if dest.failed:
+        if dest.failed:  # also a copy that wore the destination out just now
             memory.kill_page(moved)
         return out

@@ -35,7 +35,7 @@ def check(n, desc, ok, detail=""):
 # 1. round-trip fidelity
 
 def _random_block_state(rng, cfg, scheme=None, n_versions=1):
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = rng.getrandbits(cfg.block_bits)
     # `wire`'s metadata word in lane form: partition i's rotation counter at
     # bit i * partition_bits, the epoch at bit block_bits
@@ -128,7 +128,7 @@ def test_criterion_3_fnw_exhaustive_bound():
         for data in range(16):
             for flip in (0, 1):
                 scheme = FnwScheme(cfg, word_bits=4)
-                block = PcmBlock(cfg)
+                block = PcmBlock()
                 block.bits = phys
                 block.meta = flip
                 out = scheme.write(block, bytes([data]))
@@ -151,7 +151,7 @@ def test_criterion_4_rotation_conformance():
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
                     granule_bits=4, page_bytes=4096)
     scheme = freeze_codebook(WireScheme(cfg))
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = 0b1000
     out = scheme.write(block, pack_granules([0b0010] + [0] * 7, 4))
     r = block.meta & ((1 << cfg.partition_bits) - 1)  # partition 0's counter lane
@@ -292,10 +292,10 @@ def test_criterion_11_wear_migration():
         sim.write(0, ones)
         sim.write(1, pin)
         hot = sim.physical[0]
-        before = sim.memory.blocks[hot].cell_writes.copy()
+        before = sim.memory.wear_matrix()[hot]
         for i in range(256):  # 32 epoch bumps >= granule_bits full cycles
             sim.write(0, zero if i % 2 == 0 else ones)
-        return int((sim.memory.blocks[hot].cell_writes - before).max())
+        return int((sim.memory.wear_matrix()[hot] - before).max())
 
     with_rotation = max_hot_wear(True)
     without = max_hot_wear(False)

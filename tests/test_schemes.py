@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcmsim import (SCHEME_IDS, ConfigError, DeadBlockError, PcmBlock, PcmConfig,
-                    Simulation, TraceEvent, WearConfig, build_codebook, build_report,
+                    PcmMemory, Simulation, TraceEvent, WearConfig, build_codebook, build_report,
                     generate, optimal_rotation, pack_granules, preset_spec, program_cells,
                     schemes, unpack_granules)
 from pcmsim.schemes import FnwScheme, WireScheme, WriteScheme, optimal_rotations
@@ -30,7 +30,7 @@ def test_plain_programs_every_cell():
     assert out.flips == 512
     out = sim.write(0, bytes(64))  # identical data still programs everything
     assert out.flips == 512
-    assert (sim.memory.blocks[0].cell_writes == 2).all()
+    assert (sim.memory.wear_matrix()[0] == 2).all()
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_diff_flips_match_popcount_oracle():
 
 
 def test_payload_of_the_wrong_size_is_a_config_error():
-    block = PcmBlock(CFG)
+    block = PcmBlock()
     with pytest.raises(ConfigError, match="payload must be 64 bytes, got 63"):
         WriteScheme(CFG).write(block, bytes(63))
     assert (block.bits, block.tags, block.wear_planes) == (0, None, [])
@@ -82,7 +82,7 @@ def _fnw_word_cfg():
 def test_fnw_examples(phys, flip, data, expect_data, expect_meta):
     cfg = _fnw_word_cfg()
     scheme = FnwScheme(cfg, word_bits=4)
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = phys            # low word; high word stays zero
     block.meta = flip
     out = scheme.write(block, bytes([data]))
@@ -99,7 +99,7 @@ def test_fnw_exhaustive_true_minimum_and_bound():
         for data in range(16):
             for flip in (0, 1):
                 scheme = FnwScheme(cfg, word_bits=4)
-                block = PcmBlock(cfg)
+                block = PcmBlock()
                 block.bits = phys
                 block.meta = flip << 0
                 out = scheme.write(block, bytes([data]))
@@ -183,7 +183,7 @@ def test_fnw_matches_per_word_reference(case):
     cfg = PcmConfig(block_bytes=nbytes, partitions_per_block=1, rotation_max=0,
                     granule_bits=1, page_bytes=nbytes)
     scheme = FnwScheme(cfg, word_bits=word_bits)
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = stored
     block.meta = flips
     for data in payloads:
@@ -426,7 +426,7 @@ def test_wire_encode_takes_the_looked_ahead_rotations(batch, epoch):
     scheme = freeze_codebook(WireScheme(cfg))
     writes, expected = [], []
     for _, data, stored, incumbent in batch:
-        block = PcmBlock(cfg)
+        block = PcmBlock()
         block.bits = stored
         block.meta = incumbent & ((1 << cfg.block_bits) - 1) | epoch << cfg.block_bits
         payload = data.to_bytes(cfg.block_bytes, "little")
@@ -446,7 +446,7 @@ def test_wire_encode_searches_again_when_an_input_changed(change):
     from still holds; after any one changes, encode searches for itself."""
     rng = random.Random(71)
     scheme = freeze_codebook(WireScheme(CFG, WearConfig(enabled=True, epoch_writes=4)))
-    block = PcmBlock(CFG)
+    block = PcmBlock()
     block.bits = rng.getrandbits(512)
     block.meta = sum(rng.randrange(9) << (64 * i) for i in range(1, 8)) | 3 | 1 << 512
     # every rotation of the zero partition 0 ties, so its incumbent counter 3 wins
@@ -457,7 +457,7 @@ def test_wire_encode_searches_again_when_an_input_changed(change):
         rotations, _, phys = optimal_rotation(encoded, block.bits, 64, 8, block.meta, 8)
         return phys, epoch << 512 | rotations
 
-    scheme.look_ahead([(block, data), (PcmBlock(CFG), data)])
+    scheme.look_ahead([(block, data), (PcmBlock(), data)])
     stale = expected(0, 1)
     version, epoch = 0, 1
     if change == "payload":
@@ -485,7 +485,7 @@ def test_wire_rotation_conformance_small_partition():
     cfg = PcmConfig(block_bytes=4, partitions_per_block=8, rotation_max=3,
                     granule_bits=4, page_bytes=4096)
     scheme = freeze_codebook(WireScheme(cfg))
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = 0b1000
     payload = pack_granules([0b0010] + [0] * 7, 4)
     out = scheme.write(block, payload)
@@ -510,7 +510,7 @@ def test_wire_per_partition_flips_match_brute_force():
     rng = random.Random(31)
     cfg = PcmConfig()
     scheme = freeze_codebook(WireScheme(cfg))
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = rng.getrandbits(512)
     width = cfg.partition_bits
     mask = (1 << width) - 1
@@ -606,7 +606,7 @@ def test_wire_read_matches_per_partition_loop(geometry, data):
     scheme = freeze_codebook(WireScheme(cfg))
     ranked = data.draw(st.lists(st.integers(0, (1 << g) - 1), unique=True, max_size=16))
     scheme.versions.append(build_codebook(ranked, g))
-    block = PcmBlock(cfg)
+    block = PcmBlock()
     block.bits = data.draw(st.integers(0, (1 << cfg.block_bits) - 1))
     block.meta = sum(r << (i * cfg.partition_bits) for i, r in enumerate(counters))
     block.meta |= epoch << cfg.block_bits
@@ -630,7 +630,7 @@ def test_wire_meta_charge_is_the_same_in_lane_and_packed_form(old, data):
         return sum(c << (i * spacing) for i, c in enumerate(counters)) | epoch << epoch_shift
 
     def charge(spacing, epoch_shift):
-        block = PcmBlock(cfg)
+        block = PcmBlock()
         block.meta = word(old_counters, old_epoch, spacing, epoch_shift)
         out = program_cells(block, 0, word(new_counters, new_epoch, spacing, epoch_shift), cfg)
         return out.meta_flips_set, out.meta_flips_reset
@@ -787,10 +787,10 @@ def test_dead_block_accesses_touch_no_metadata_line():
 
 def test_wire_write_to_a_failed_block_leaves_tags_agreeing_with_the_finder():
     """Every finder reference is held by some block's tags, also after a write
-    whose programming raised on a failed block."""
+    refused on a failed block."""
     cfg = PcmConfig()
     scheme = WireScheme(cfg)
-    blocks = [PcmBlock(cfg) for _ in range(2)]
+    blocks = [PcmBlock() for _ in range(2)]
     for k in range(60):
         scheme.write(blocks[k % 2], bytes([0x77 if k % 4 < 2 else 0x00]) * 64)
     blocks[0].failed = True
@@ -802,18 +802,24 @@ def test_wire_write_to_a_failed_block_leaves_tags_agreeing_with_the_finder():
     assert any(held.values())
 
 
-def test_wire_write_to_a_failed_block_changes_nothing():
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_write_to_a_failed_block_changes_nothing(scheme_id):
+    # the write path's one refusal comes before `encode`: the block's bits,
+    # metadata word, tags and wear row stay, and so does wire's finder
     cfg = PcmConfig()
-    scheme = WireScheme(cfg)
-    block = PcmBlock(cfg)
-    for _ in range(40):
-        scheme.write(block, bytes(64))
+    scheme = schemes.make_scheme(scheme_id, cfg)
+    mem = PcmMemory(1, cfg)
+    block = mem.blocks[0]
+    for k in range(40):
+        scheme.write(block, bytes([0xFF * (k % 2)]) * 64)
     block.failed = True
 
     def state():
-        scheme.finder.flush()
-        fv = {v: (e.counter, e.pointer) for v, e in scheme.finder.fv.items()}
-        return fv, scheme.finder.generation, block.tags
+        finder = getattr(scheme, "finder", None)
+        if finder is not None:
+            finder.flush()
+            finder = {v: (e.counter, e.pointer) for v, e in finder.fv.items()}, finder.generation
+        return block.bits, block.meta, block.tags, mem.wear_matrix()[0].tolist(), finder
 
     before = state()
     with pytest.raises(DeadBlockError):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from pcmsim import (DeadBlockError, PcmConfig, PcmMemory, Simulation, StartGapLeveler,
-                    WearConfig, WireScheme, WriteOutcome, build_codebook, pack_granules)
+                    WearConfig, WireScheme, WriteOutcome, build_codebook, pack_granules,
+                    program_all_cells)
 
 from helpers import RegisterStartGap, rotate_left, rotate_right
 
@@ -161,7 +162,7 @@ def test_remap_copy_wears_the_destination():
     mem.blocks[1].bits = (1 << 512) - 1
     out = lev.step(mem)  # copies block 1 into the gap (block 2)
     assert out.flips == 512
-    assert (mem.blocks[2].cell_writes == 1).all()
+    assert (mem.wear_matrix()[2] == 1).all()
     assert mem.blocks[2].bits == mem.blocks[1].bits
 
 
@@ -176,9 +177,23 @@ def test_start_gap_copy_into_a_failed_block_programs_nothing():
     dest.bits, dest.meta, dest.failed = 0b1010, 0b110, True
     out = lev.step(mem)
     assert out == WriteOutcome()
-    assert (dest.bits, dest.meta, int(dest.cell_writes.sum())) == (0b1010, 0b110, 0)
+    assert (dest.bits, dest.meta, int(mem.wear_matrix()[2].sum())) == (0b1010, 0b110, 0)
     assert dest.lost and dest.tags == (3, 0, 0b11)
     assert lev.physical[1] == 2
+    assert mem.dead_pages == {0}  # the page of address 1, the moved one
+
+
+def test_start_gap_copy_that_wears_the_destination_out_kills_the_moved_page():
+    # the gap block was programmed once, all its endurance allows; the copy
+    # into it programs it again and fails it, so address 1's page dies
+    cfg = PcmConfig(cell_endurance=1, page_bytes=64)
+    mem = PcmMemory(2, cfg, extra_blocks=1)
+    lev = StartGapLeveler(2)
+    program_all_cells(mem.blocks[lev.gap], 0, 0, cfg)
+    assert not mem.blocks[2].failed
+    lev.step(mem)
+    assert mem.blocks[2].failed and lev.physical[1] == 2
+    assert mem.dead_pages == {1}
 
 
 def test_gap_steps_after_every_remap_period_serviced_writes():
@@ -279,9 +294,9 @@ def test_epoch_rotation_spreads_hot_bit_wear():
         sim.write(0, ones)
         sim.write(1, pin)
         hot = sim.physical[0]
-        before = sim.memory.blocks[hot].cell_writes.copy()
+        before = sim.memory.wear_matrix()[hot]
         for i in range(256):
             sim.write(0, zero if i % 2 == 0 else ones)
-        return int((sim.memory.blocks[hot].cell_writes - before).max())
+        return int((sim.memory.wear_matrix()[hot] - before).max())
 
     assert run(True) < run(False)
