@@ -159,22 +159,6 @@ class PcmBlock:
         self.failed = False
 
 
-def _wear_rows(blocks, nbytes: int) -> np.ndarray:
-    """Wear rows of `nbytes`-byte blocks, one row per block, in the narrowest
-    unsigned dtype that holds the deepest block's counts."""
-    depth = max(len(b.wear_planes) for b in blocks)
-    levels = zip(*[b.wear_planes + [0] * (depth - len(b.wear_planes)) for b in blocks])
-    # Horner's rule from the top plane down (rows = 2 * rows + plane bits), in
-    # the narrowest unsigned dtype that holds a `depth`-bit count
-    rows = np.zeros((len(blocks), nbytes * 8), dtype=np.min_scalar_type((1 << depth) - 1))
-    for level in reversed(list(levels)):
-        raw = b"".join(map(int.to_bytes, level, repeat(nbytes), repeat("little")))
-        rows <<= 1
-        rows |= np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                              bitorder="little").reshape(rows.shape)
-    return rows
-
-
 def _max_wear(planes: list[int]) -> int:
     """Exact largest cell count: from the top plane down, keep the cells
     that have the highest bit pattern seen so far."""
@@ -276,8 +260,8 @@ class PcmMemory:
     """Array of blocks with page-level capacity tracking.
 
     Pages group logical block addresses. A page dies permanently when a write
-    routed to one of its blocks hits (or produces) a failed block; there is no
-    remap salvage.
+    or a start-gap copy wears out the block one of its addresses maps to;
+    there is no remap salvage.
     """
 
     def __init__(self, num_blocks: int, cfg: PcmConfig, extra_blocks: int = 0):
@@ -297,8 +281,20 @@ class PcmMemory:
 
     def wear_matrix(self) -> np.ndarray:
         """Per-cell write counts, one row per physical block, in the narrowest
-        unsigned dtype that holds them (see `_wear_rows`)."""
-        return _wear_rows(self.blocks, self.cfg.block_bytes)
+        unsigned dtype that holds the deepest block's counts.
+
+        Horner's rule over the blocks' wear planes, from the top plane down:
+        rows = 2 * rows + that plane's bits."""
+        blocks, nbytes = self.blocks, self.cfg.block_bytes
+        depth = max(len(b.wear_planes) for b in blocks)
+        levels = zip(*[b.wear_planes + [0] * (depth - len(b.wear_planes)) for b in blocks])
+        rows = np.zeros((len(blocks), nbytes * 8), dtype=np.min_scalar_type((1 << depth) - 1))
+        for level in reversed(list(levels)):
+            raw = b"".join(map(int.to_bytes, level, repeat(nbytes), repeat("little")))
+            rows <<= 1
+            rows |= np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                  bitorder="little").reshape(rows.shape)
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ class MfvFinder:
         flush made by a promotion partway through drops the promoted value's
         granules and `observe` counts its later ones. Counting needs no order:
         below 8 bits the granules are one translate per granule position,
-        joined, and the ordered split is made only for a granule not resident.
+        joined, and the ordered split (at 8 bits the payload itself) is taken
+        only for a write with a granule not resident.
         """
         keys, resident = self._fv_view(self.generation)
         granules = data if granule_bits == 8 else b"".join(
@@ -128,12 +129,9 @@ class MfvFinder:
         pending += granules
         for v in keys.translate(None, granules):  # resident values the write lacks
             resident ^= 1 << v
-        late = granules.translate(None, keys)
-        if late:
-            if granule_bits != 8:
-                late = split_granules(data, granule_bits).translate(None, keys)
+        if granules.translate(None, keys):
             observe = self.observe
-            for v in late:
+            for v in split_granules(data, granule_bits).translate(None, keys):
                 if observe(v) is not None:  # promoted, so resident to the end
                     resident |= 1 << v
         if len(pending) > PENDING_FLUSH_BYTES:

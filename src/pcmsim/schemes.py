@@ -182,7 +182,7 @@ class FnwScheme(WriteScheme):
         if word_bits < 4:
             raise ConfigError(f"fnw word width {word_bits} must be at least 4")
         self.word_bits = w = word_bits
-        self.overhead_bits = self.words = n = cfg.block_bits // w  # a flip bit per word
+        self.overhead_bits = n = cfg.block_bits // w  # a flip bit per word
         self._word_mask = (1 << w) - 1
 
         self._lanes = lanes = sum(1 << (i * w) for i in range(n))  # lowest bit of every word
@@ -259,11 +259,9 @@ class WireScheme(WriteScheme):
         self._built_generation = self.finder.generation
         self._codec = functools.cache(self._build_codec)
         self._granule_bits = cfg.granule_bits
-        self._width = w = cfg.partition_bits
+        w = cfg.partition_bits
         # a counter per partition, of the fewest bits that name each of its w rotations
         self.overhead_bits = max(1, (w - 1).bit_length()) * cfg.partitions_per_block
-        self._rotation_max = cfg.rotation_max
-        self._partitions = cfg.partitions_per_block
         self._epoch_shift = cfg.block_bits
         self._lanes = lanes = sum(1 << (i * w) for i in range(cfg.partitions_per_block))
         self._part_mask = part_mask = (1 << w) - 1
@@ -315,8 +313,9 @@ class WireScheme(WriteScheme):
             (epoch, bumped), (rotations, phys) = ahead
         if ahead is None or self._ahead_version != version:
             encoded = int.from_bytes(data.translate(self._codec(version, epoch)[0]), "little")
-            rotations, _, phys = optimal_rotation(
-                encoded, bits, self._width, self._rotation_max, meta, self._partitions)
+            cfg = self.cfg
+            rotations, _, phys = optimal_rotation(encoded, bits, cfg.partition_bits,
+                                                  cfg.rotation_max, meta, cfg.partitions_per_block)
         self.finder.rereference(refs, resident)  # the block's references follow its content
         tags = (version, 1 if bumped else writes + 1, resident)
         return phys, epoch << self._epoch_shift | rotations, tags
@@ -338,7 +337,7 @@ class WireScheme(WriteScheme):
                 stored.append(bits.to_bytes(nbytes, "little"))
                 incumbent.append((meta & lane_mask).to_bytes(nbytes, "little"))
         results = optimal_rotations(b"".join(encoded), b"".join(stored), b"".join(incumbent),
-                                    self._rotation_max, nbytes) if encoded else ()
+                                    self.cfg.rotation_max, nbytes) if encoded else ()
         for entry, result in zip(ahead.values(), results):  # the rows are the entries in order
             entry[1] = result
         self._ahead, self._ahead_version = ahead, version

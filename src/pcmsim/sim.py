@@ -23,7 +23,9 @@ class Simulation:
     A write or read of a block that already failed raises `DeadBlockError`,
     and so does a read of content a start-gap copy lost (see `read`). The
     write raises before `encode`, so it moves no finder state, and it does
-    not count in `writes`, so it steps no leveler; it marks its page dead.
+    not count in `writes`, so it steps no leveler. Its page is already dead:
+    the write or copy that wore the block out killed it (pinned by
+    `tests/test_sim.py::test_every_address_mapped_to_a_failed_block_lies_on_a_dead_page`).
     `replay` stops at the first such access and sets `truncated`;
     `run_lifetime` states the lifetime policy.
     """
@@ -55,11 +57,9 @@ class Simulation:
         if not 0 <= addr < self.num_blocks:  # a list index would wrap a negative one
             raise SimulationError(f"block address {addr} outside memory")
         block = self.memory.blocks[self.physical[addr]]
-        try:
-            out = self.scheme.write(block, payload)
-        finally:
-            if block.failed:
-                self.memory.kill_page(addr)
+        out = self.scheme.write(block, payload)
+        if block.failed:  # this write wore the block out
+            self.memory.kill_page(addr)
         block.lost = False
         if self.metadata_cache is not None:
             self.metadata_cache.touch(addr)
@@ -73,7 +73,8 @@ class Simulation:
         return out
 
     def read(self, addr: int) -> bytes:
-        """Return the last data written to addr; a failed or lost block raises.
+        """Return the last data written to addr; a failed or lost block raises
+        `DeadBlockError`.
 
         A start-gap step into a failed block still remaps the address, so the
         mapped block holds no copy of the content; the block is marked `lost`,
@@ -83,10 +84,8 @@ class Simulation:
         if not 0 <= addr < self.num_blocks:
             raise SimulationError(f"block address {addr} outside memory")
         block = self.memory.blocks[self.physical[addr]]
-        if block.failed:
-            raise DeadBlockError("read of dead block")
-        if block.lost:
-            raise DeadBlockError("read of content lost to a start-gap copy into a dead block")
+        if block.failed or block.lost:
+            raise DeadBlockError("read of a dead block, or of content a start-gap copy lost")
         self.reads += 1
         if self.metadata_cache is not None:
             self.metadata_cache.touch(addr)

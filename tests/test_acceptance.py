@@ -65,9 +65,9 @@ def test_criterion_1_round_trip_fidelity():
     fnw = FnwScheme(cfg, word_bits=16)
     for _ in range(n):
         block = _random_block_state(rng, cfg)
-        flags = rng.getrandbits(fnw.words)
+        flags = rng.getrandbits(fnw.overhead_bits)  # a flip bit per word
         block.meta = sum(((flags >> i) & 1) << (i * fnw.word_bits)
-                         for i in range(fnw.words))
+                         for i in range(fnw.overhead_bits))
         payload = rng.randbytes(64)
         fnw.write(block, payload)
         if fnw.read(block) != payload:

@@ -228,6 +228,11 @@ def test_config_invariants_rejected():
         PcmConfig(granule_bits=3)
 
 
+def test_memory_needs_at_least_one_block():
+    with pytest.raises(ConfigError, match="memory needs at least one block"):
+        PcmMemory(0, CFG)
+
+
 # ---------------------------------------------------------------------------
 # capacity
 

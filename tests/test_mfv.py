@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -436,6 +437,13 @@ def test_rejects_bad_rankings():
         build_codebook([1, 1], 4)
     with pytest.raises(ConfigError):
         build_codebook([16], 4)
+
+
+def test_granule_packing_rejects_an_unsupported_width():
+    with pytest.raises(ConfigError, match="unsupported granule width"):
+        split_granules(b"\x00", 3)
+    with pytest.raises(ConfigError, match="unsupported granule width"):
+        pack_granules(np.zeros(4, np.uint8), 3)
 
 
 @pytest.mark.parametrize("g", [1, 2, 4, 8])

@@ -189,7 +189,7 @@ def test_fnw_matches_per_word_reference(case):
     for data in payloads:
         logical = int.from_bytes(data, "little")
         new_bits, new_flips = _fnw_loop_reference(block.bits, flips, logical,
-                                                  word_bits, scheme.words)
+                                                  word_bits, scheme.overhead_bits)
         diff = block.bits ^ new_bits
         meta_diff = flips ^ new_flips
         out = scheme.write(block, data)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import pytest
 
-from pcmsim import (DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
+from pcmsim import (ConfigError, DeadBlockError, GenSpec, MfvFinder, PcmConfig, Simulation,
                     SimulationError, TraceEvent, WearConfig, build_report, preset_spec,
                     generate, mfv_coverage, next_epoch, run_lifetime, schemes)
 from pcmsim.metrics import reports_to_csv
@@ -136,24 +136,34 @@ def test_lifetime_keeps_writing_live_blocks_of_a_dead_page():
 def test_every_address_mapped_to_a_failed_block_lies_on_a_dead_page(scheme_id):
     # blocks fail under writes and under start-gap copies, and steps remap
     # addresses onto failed blocks; after each event, every such address's
-    # page is dead. Three passes, dead-block accesses skipped as in lifetime mode
+    # page is dead. Three passes, dead-block accesses skipped as in lifetime mode.
+    # So a refused write kills no page: its page is already dead
     spec = GenSpec(events=3_000, read_fraction=0.25, address_zipf_s=1.2,
                    values={0x0: 0.5, 0xF: 0.5}, seed=1)
     events = generate(spec, num_blocks=32)
     sim = Simulation(scheme_id, 32, PcmConfig(cell_endurance=60, page_bytes=256),
                      WearConfig(enabled=True, epoch_writes=16, remap_period=7))
     blocks, per_page = sim.memory.blocks, sim.cfg.blocks_per_page
+    refused_writes = 0
     for ev in events * 3:
+        dead = set(sim.memory.dead_pages)
         try:
             if ev.op == "W":
                 sim.write(ev.addr, ev.payload)
             else:
                 sim.read(ev.addr)
         except DeadBlockError:
-            pass
+            assert sim.memory.dead_pages == dead
+            refused_writes += ev.op == "W"
         failed = {addr // per_page for addr in range(32) if blocks[sim.physical[addr]].failed}
         assert failed <= sim.memory.dead_pages
     assert failed  # the check ran on addresses mapped to failed blocks
+    assert refused_writes  # and on refused writes
+
+
+def test_simulation_needs_at_least_one_block():
+    with pytest.raises(ConfigError, match="memory needs at least one block"):
+        Simulation("plain", 0)
 
 
 @pytest.mark.parametrize("scheme_id", ["plain", "diffwrite", "fnw", "wire"])

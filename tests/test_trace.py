@@ -97,6 +97,8 @@ def test_bad_specs_rejected():
         generate(GenSpec(events=10, read_fraction=1.5), num_blocks=4)
     with pytest.raises(ConfigError):
         generate(GenSpec(events=10, values={16: 0.5}), num_blocks=4)
+    with pytest.raises(ConfigError, match="unknown preset"):
+        preset_spec("bogus")
 
 
 def test_generated_traces_parse_cleanly():
