@@ -114,13 +114,15 @@ class MfvFinder:
 
         Values resident when the write starts go to the pending buffer only:
         for them `observe` would just bump a saturating counter, and nothing
-        retires an entry during a write. The other granules go through
-        `observe` in write order, after the buffer took the whole write, so a
-        flush made by a promotion partway through drops the promoted value's
-        granules and `observe` counts its later ones. Counting needs no order:
-        below 8 bits the granules are one translate per granule position,
-        joined, and the ordered split (at 8 bits the payload itself) is taken
-        only for a write with a granule not resident.
+        retires an entry during a write. The other granules are taken in
+        write order, after the buffer took the whole write. A FIFO miss
+        applies `observe`'s miss rule inline. A FIFO hit goes through
+        `observe`, and so does every granule after a promotion: the flush the
+        promotion made dropped the promoted value's granules, and `observe`
+        counts its later ones. Counting needs no order: below 8 bits the
+        granules are one translate per granule position, joined, and the
+        ordered split (at 8 bits the payload itself) is taken only for a
+        write with a granule not resident.
         """
         keys, resident = self._fv_view(self.generation)
         granules = data if granule_bits == 8 else b"".join(
@@ -130,10 +132,33 @@ class MfvFinder:
         for v in keys.translate(None, granules):  # resident values the write lacks
             resident ^= 1 << v
         if granules.translate(None, keys):
-            observe = self.observe
+            observe, fifo_entries, promoted = self.observe, self.fifo_entries, False
+            values, expiry, slot, misses = (
+                self._fifo_values, self._fifo_expiry, self._fifo_slot, self._misses)
             for v in split_granules(data, granule_bits).translate(None, keys):
-                if observe(v) is not None:  # promoted, so resident to the end
-                    resident |= 1 << v
+                # a FIFO hit goes through `observe`, and so does every granule
+                # after a promotion, which rebinds `_fifo_slot`
+                if promoted or v in slot:
+                    self._misses = misses
+                    if observe(v) is not None:  # promoted, so resident to the end
+                        resident |= 1 << v
+                        promoted = True
+                    misses = self._misses
+                    continue
+                misses += 1  # a FIFO miss: `observe`'s miss rule
+                if len(values) < fifo_entries:
+                    slot[v] = len(values)
+                    values.append(v)
+                    expiry.append(misses + 1)
+                    continue
+                # slot 0 takes nearly every miss: the entry it took at the
+                # last miss has expired by this one
+                k = 0 if expiry[0] <= misses else next(
+                    (k for k, e in enumerate(expiry) if e <= misses), None)
+                if k is not None:
+                    del slot[values[k]]
+                    slot[v], values[k], expiry[k] = k, v, misses + 1
+            self._misses = misses
         if len(pending) > PENDING_FLUSH_BYTES:
             self.flush()
         return resident

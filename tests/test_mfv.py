@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmsim import (ConfigError, MfvFinder, build_codebook, mfv, pack_granules,
-                    unpack_granules)
+from pcmsim import (ConfigError, MfvFinder, build_codebook, generate, mfv, pack_granules,
+                    preset_spec, unpack_granules)
 from pcmsim.mfv import FV_COUNTER_MAX, PENDING_FLUSH_BYTES, split_granules
 
 from helpers import FifoEntry, PerGranuleFinder, fifo, hamming
@@ -345,15 +345,42 @@ def test_observe_write_splits_in_write_order_only_for_a_value_not_resident(
     assert finder_state(fast) == finder_state(slow)
 
 
-def test_observe_write_observes_only_values_not_resident():
-    f = MfvFinder(fifo_entries=2, sat_max=2)
+def test_observe_write_observes_fifo_hits_and_every_granule_after_a_promotion():
+    """A FIFO miss is handled inline: `observe` sees the FIFO hits, and every
+    granule after a promotion within the write, never a plain miss."""
+    f, ref = MfvFinder(fifo_entries=2, sat_max=2), PerGranuleFinder(fifo_entries=2, sat_max=2)
     observed = []
     observe = f.observe
     f.observe = lambda v: observed.append(v) or observe(v)
 
-    assert f.observe_write(bytes([5, 5, 3])) == 1 << 5   # 5 promoted mid-write
-    assert f.observe_write(bytes([5, 4, 5])) == 1 << 5   # 3 and 4 in the FIFO
-    assert observed == [5, 5, 3, 4]
+    writes = [bytes([5, 5, 3, 7]),   # 5 missed, then hit and promoted; 3 and 7 after it
+              bytes([5, 4, 7, 5])]   # 5 resident; 4 missed into slot 0, 7 hit
+    for data in writes:
+        assert f.observe_write(data) == ref.observe_write(data) == 1 << 5
+    assert observed == [5, 3, 7, 7]
+    assert finder_state(f) == finder_state(ref)
+    assert f._misses == ref._misses == 4
+
+
+# with 2 FV entries, saturated FIFO values are refused promotion (7 times)
+@pytest.mark.parametrize("fv_entries", [16, 2])
+def test_observe_write_matches_per_granule_observe_at_the_bench_geometry(fv_entries):
+    """The default 16-entry FIFO at g8, full, with slot 0 taking nearly every
+    miss: the read-heavy preset's writes, driven as `WireScheme.write` does."""
+    events = generate(preset_spec("read-heavy", events=6000, seed=1), num_blocks=256,
+                      granule_bits=8)
+    fast, slow = MfvFinder(fv_entries=fv_entries), PerGranuleFinder(fv_entries=fv_entries)
+    refs = {}  # address -> value mask
+    for e in events:
+        if e.op == "W":
+            resident = fast.observe_write(e.payload)
+            assert resident == slow.observe_write(e.payload)
+            for f in (fast, slow):
+                f.rereference(refs.get(e.addr, 0), resident)
+            refs[e.addr] = resident
+    assert finder_state(fast) == finder_state(slow)
+    assert fast._misses == slow._misses
+    assert len(fast._fifo_values) == fast.fifo_entries
 
 
 @settings(max_examples=200, deadline=None)
